@@ -153,7 +153,7 @@ impl LsmIndex {
     ) -> Result<(Vec<(u64, u64)>, u64), IndexError> {
         let key = Self::cache_key(ppa);
         if let Some(bytes) = ftl.cache().get(key) {
-            return Ok((decode_run_page(&bytes), 0));
+            return Ok((decode_run_page(bytes), 0));
         }
         let bytes = ftl.read_index_page(ppa)?;
         self.stats.metadata_flash_reads += 1;

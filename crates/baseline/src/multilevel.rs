@@ -8,7 +8,8 @@
 //! paying up to one flash read per probed level; this is exactly the
 //! behaviour RHIK's ≤ 1-read design eliminates.
 
-use rhik_core::{RecordTable, TableInsert};
+use rhik_core::pages::{self, CachedTables};
+use rhik_core::TableInsert;
 use rhik_ftl::layout::SpareMeta;
 use rhik_ftl::{Ftl, IndexBackend, IndexError, IndexStats, InsertOutcome};
 use rhik_nand::Ppa;
@@ -100,52 +101,19 @@ impl MultiLevelIndex {
         ftl: &mut Ftl,
         level: usize,
         slot: u32,
-    ) -> Result<(RecordTable, u64), IndexError> {
-        let key = Self::cache_key(level, slot);
-        if let Some(bytes) = ftl.cache().get(key) {
-            return Ok((
-                RecordTable::from_page(&bytes, self.records_per_table, self.cfg.hop_width),
-                0,
-            ));
-        }
-        match self.levels[level].tables[slot as usize] {
-            Some(ppa) => {
-                let bytes = ftl.read_index_page(ppa)?;
-                self.stats.metadata_flash_reads += 1;
-                let table =
-                    RecordTable::from_page(&bytes, self.records_per_table, self.cfg.hop_width);
-                self.install(ftl, key, bytes, false)?;
-                Ok((table, 1))
-            }
-            None => Ok((RecordTable::new(self.records_per_table, self.cfg.hop_width), 0)),
-        }
+    ) -> Result<(pages::Table, u64), IndexError> {
+        let ppa = self.levels[level].tables[slot as usize];
+        pages::load(self, ftl, Self::cache_key(level, slot), ppa)
+    }
+}
+
+impl CachedTables for MultiLevelIndex {
+    fn table_shape(&self) -> (u32, u32) {
+        (self.records_per_table, self.cfg.hop_width)
     }
 
-    fn store_table(
-        &mut self,
-        ftl: &mut Ftl,
-        level: usize,
-        slot: u32,
-        table: &RecordTable,
-    ) -> Result<(), IndexError> {
-        let key = Self::cache_key(level, slot);
-        let page = table.to_page(ftl.geometry().page_size as usize);
-        self.levels[level].records[slot as usize] = table.len();
-        self.install(ftl, key, page, true)
-    }
-
-    fn install(
-        &mut self,
-        ftl: &mut Ftl,
-        key: u64,
-        bytes: bytes::Bytes,
-        dirty: bool,
-    ) -> Result<(), IndexError> {
-        let evicted = ftl.cache().insert(key, bytes, dirty);
-        for ev in evicted {
-            self.write_back(ftl, ev.key, ev.data, ev.dirty)?;
-        }
-        Ok(())
+    fn stats_mut(&mut self) -> &mut IndexStats {
+        &mut self.stats
     }
 
     fn write_back(
@@ -153,11 +121,7 @@ impl MultiLevelIndex {
         ftl: &mut Ftl,
         key: u64,
         data: bytes::Bytes,
-        dirty: bool,
     ) -> Result<(), IndexError> {
-        if !dirty {
-            return Ok(());
-        }
         let level = ((key >> 40) - 1) as usize;
         let slot = (key & 0xff_ffff_ffff) as usize;
         if level >= self.levels.len() || slot >= self.levels[level].tables.len() {
@@ -189,11 +153,11 @@ impl IndexBackend for MultiLevelIndex {
                 continue;
             }
             let (mut table, _) = self.load_table(ftl, level, slot)?;
-            if table.lookup(sig).is_some() {
-                let TableInsert::Updated { old } = table.insert(sig, ppa) else {
+            if table.lookup(ftl, sig).is_some() {
+                let (TableInsert::Updated { old }, _) = table.insert(ftl, sig, ppa) else {
                     unreachable!("lookup said present");
                 };
-                self.store_table(ftl, level, slot, &table)?;
+                table.save(self, ftl)?;
                 return Ok(InsertOutcome::Updated { old });
             }
         }
@@ -206,10 +170,11 @@ impl IndexBackend for MultiLevelIndex {
                     continue;
                 }
                 let (mut table, _) = self.load_table(ftl, level, slot)?;
-                match table.insert(sig, ppa) {
+                match table.insert(ftl, sig, ppa).0 {
                     TableInsert::Inserted => {
-                        self.store_table(ftl, level, slot, &table)?;
+                        self.levels[level].records[slot as usize] += 1;
                         self.len += 1;
+                        table.save(self, ftl)?;
                         return Ok(InsertOutcome::Inserted);
                     }
                     TableInsert::Updated { .. } => unreachable!("pass 1 checked"),
@@ -238,7 +203,7 @@ impl IndexBackend for MultiLevelIndex {
             }
             let (table, r) = self.load_table(ftl, level, slot)?;
             reads += r;
-            if let Some(ppa) = table.lookup(sig) {
+            if let Some(ppa) = table.lookup(ftl, sig) {
                 found = Some(ppa);
                 break;
             }
@@ -255,9 +220,10 @@ impl IndexBackend for MultiLevelIndex {
                 continue;
             }
             let (mut table, _) = self.load_table(ftl, level, slot)?;
-            if let Some(ppa) = table.remove(sig) {
-                self.store_table(ftl, level, slot, &table)?;
+            if let Some(ppa) = table.remove(ftl, sig) {
+                self.levels[level].records[slot as usize] -= 1;
                 self.len -= 1;
+                table.save(self, ftl)?;
                 return Ok(Some(ppa));
             }
         }
@@ -292,11 +258,7 @@ impl IndexBackend for MultiLevelIndex {
     }
 
     fn flush(&mut self, ftl: &mut Ftl) -> Result<(), IndexError> {
-        let dirty = ftl.cache().drain_dirty();
-        for ev in dirty {
-            self.write_back(ftl, ev.key, ev.data, true)?;
-        }
-        Ok(())
+        pages::flush_dirty(self, ftl)
     }
 
     fn scan_records(
@@ -310,9 +272,7 @@ impl IndexBackend for MultiLevelIndex {
                     continue;
                 }
                 let (table, _) = self.load_table(ftl, level, slot)?;
-                for (sig, ppa) in table.iter() {
-                    visit(sig, ppa);
-                }
+                table.for_each(ftl, visit);
             }
         }
         Ok(())

@@ -5,7 +5,8 @@
 //! index-induced limit on value sizes. RHIK's §IV-A5 explicitly removes
 //! that coupling; this baseline keeps it for contrast.
 
-use rhik_core::{RecordTable, TableInsert};
+use rhik_core::pages::{self, CachedTables};
+use rhik_core::TableInsert;
 use rhik_ftl::layout::SpareMeta;
 use rhik_ftl::{Ftl, IndexBackend, IndexError, IndexStats, InsertOutcome};
 use rhik_nand::Ppa;
@@ -46,46 +47,18 @@ impl SimpleHashIndex {
         (1u64 << 50) | slot as u64
     }
 
-    fn load_table(&mut self, ftl: &mut Ftl, slot: u32) -> Result<(RecordTable, u64), IndexError> {
-        let key = Self::cache_key(slot);
-        if let Some(bytes) = ftl.cache().get(key) {
-            return Ok((RecordTable::from_page(&bytes, self.records_per_table, self.hop_width), 0));
-        }
-        match self.tables[slot as usize] {
-            Some(ppa) => {
-                let bytes = ftl.read_index_page(ppa)?;
-                self.stats.metadata_flash_reads += 1;
-                let t = RecordTable::from_page(&bytes, self.records_per_table, self.hop_width);
-                self.install(ftl, key, bytes, false)?;
-                Ok((t, 1))
-            }
-            None => Ok((RecordTable::new(self.records_per_table, self.hop_width), 0)),
-        }
+    fn load_table(&mut self, ftl: &mut Ftl, slot: u32) -> Result<(pages::Table, u64), IndexError> {
+        pages::load(self, ftl, Self::cache_key(slot), self.tables[slot as usize])
+    }
+}
+
+impl CachedTables for SimpleHashIndex {
+    fn table_shape(&self) -> (u32, u32) {
+        (self.records_per_table, self.hop_width)
     }
 
-    fn store_table(
-        &mut self,
-        ftl: &mut Ftl,
-        slot: u32,
-        table: &RecordTable,
-    ) -> Result<(), IndexError> {
-        self.records[slot as usize] = table.len();
-        let page = table.to_page(ftl.geometry().page_size as usize);
-        self.install(ftl, Self::cache_key(slot), page, true)
-    }
-
-    fn install(
-        &mut self,
-        ftl: &mut Ftl,
-        key: u64,
-        bytes: bytes::Bytes,
-        dirty: bool,
-    ) -> Result<(), IndexError> {
-        let evicted = ftl.cache().insert(key, bytes, dirty);
-        for ev in evicted {
-            self.write_back(ftl, ev.key, ev.data, ev.dirty)?;
-        }
-        Ok(())
+    fn stats_mut(&mut self) -> &mut IndexStats {
+        &mut self.stats
     }
 
     fn write_back(
@@ -93,11 +66,7 @@ impl SimpleHashIndex {
         ftl: &mut Ftl,
         key: u64,
         data: bytes::Bytes,
-        dirty: bool,
     ) -> Result<(), IndexError> {
-        if !dirty {
-            return Ok(());
-        }
         let slot = (key & 0xffff_ffff) as usize;
         if slot >= self.tables.len() {
             return Ok(());
@@ -122,21 +91,20 @@ impl IndexBackend for SimpleHashIndex {
         self.stats.inserts += 1;
         let slot = self.slot_of(sig);
         let (mut table, _) = self.load_table(ftl, slot)?;
-        match table.insert(sig, ppa) {
+        let outcome = match table.insert(ftl, sig, ppa).0 {
             TableInsert::Inserted => {
-                self.store_table(ftl, slot, &table)?;
+                self.records[slot as usize] += 1;
                 self.len += 1;
-                Ok(InsertOutcome::Inserted)
+                InsertOutcome::Inserted
             }
-            TableInsert::Updated { old } => {
-                self.store_table(ftl, slot, &table)?;
-                Ok(InsertOutcome::Updated { old })
-            }
+            TableInsert::Updated { old } => InsertOutcome::Updated { old },
             TableInsert::Full => {
                 self.stats.insert_aborts += 1;
-                Err(IndexError::CapacityExhausted)
+                return Err(IndexError::CapacityExhausted);
             }
-        }
+        };
+        table.save(self, ftl)?;
+        Ok(outcome)
     }
 
     fn lookup(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
@@ -144,17 +112,18 @@ impl IndexBackend for SimpleHashIndex {
         let slot = self.slot_of(sig);
         let (table, reads) = self.load_table(ftl, slot)?;
         self.stats.note_lookup_reads(reads);
-        Ok(table.lookup(sig))
+        Ok(table.lookup(ftl, sig))
     }
 
     fn remove(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
         self.stats.removes += 1;
         let slot = self.slot_of(sig);
         let (mut table, _) = self.load_table(ftl, slot)?;
-        let removed = table.remove(sig);
+        let removed = table.remove(ftl, sig);
         if removed.is_some() {
-            self.store_table(ftl, slot, &table)?;
+            self.records[slot as usize] -= 1;
             self.len -= 1;
+            table.save(self, ftl)?;
         }
         Ok(removed)
     }
@@ -180,11 +149,7 @@ impl IndexBackend for SimpleHashIndex {
     }
 
     fn flush(&mut self, ftl: &mut Ftl) -> Result<(), IndexError> {
-        let dirty = ftl.cache().drain_dirty();
-        for ev in dirty {
-            self.write_back(ftl, ev.key, ev.data, true)?;
-        }
-        Ok(())
+        pages::flush_dirty(self, ftl)
     }
 
     fn scan_records(
@@ -197,9 +162,7 @@ impl IndexBackend for SimpleHashIndex {
                 continue;
             }
             let (table, _) = self.load_table(ftl, slot)?;
-            for (sig, ppa) in table.iter() {
-                visit(sig, ppa);
-            }
+            table.for_each(ftl, visit);
         }
         Ok(())
     }

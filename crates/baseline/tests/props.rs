@@ -114,3 +114,87 @@ proptest! {
         )?;
     }
 }
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// Drive one hash baseline through a seeded insert/update/remove/lookup
+/// stream, flush it, and digest its live index pages together with the
+/// flash and page-cache counters that led there.
+fn stream_digest(idx: &mut dyn IndexBackend, seed: u64, ops: u32) -> u64 {
+    let geometry = NandGeometry {
+        blocks: 1024,
+        pages_per_block: 8,
+        page_size: 512,
+        spare_size: 16,
+        channels: 2,
+    };
+    let mut ftl = Ftl::new(FtlConfig { geometry, cache_budget_bytes: 2048, ..FtlConfig::tiny() });
+    let mut state = seed;
+    for _ in 0..ops {
+        state = mix(state);
+        let sig = KeySignature(mix(state % 300));
+        let ppa = Ppa::new((state >> 20) as u32 % 1000, (state >> 40) as u32 % 8);
+        match (state >> 12) % 8 {
+            0..=4 => match idx.insert(&mut ftl, sig, ppa) {
+                Ok(_) | Err(IndexError::CapacityExhausted) => {}
+                Err(e) => panic!("insert: {e}"),
+            },
+            5 | 6 => {
+                idx.remove(&mut ftl, sig).unwrap();
+            }
+            _ => {
+                idx.lookup(&mut ftl, sig).unwrap();
+            }
+        }
+    }
+    idx.flush(&mut ftl).unwrap();
+    let mut pages = Vec::new();
+    for b in 0..geometry.blocks {
+        pages.extend(idx.live_index_pages_in(b));
+    }
+    pages.sort_unstable_by_key(|&(key, _)| key);
+    let mut h = FNV_OFFSET;
+    for (key, ppa) in pages {
+        let (data, _) = ftl.peek_page(ppa).expect("live page on flash");
+        fnv(&mut h, &key.to_le_bytes());
+        fnv(&mut h, &data);
+    }
+    let f = ftl.stats();
+    let c = ftl.cache_ref().stats();
+    for n in [
+        idx.len(),
+        f.index_page_reads,
+        f.index_page_programs,
+        c.hits,
+        c.misses,
+        c.insertions,
+        c.evictions,
+        c.dirty_evictions,
+    ] {
+        fnv(&mut h, &n.to_le_bytes());
+    }
+    h
+}
+
+/// Digests recorded with the decode–modify–encode implementation the
+/// in-place page operations replaced (capacity aborts included).
+#[test]
+fn hash_baseline_pages_and_cache_decisions_are_pinned() {
+    let ml = MultiLevelConfig { initial_bits: 1, max_levels: 6, hop_width: 8 };
+    for (seed, simple, multilevel) in [
+        (1u64, 0x250d_c4db_d7bc_7c11u64, 0xf510_920d_f25c_bf0du64),
+        (2, 0xeba5_697c_52f2_1c45, 0xe862_8239_b6b6_ff82),
+    ] {
+        let got = stream_digest(&mut SimpleHashIndex::new(3, 8, 512), seed, 2000);
+        assert_eq!(got, simple, "simple-hash digest drifted, seed {seed}");
+        let got = stream_digest(&mut MultiLevelIndex::new(ml, 512), seed, 2000);
+        assert_eq!(got, multilevel, "multilevel digest drifted, seed {seed}");
+    }
+}

@@ -8,8 +8,15 @@
 //!
 //! Write-back: dirty pages are only persisted when evicted (the caller gets
 //! the evicted entry back and is responsible for programming it) or when
-//! explicitly drained — matching RHIK's "periodically updated persistent
-//! copy" of metadata.
+//! explicitly flushed — matching RHIK's "periodically updated persistent
+//! copy" of metadata. A victim whose write-back the flash refuses goes
+//! back in ([`IndexPageCache::restore`]) rather than being lost.
+//!
+//! Pages are patched in place, copy-on-write: [`IndexPageCache::page_mut`]
+//! hands out the resident buffer, copying it first only while another
+//! handle shares it (the flash array keeps the bytes it was filled from or
+//! written back with), and [`IndexPageCache::commit_patch`] accounts the
+//! write exactly as re-inserting the page would.
 //!
 //! Implemented from scratch as a slab-backed doubly-linked list + HashMap,
 //! O(1) for get/insert/remove.
@@ -28,7 +35,7 @@ struct Node {
     next: usize,
 }
 
-/// An entry evicted (or drained) from the cache.
+/// An entry evicted from the cache.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Evicted {
     pub key: u64,
@@ -138,14 +145,32 @@ impl IndexPageCache {
         }
     }
 
+    /// Store a new entry in a free slab slot and map `key` to it (not yet
+    /// linked into the recency list).
+    fn add_node(&mut self, key: u64, data: Bytes, dirty: bool) -> usize {
+        let node = Node { key, data, dirty, prev: NIL, next: NIL };
+        let idx = match self.free.pop() {
+            Some(i) => {
+                self.slab[i] = node;
+                i
+            }
+            None => {
+                self.slab.push(node);
+                self.slab.len() - 1
+            }
+        };
+        self.map.insert(key, idx);
+        idx
+    }
+
     /// Look up `key`, refreshing recency. Counts a hit or miss.
-    pub fn get(&mut self, key: u64) -> Option<Bytes> {
+    pub fn get(&mut self, key: u64) -> Option<&Bytes> {
         match self.map.get(&key).copied() {
             Some(idx) => {
                 self.stats.hits += 1;
                 self.detach(idx);
                 self.push_front(idx);
-                Some(self.slab[idx].data.clone())
+                Some(&self.slab[idx].data)
             }
             None => {
                 self.stats.misses += 1;
@@ -162,6 +187,27 @@ impl IndexPageCache {
     /// Whether `key` is cached and dirty.
     pub fn is_dirty(&self, key: u64) -> bool {
         self.map.get(&key).is_some_and(|&idx| self.slab[idx].dirty)
+    }
+
+    /// Mutable access to resident `key` for an in-place patch,
+    /// copy-on-write: the buffer is copied first only if another handle
+    /// shares it. Recency, dirtiness and counters are untouched; report a
+    /// completed patch with [`IndexPageCache::commit_patch`].
+    pub fn page_mut(&mut self, key: u64) -> Option<&mut [u8]> {
+        let idx = *self.map.get(&key)?;
+        Some(self.slab[idx].data.make_mut())
+    }
+
+    /// Account an in-place patch of resident `key` exactly as re-inserting
+    /// the patched page dirty would: one insertion, marked dirty, most
+    /// recently used (no-op if absent).
+    pub fn commit_patch(&mut self, key: u64) {
+        if let Some(&idx) = self.map.get(&key) {
+            self.stats.insertions += 1;
+            self.slab[idx].dirty = true;
+            self.detach(idx);
+            self.push_front(idx);
+        }
     }
 
     /// Insert or replace `key`, evicting LRU entries as needed to fit the
@@ -207,17 +253,7 @@ impl IndexPageCache {
                 return evicted;
             }
             self.used += data.len();
-            let idx = match self.free.pop() {
-                Some(i) => {
-                    self.slab[i] = Node { key, data, dirty, prev: NIL, next: NIL };
-                    i
-                }
-                None => {
-                    self.slab.push(Node { key, data, dirty, prev: NIL, next: NIL });
-                    self.slab.len() - 1
-                }
-            };
-            self.map.insert(key, idx);
+            let idx = self.add_node(key, data, dirty);
             self.push_front(idx);
         }
 
@@ -251,10 +287,27 @@ impl IndexPageCache {
         Evicted { key: node.key, data: node.data, dirty: node.dirty }
     }
 
-    /// Mark a cached entry dirty (no-op if absent).
-    pub fn mark_dirty(&mut self, key: u64) {
-        if let Some(&idx) = self.map.get(&key) {
-            self.slab[idx].dirty = true;
+    /// Put back evicted entries whose write-back was refused, so no dirty
+    /// page is lost: they rejoin the least-recently-used end in eviction
+    /// order (the first given stays least recent), keep their dirtiness,
+    /// and stop counting as evicted. The cache may then sit above its
+    /// budget until the next insertion evicts them again.
+    pub fn restore(&mut self, entries: Vec<Evicted>) {
+        for ev in entries.into_iter().rev() {
+            debug_assert!(!self.map.contains_key(&ev.key), "restored page {} is resident", ev.key);
+            self.stats.evictions = self.stats.evictions.saturating_sub(1);
+            if ev.dirty {
+                self.stats.dirty_evictions = self.stats.dirty_evictions.saturating_sub(1);
+            }
+            self.used += ev.data.len();
+            let idx = self.add_node(ev.key, ev.data, ev.dirty);
+            self.slab[idx].prev = self.tail;
+            if self.tail != NIL {
+                self.slab[self.tail].next = idx;
+            } else {
+                self.head = idx;
+            }
+            self.tail = idx;
         }
     }
 
@@ -272,20 +325,23 @@ impl IndexPageCache {
         Some(Evicted { key: node.key, data: node.data, dirty: node.dirty })
     }
 
-    /// Drain every dirty entry (marking it clean in place) for a checkpoint.
-    pub fn drain_dirty(&mut self) -> Vec<Evicted> {
-        let mut out = Vec::new();
-        for idx in 0..self.slab.len() {
-            if self.map.get(&self.slab[idx].key) == Some(&idx) && self.slab[idx].dirty {
-                self.slab[idx].dirty = false;
-                out.push(Evicted {
-                    key: self.slab[idx].key,
-                    data: self.slab[idx].data.clone(),
-                    dirty: true,
-                });
-            }
+    /// Every resident dirty page, in slab order, for a checkpoint. Each
+    /// stays dirty until the caller has persisted it and calls
+    /// [`IndexPageCache::mark_clean`].
+    pub fn dirty_pages(&self) -> Vec<(u64, Bytes)> {
+        self.slab
+            .iter()
+            .enumerate()
+            .filter(|&(idx, node)| node.dirty && self.map.get(&node.key) == Some(&idx))
+            .map(|(_, node)| (node.key, node.data.clone()))
+            .collect()
+    }
+
+    /// Mark a resident page clean after its write-back (no-op if absent).
+    pub fn mark_clean(&mut self, key: u64) {
+        if let Some(&idx) = self.map.get(&key) {
+            self.slab[idx].dirty = false;
         }
-        out
     }
 
     /// Keys currently resident, MRU first (diagnostics).
@@ -324,7 +380,7 @@ mod tests {
         let mut c = IndexPageCache::new(1000);
         assert!(c.get(1).is_none());
         c.insert(1, page(1, 100), false);
-        assert_eq!(c.get(1).unwrap(), page(1, 100));
+        assert_eq!(c.get(1).unwrap(), &page(1, 100));
         let s = c.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
@@ -432,27 +488,77 @@ mod tests {
     }
 
     #[test]
-    fn drain_dirty_cleans_in_place() {
+    fn dirty_pages_stay_dirty_until_marked_clean() {
         let mut c = IndexPageCache::new(1000);
         c.insert(1, page(1, 10), true);
         c.insert(2, page(2, 10), false);
         c.insert(3, page(3, 10), true);
-        let mut drained: Vec<u64> = c.drain_dirty().into_iter().map(|e| e.key).collect();
-        drained.sort_unstable();
-        assert_eq!(drained, vec![1, 3]);
-        assert!(c.drain_dirty().is_empty());
+        let mut dirty: Vec<u64> = c.dirty_pages().into_iter().map(|(key, _)| key).collect();
+        dirty.sort_unstable();
+        assert_eq!(dirty, vec![1, 3]);
+        // Only pages the caller persisted turn clean.
+        c.mark_clean(1);
+        c.mark_clean(99); // absent: no-op
         assert!(!c.is_dirty(1));
-        // Entries are still resident after a drain.
+        assert!(c.is_dirty(3));
+        assert_eq!(c.dirty_pages().len(), 1);
+        // Entries are still resident after a checkpoint.
         assert_eq!(c.len(), 3);
     }
 
     #[test]
-    fn mark_dirty_after_get() {
-        let mut c = IndexPageCache::new(100);
-        c.insert(1, page(1, 10), false);
-        c.mark_dirty(1);
-        assert!(c.is_dirty(1));
-        c.mark_dirty(99); // absent: no-op
+    fn patch_in_place_is_copy_on_write() {
+        let mut c = IndexPageCache::new(1000);
+        let shared = page(1, 10);
+        c.insert(1, shared.clone(), false);
+        c.page_mut(1).unwrap()[0] = 9;
+        assert_eq!(&shared[..], &[1; 10], "a shared page is copied before the patch");
+        assert_eq!(c.peek(1).unwrap()[0], 9);
+        // The private copy is patched in place from then on.
+        let before = c.peek(1).unwrap().as_ptr();
+        c.page_mut(1).unwrap()[1] = 8;
+        assert_eq!(c.peek(1).unwrap().as_ptr(), before);
+        assert!(c.page_mut(2).is_none());
+    }
+
+    #[test]
+    fn commit_patch_accounts_like_a_dirty_reinsert() {
+        let fill = |c: &mut IndexPageCache| {
+            for k in 1..=3 {
+                c.insert(k, page(k as u8, 100), false);
+            }
+        };
+        let mut patched = IndexPageCache::new(300);
+        let mut reinserted = IndexPageCache::new(300);
+        fill(&mut patched);
+        fill(&mut reinserted);
+        patched.commit_patch(1);
+        assert!(reinserted.insert(1, page(1, 100), true).is_empty());
+        assert_eq!(patched.stats(), reinserted.stats());
+        assert_eq!(patched.keys_mru(), reinserted.keys_mru());
+        assert!(patched.is_dirty(1));
+    }
+
+    #[test]
+    fn restored_victims_stay_dirty_at_the_lru_end() {
+        let mut c = IndexPageCache::new(300);
+        c.insert(1, page(1, 100), true);
+        c.insert(2, page(2, 100), true);
+        c.insert(3, page(3, 100), false);
+        let ev = c.insert(4, page(4, 200), false);
+        assert_eq!(ev.iter().map(|e| e.key).collect::<Vec<_>>(), vec![1, 2]);
+        // Both write-backs refused: nothing may be lost.
+        c.restore(ev);
+        assert_eq!(c.keys_mru(), vec![4, 3, 2, 1]);
+        assert!(c.is_dirty(1) && c.is_dirty(2));
+        assert_eq!(c.peek(1).unwrap(), &page(1, 100));
+        assert_eq!(c.used_bytes(), 500, "over budget until the next insertion");
+        assert_eq!(c.stats().evictions, 0);
+        assert_eq!(c.stats().dirty_evictions, 0);
+        // The next insertion evicts them again, oldest first.
+        let ev = c.insert(5, page(5, 10), false);
+        assert_eq!(ev.iter().map(|e| e.key).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert!(c.used_bytes() <= 300);
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! selection and merging operations can proceed according to existing GC
 //! algorithms."
 //!
-//! Victims are picked greedily by stale bytes. Data-block cleaning decodes
-//! each head page's signature information area (Fig. 4), validates every
-//! signature against the installed index, relocates live pairs through the
-//! normal data path, and erases the block. Index-block cleaning asks the
-//! index which of its pages are still live and relocates those.
+//! Victims are picked greedily by stale bytes. Data-block cleaning reads
+//! each head page's signature information area (Fig. 4) in place,
+//! validates every signature against the installed index, relocates live
+//! pairs through the normal data path in page order — so two runs of one
+//! workload collect identically — and erases the block. Index-block
+//! cleaning asks the index which of its pages are still live and
+//! relocates those.
 
 use crate::alloc::Stream;
 use crate::ftl::{Ftl, FtlError};
@@ -213,9 +215,9 @@ fn run_inner<I: IndexBackend>(
     Ok(())
 }
 
-/// Clean a head-stream block: decode every head page's signature info
-/// area, validate each pair against the index, relocate the live ones
-/// (reading their bodies from the extent partition), and erase.
+/// Clean a head-stream block: read every head page's signature info
+/// area, validate each pair against the index, relocate the live ones in
+/// page order (reading their bodies from the extent partition), and erase.
 fn clean_head_block<I: IndexBackend>(
     ftl: &mut Ftl,
     index: &mut I,
@@ -230,8 +232,9 @@ fn clean_head_block<I: IndexBackend>(
     let programmed = ftl.block_write_ptr(block);
     let page_size = ftl.geometry().page_size as usize;
 
-    // Pass 1: collect live pairs. Duplicate signatures within a page (an
-    // in-page update) resolve to the newest entry.
+    // Pass 1: collect live pairs in page order. Duplicate signatures
+    // within a page (an in-page update) resolve to the newest entry; only
+    // live pairs are copied out of the page.
     let mut live: Vec<(rhik_sigs::KeySignature, layout::PairEntry)> = Vec::new();
     for page in 0..programmed {
         let ppa = Ppa::new(block, page);
@@ -241,20 +244,20 @@ fn clean_head_block<I: IndexBackend>(
         if meta.kind != PageKind::Head {
             continue;
         }
-        let Some(entries) = layout::decode_head(&data, page_size) else { continue };
-        let mut newest: std::collections::HashMap<u64, layout::PairEntry> = Default::default();
-        for entry in entries {
-            newest.insert(entry.sig.0, entry); // later entries overwrite
-        }
-        for (_, entry) in newest {
-            let valid = match index.lookup(ftl, entry.sig) {
+        let Some(head) = layout::HeadPage::parse(&data, page_size) else { continue };
+        for i in head.newest() {
+            let sig = head.sig(i);
+            let valid = match index.lookup(ftl, sig) {
                 Ok(Some(current)) => current == ppa,
                 Ok(None) => false,
                 Err(IndexError::Flash(e)) => return Err(FtlError::Flash(e)),
+                // A refused index write-back: the pair's liveness is
+                // unknown, so leave the victim uncollected.
+                Err(IndexError::NeedsGc) => return Err(FtlError::NeedsGc),
                 Err(_) => false,
             };
             if valid {
-                live.push((entry.sig, entry));
+                live.push((sig, head.entry(i)));
             } else {
                 report.pairs_discarded += 1;
             }
@@ -327,6 +330,7 @@ fn clean_extent_block<I: IndexBackend>(
                 continue;
             }
             Err(IndexError::Flash(e)) => return Err(FtlError::Flash(e)),
+            Err(IndexError::NeedsGc) => return Err(FtlError::NeedsGc),
             Err(_) => continue,
         };
         let (data, _) = ftl.read_data_page(head)?;
@@ -469,6 +473,8 @@ mod tests {
     struct MapIndex {
         map: HashMap<u64, Ppa>,
         stats: IndexStats,
+        /// Fail every lookup as a refused index write-back would.
+        refuse_lookups: bool,
     }
 
     impl IndexBackend for MapIndex {
@@ -484,6 +490,9 @@ mod tests {
             }
         }
         fn lookup(&mut self, _f: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
+            if self.refuse_lookups {
+                return Err(IndexError::NeedsGc);
+            }
             Ok(self.map.get(&sig.0).copied())
         }
         fn remove(&mut self, _f: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
@@ -636,6 +645,48 @@ mod tests {
             let (d, _) = ftl.read_data_page(head).unwrap();
             let entry = layout::find_in_head(&d, 512, sig(id)).expect("entry in head page");
             assert_eq!(&entry.key[..], format!("key{id}").as_bytes());
+        }
+    }
+
+    /// A validity lookup the index cannot answer (its cache needed a
+    /// write-back the pool refused) must leave the victim alone: treating
+    /// the pair as stale would erase live data.
+    #[test]
+    fn gc_keeps_pairs_whose_liveness_it_cannot_check() {
+        let mut ftl = Ftl::new(FtlConfig::tiny());
+        let mut index = MapIndex::default();
+        let mut stored = Vec::new();
+        for i in 0..1000u64 {
+            match ftl.store_pair(sig(i), format!("key{i}").as_bytes(), &[i as u8; 120], 0) {
+                Ok(e) => {
+                    index.insert(&mut ftl, sig(i), e.head).unwrap();
+                    stored.push((i, e));
+                }
+                Err(FtlError::NeedsGc) => break,
+                Err(e) => panic!("unexpected: {e}"),
+            }
+        }
+        for (i, e) in &stored {
+            if i % 2 == 0 {
+                ftl.mark_stale(e);
+                ftl.drop_pending(sig(*i));
+                index.remove(&mut ftl, sig(*i)).unwrap();
+            }
+        }
+
+        index.refuse_lookups = true;
+        let cfg = GcConfig { low_watermark: 2, high_watermark: 4, ..Default::default() };
+        let report = run(&mut ftl, &mut index, &cfg).unwrap();
+        assert_eq!(report.pairs_discarded, 0, "{report:?}");
+        index.refuse_lookups = false;
+
+        for (i, _) in stored.iter().filter(|(i, _)| i % 2 == 1) {
+            let head = index.lookup(&mut ftl, sig(*i)).unwrap().expect("still indexed");
+            if Some(head) == ftl.pending_head() {
+                continue;
+            }
+            let (d, _) = ftl.read_data_page(head).expect("a live pair's head page was erased");
+            assert!(layout::find_in_head(&d, 512, sig(*i)).is_some(), "pair {i} lost");
         }
     }
 

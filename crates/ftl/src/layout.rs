@@ -285,73 +285,146 @@ impl PageBuilder {
     }
 }
 
-/// Decode a head page into its pair entries.
-///
-/// Returns `None` when the page is not a well-formed head page (defensive:
-/// GC scans raw pages).
-pub fn decode_head(data: &[u8], page_size: usize) -> Option<Vec<PairEntry>> {
-    if data.len() < HEADER_LEN || data.len() > page_size {
-        return None;
-    }
-    let pair_count = u16::from_le_bytes(data[..HEADER_LEN].try_into().ok()?) as usize;
-    if pair_count == 0 {
-        return Some(Vec::new());
-    }
-    let info_bytes = pair_count.checked_mul(SIG_ENTRY_LEN)?;
-    if data.len() < HEADER_LEN + info_bytes {
-        return None;
-    }
-    let info_start = data.len() - info_bytes;
-    let mut entries = Vec::with_capacity(pair_count);
-    for i in 0..pair_count {
-        let e = &data[info_start + i * SIG_ENTRY_LEN..info_start + (i + 1) * SIG_ENTRY_LEN];
-        let sig = KeySignature(u64::from_le_bytes(e[..8].try_into().ok()?));
-        let offset = u16::from_le_bytes(e[8..10].try_into().ok()?);
-        let frag_len = u32::from_le_bytes(e[10..14].try_into().ok()?);
-
-        let off = offset as usize;
-        if off + RECORD_PREFIX_LEN > info_start {
-            return None;
-        }
-        let key_len = u16::from_le_bytes(data[off..off + 2].try_into().ok()?) as usize;
-        let val_total_len = u32::from_le_bytes(data[off + 2..off + 6].try_into().ok()?);
-        let flags = data[off + 6];
-        let cont_raw: [u8; Ppa::PACKED_LEN] = data[off + 7..off + 12].try_into().ok()?;
-        let cont_start = if cont_raw == [0xff; Ppa::PACKED_LEN] {
-            None
-        } else {
-            Some(Ppa::from_bytes(cont_raw))
-        };
-        let key_start = off + RECORD_PREFIX_LEN;
-        let frag_start = key_start + key_len;
-        let frag_end = frag_start + frag_len as usize;
-        if frag_end > info_start {
-            return None;
-        }
-        if frag_len > val_total_len {
-            return None;
-        }
-        entries.push(PairEntry {
-            sig,
-            offset,
-            frag_len,
-            val_total_len,
-            cont_start,
-            key: Bytes::copy_from_slice(&data[key_start..frag_start]),
-            value_frag: Bytes::copy_from_slice(&data[frag_start..frag_end]),
-            flags,
-        });
-    }
-    Some(entries)
+#[inline]
+fn le_u16(b: &[u8]) -> u16 {
+    u16::from_le_bytes([b[0], b[1]])
 }
 
-/// Find the entry for `sig` in a head page.
+#[inline]
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
+#[inline]
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
+/// A validated head page, read where it lies: parsing checks every pair's
+/// bounds but copies nothing, and [`HeadPage::entry`] builds a
+/// [`PairEntry`] only for the pairs a caller asks for.
+#[derive(Clone, Copy, Debug)]
+pub struct HeadPage<'a> {
+    data: &'a [u8],
+    /// Start of the signature info area (its entries run to the page end).
+    info_start: usize,
+    pairs: usize,
+}
+
+impl<'a> HeadPage<'a> {
+    /// Validate `data` as a head page. Returns `None` when it is not well
+    /// formed (defensive: GC scans raw pages): shorter than the header or
+    /// longer than `page_size`, a signature info area that does not fit,
+    /// or any pair whose record runs into the info area or whose head
+    /// fragment exceeds its value.
+    pub fn parse(data: &'a [u8], page_size: usize) -> Option<Self> {
+        if data.len() < HEADER_LEN || data.len() > page_size {
+            return None;
+        }
+        let pairs = le_u16(data) as usize;
+        let info_bytes = pairs * SIG_ENTRY_LEN;
+        if pairs > 0 && data.len() < HEADER_LEN + info_bytes {
+            return None;
+        }
+        let page = HeadPage { data, info_start: data.len() - info_bytes, pairs };
+        (0..pairs).all(|i| page.well_formed(i)).then_some(page)
+    }
+
+    /// Pairs on the page, including superseded in-page versions.
+    pub fn len(&self) -> usize {
+        self.pairs
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.pairs == 0
+    }
+
+    fn info(&self, i: usize) -> &'a [u8] {
+        &self.data[self.info_start + i * SIG_ENTRY_LEN..self.info_start + (i + 1) * SIG_ENTRY_LEN]
+    }
+
+    /// Signature of pair `i` (in append order).
+    pub fn sig(&self, i: usize) -> KeySignature {
+        KeySignature(le_u64(self.info(i)))
+    }
+
+    /// Whether pair `i`'s record and head fragment stay inside the pair
+    /// area, and the fragment within its value.
+    fn well_formed(&self, i: usize) -> bool {
+        let e = self.info(i);
+        let off = le_u16(&e[8..]) as usize;
+        let frag_len = le_u32(&e[10..]);
+        if off + RECORD_PREFIX_LEN > self.info_start {
+            return false;
+        }
+        let key_len = le_u16(&self.data[off..]) as usize;
+        let val_total_len = le_u32(&self.data[off + 2..]);
+        off + RECORD_PREFIX_LEN + key_len + frag_len as usize <= self.info_start
+            && frag_len <= val_total_len
+    }
+
+    /// Build pair `i`'s entry, copying its key and head fragment.
+    pub fn entry(&self, i: usize) -> PairEntry {
+        let e = self.info(i);
+        let off = le_u16(&e[8..]) as usize;
+        let frag_len = le_u32(&e[10..]);
+        let rec = &self.data[off..];
+        let key_start = off + RECORD_PREFIX_LEN;
+        let frag_start = key_start + le_u16(rec) as usize;
+        let mut cont_raw = [0u8; Ppa::PACKED_LEN];
+        cont_raw.copy_from_slice(&rec[7..12]);
+        PairEntry {
+            sig: self.sig(i),
+            offset: off as u16,
+            frag_len,
+            val_total_len: le_u32(&rec[2..]),
+            cont_start: (cont_raw != [0xff; Ppa::PACKED_LEN]).then(|| Ppa::from_bytes(cont_raw)),
+            key: Bytes::copy_from_slice(&self.data[key_start..frag_start]),
+            value_frag: Bytes::copy_from_slice(
+                &self.data[frag_start..frag_start + frag_len as usize],
+            ),
+            flags: rec[6],
+        }
+    }
+
+    /// Index of the authoritative pair for `sig`: entries are scanned
+    /// newest-first, because an update that lands in the same open page as
+    /// the pair it supersedes appends a second entry with the same
+    /// signature.
+    pub fn find(&self, sig: KeySignature) -> Option<usize> {
+        (0..self.pairs).rev().find(|&i| self.sig(i) == sig)
+    }
+
+    /// Indices of the pairs no later entry supersedes, in page order.
+    pub fn newest(&self) -> Vec<usize> {
+        let mut by_sig: Vec<(u64, usize)> = (0..self.pairs).map(|i| (self.sig(i).0, i)).collect();
+        by_sig.sort_unstable();
+        let mut keep: Vec<usize> = by_sig
+            .iter()
+            .enumerate()
+            .filter(|&(k, &(sig, _))| by_sig.get(k + 1).is_none_or(|next| next.0 != sig))
+            .map(|(_, &(_, i))| i)
+            .collect();
+        keep.sort_unstable();
+        keep
+    }
+}
+
+/// Decode a head page into its pair entries.
 ///
-/// Entries are scanned newest-first: an update that lands in the same open
-/// page as the pair it supersedes appends a second entry with the same
-/// signature, and the latest one is authoritative.
+/// Returns `None` when the page is not a well-formed head page (see
+/// [`HeadPage::parse`]).
+pub fn decode_head(data: &[u8], page_size: usize) -> Option<Vec<PairEntry>> {
+    let page = HeadPage::parse(data, page_size)?;
+    Some((0..page.len()).map(|i| page.entry(i)).collect())
+}
+
+/// Find the authoritative entry for `sig` in a head page — the same
+/// answer as the newest match in [`decode_head`], building only that one
+/// entry.
 pub fn find_in_head(data: &[u8], page_size: usize, sig: KeySignature) -> Option<PairEntry> {
-    decode_head(data, page_size)?.into_iter().rev().find(|e| e.sig == sig)
+    let page = HeadPage::parse(data, page_size)?;
+    page.find(sig).map(|i| page.entry(i))
 }
 
 #[cfg(test)]

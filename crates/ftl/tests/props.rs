@@ -110,6 +110,65 @@ proptest! {
         }
     }
 
+    /// `find_in_head` gives exactly the newest matching entry of
+    /// `decode_head` — the same accept/reject rule and the same
+    /// newest-wins order — on random pages, on pages where in-page updates
+    /// repeat a signature, and on pages with corrupted or cut bytes.
+    #[test]
+    fn find_in_head_matches_decode_head(
+        pairs in proptest::collection::vec(
+            (0u64..5, proptest::collection::vec(any::<u8>(), 1..12),
+             proptest::collection::vec(any::<u8>(), 0..160), any::<u8>()),
+            0..14,
+        ),
+        flips in proptest::collection::vec((any::<bool>(), any::<u16>(), 1u8..=255), 0..4),
+        cut in 0usize..3,
+    ) {
+        const PAGE: usize = 512;
+        let mut builder = PageBuilder::new(PAGE);
+        for (sig, key, value, flags) in &pairs {
+            if builder.fits(key.len(), 0) {
+                builder.append_pair(KeySignature(*sig), key, value, *flags);
+            }
+        }
+        let mut page = builder.finish().to_vec();
+        let pair_count = u16::from_le_bytes([page[0], page[1]]) as usize;
+        for &(structural, pos, mask) in &flips {
+            // Half the flips land in the header or the signature info
+            // area, where they change how the page parses.
+            let at = if structural {
+                let area = 2 + pair_count * layout::SIG_ENTRY_LEN;
+                let i = pos as usize % area;
+                if i < 2 { i } else { PAGE - (i - 2) - 1 }
+            } else {
+                pos as usize % PAGE
+            };
+            page[at] ^= mask;
+        }
+        // Cut pages are shorter than the flash page (still accepted if
+        // the info area fits); an over-long one is always rejected.
+        let data: Vec<u8> = match cut {
+            0 => page,
+            1 => page[..PAGE - 1].to_vec(),
+            _ => [page.as_slice(), &[0u8]].concat(),
+        };
+        let decoded = layout::decode_head(&data, PAGE);
+        for sig in (0..6).map(KeySignature) {
+            let newest = decoded.as_ref().and_then(|es| es.iter().rev().find(|e| e.sig == sig));
+            let found = layout::find_in_head(&data, PAGE, sig);
+            prop_assert_eq!(found.as_ref(), newest);
+        }
+        if let Some(head) = layout::HeadPage::parse(&data, PAGE) {
+            let decoded = decoded.expect("parse and decode_head agree on acceptance");
+            let newest: Vec<usize> = (0..decoded.len())
+                .filter(|&i| decoded[i + 1..].iter().all(|e| e.sig != decoded[i].sig))
+                .collect();
+            prop_assert_eq!(head.newest(), newest);
+        } else {
+            prop_assert!(decoded.is_none());
+        }
+    }
+
     /// store_pair round-trips arbitrary key/value sizes through the write
     /// buffer, head pages, and the extent partition.
     #[test]

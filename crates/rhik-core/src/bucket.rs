@@ -10,13 +10,24 @@
 //! one flash page. All tables share one *fixed* hash function mapping a
 //! signature to its home slot; the directory layer has already consumed the
 //! low signature bits, so the home hash mixes the full signature.
+//!
+//! The table has no decoded form: [`TablePage`] runs the hopscotch
+//! operations directly on the packed 17-byte [`IndexRecord`]s at the front
+//! of a page buffer — a cached page, a page just read from flash, or a
+//! successor page being built by a resize. A lookup reads at most the
+//! `H` slots its home's hopinfo names; an insert or remove writes only the
+//! slots it touches. [`RecordTable`] is the same table over a buffer it
+//! owns.
 
 use bytes::Bytes;
 use rhik_audit::InvariantViolation;
 use rhik_nand::Ppa;
 use rhik_sigs::KeySignature;
 
-use crate::record::IndexRecord;
+use crate::record::{IndexRecord, PackedRecord};
+
+/// Bytes per slot in the page encoding.
+const REC: usize = IndexRecord::PACKED_LEN;
 
 /// Result of a table-local insert.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,29 +41,349 @@ pub enum TableInsert {
     Full,
 }
 
-/// A fixed-size hopscotch hash table sized to one flash page.
+/// The encoding of an empty table with `records` slots, zero-padded to
+/// `len` bytes (a whole flash page when `len` is the page size).
+pub(crate) fn empty_page(records: u32, len: usize) -> Vec<u8> {
+    assert!(records as usize * REC <= len, "table exceeds page");
+    let mut page = vec![0u8; len];
+    for slot in &mut page.as_chunks_mut::<REC>().0[..records as usize] {
+        IndexRecord::empty().encode_into(slot);
+    }
+    page
+}
+
+/// Stored `(signature, ppa)` pairs of the encoded table at the front of
+/// `page`, in slot order.
+pub(crate) fn page_records(
+    page: &[u8],
+    records: u32,
+) -> impl Iterator<Item = (KeySignature, Ppa)> + '_ {
+    page.as_chunks::<REC>().0[..records as usize].iter().filter_map(|slot| {
+        let ppa = IndexRecord::packed_ppa(slot);
+        (ppa != IndexRecord::EMPTY_PPA)
+            .then(|| (KeySignature(IndexRecord::packed_sig(slot)), Ppa::unpack(ppa)))
+    })
+}
+
+/// A fixed-size hopscotch hash table in its flash encoding: `records`
+/// slots of [`IndexRecord::PACKED_LEN`] bytes at the front of `page`.
+///
+/// Read operations need `B: AsRef<[u8]>` (`&[u8]`, `Bytes`, `Vec<u8>`);
+/// insert and remove need `B: AsMut<[u8]>` too and write only the slots
+/// they touch.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TablePage<B> {
+    page: B,
+    records: u32,
+    hop_width: u32,
+}
+
+impl<B: AsRef<[u8]>> TablePage<B> {
+    /// View `page` as a table of `records` slots (Eq. 1) with hop width
+    /// `hop_width`.
+    pub fn new(page: B, records: u32, hop_width: u32) -> Self {
+        assert!(records > 0, "table needs at least one slot");
+        assert!((1..=32).contains(&hop_width), "hop width must be 1..=32");
+        assert!(hop_width <= records, "hop width cannot exceed table size");
+        assert!(page.as_ref().len() >= records as usize * REC, "table exceeds page");
+        TablePage { page, records, hop_width }
+    }
+
+    /// Total slots `R`.
+    #[inline]
+    pub fn capacity(&self) -> u32 {
+        self.records
+    }
+
+    #[inline]
+    fn slots(&self) -> &[PackedRecord] {
+        self.page.as_ref().as_chunks::<REC>().0
+    }
+
+    #[inline]
+    fn slot(&self, i: usize) -> &PackedRecord {
+        &self.slots()[i]
+    }
+
+    #[inline]
+    fn sig_at(&self, i: usize) -> u64 {
+        IndexRecord::packed_sig(self.slot(i))
+    }
+
+    #[inline]
+    fn ppa_raw_at(&self, i: usize) -> u64 {
+        IndexRecord::packed_ppa(self.slot(i))
+    }
+
+    #[inline]
+    fn hopinfo_at(&self, i: usize) -> u32 {
+        IndexRecord::packed_hopinfo(self.slot(i))
+    }
+
+    #[inline]
+    fn occupied(&self, i: usize) -> bool {
+        self.ppa_raw_at(i) != IndexRecord::EMPTY_PPA
+    }
+
+    /// The record layer's fixed hash: home slot for `sig`.
+    ///
+    /// Fibonacci multiplicative mix over the full signature — independent
+    /// of the directory's low-bit selection, identical across all tables
+    /// ("a fixed hash function for all hash tables in the record layer").
+    #[inline]
+    pub fn home_slot(&self, sig: KeySignature) -> u32 {
+        let mixed = sig.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        ((mixed >> 24) % self.records as u64) as u32
+    }
+
+    #[inline]
+    fn at(&self, base: u32, dist: u32) -> usize {
+        ((base + dist) % self.records) as usize
+    }
+
+    /// Slot index, hop distance and stored PPA of `sig`, probing only the
+    /// home bucket's hop neighborhood.
+    #[inline]
+    fn find(&self, sig: KeySignature) -> Option<(usize, u32, Ppa)> {
+        let slots = self.slots();
+        let home = self.home_slot(sig);
+        let mut hops = IndexRecord::packed_hopinfo(&slots[home as usize]);
+        while hops != 0 {
+            let d = hops.trailing_zeros();
+            let idx = self.at(home, d);
+            let slot = &slots[idx];
+            let ppa = IndexRecord::packed_ppa(slot);
+            if IndexRecord::packed_sig(slot) == sig.0 && ppa != IndexRecord::EMPTY_PPA {
+                return Some((idx, d, Ppa::unpack(ppa)));
+            }
+            hops &= hops - 1;
+        }
+        None
+    }
+
+    /// Look up `sig`; probes only the home bucket's hop neighborhood, so
+    /// cost is bounded by the hop width.
+    #[inline]
+    pub fn lookup(&self, sig: KeySignature) -> Option<Ppa> {
+        self.find(sig).map(|(_, _, ppa)| ppa)
+    }
+
+    /// Iterate over stored `(signature, ppa)` pairs in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (KeySignature, Ppa)> + '_ {
+        page_records(self.page.as_ref(), self.records)
+    }
+
+    /// Records stored (a scan of every slot).
+    pub fn count(&self) -> u32 {
+        (0..self.records as usize).filter(|&i| self.occupied(i)).count() as u32
+    }
+
+    /// Internal consistency check (tests and the device auditor): every
+    /// hopinfo bit points at an occupied slot homed at that bucket, every
+    /// occupied slot is covered by exactly one hopinfo bit of its home, and
+    /// the table holds `len` records. Violations carry structured context
+    /// (slot, home, signature) so callers can assert on the failure class.
+    #[doc(hidden)]
+    pub fn check_invariants(&self, len: u32) -> Result<(), InvariantViolation> {
+        let cap = self.records;
+        let mut covered = vec![false; cap as usize];
+        for home in 0..cap {
+            let mut hops = self.hopinfo_at(home as usize);
+            while hops != 0 {
+                let d = hops.trailing_zeros();
+                if d >= self.hop_width {
+                    return Err(InvariantViolation::HopBitOutOfRange {
+                        home,
+                        bit: d,
+                        hop_width: self.hop_width,
+                    });
+                }
+                let idx = self.at(home, d);
+                if !self.occupied(idx) {
+                    return Err(InvariantViolation::HopBitTargetsEmptySlot {
+                        home,
+                        bit: d,
+                        slot: idx as u32,
+                    });
+                }
+                let sig = self.sig_at(idx);
+                if self.home_slot(KeySignature(sig)) != home {
+                    return Err(InvariantViolation::MisHomedRecord { slot: idx as u32, home, sig });
+                }
+                if covered[idx] {
+                    return Err(InvariantViolation::SlotCoveredTwice { slot: idx as u32, sig });
+                }
+                covered[idx] = true;
+                hops &= hops - 1;
+            }
+        }
+        let covered_count = covered.iter().filter(|&&c| c).count() as u32;
+        let occupied = self.count();
+        if covered_count != occupied || occupied != len {
+            return Err(InvariantViolation::CoverageMismatch {
+                covered: covered_count,
+                occupied,
+                len,
+            });
+        }
+        Ok(())
+    }
+}
+
+impl<B: AsRef<[u8]> + AsMut<[u8]>> TablePage<B> {
+    #[inline]
+    fn slot_mut(&mut self, i: usize) -> &mut PackedRecord {
+        &mut self.page.as_mut().as_chunks_mut::<REC>().0[i]
+    }
+
+    /// Occupy slot `i` (its hopinfo — the bucket's — is kept).
+    #[inline]
+    fn set_record(&mut self, i: usize, sig: u64, ppa_raw: u64) {
+        IndexRecord::pack_entry(self.slot_mut(i), sig, ppa_raw);
+    }
+
+    #[inline]
+    fn clear(&mut self, i: usize) {
+        self.set_record(i, 0, IndexRecord::EMPTY_PPA);
+    }
+
+    #[inline]
+    fn set_hopinfo(&mut self, i: usize, hopinfo: u32) {
+        IndexRecord::pack_hopinfo(self.slot_mut(i), hopinfo);
+    }
+
+    /// Insert or update `sig → ppa`. Also returns the hopscotch
+    /// displacements performed; when the insert ends `Full`, those moves
+    /// are undone and the page is byte-identical to before.
+    pub fn insert(&mut self, sig: KeySignature, ppa: Ppa) -> (TableInsert, u64) {
+        // Update in place if the signature is already present.
+        if let Some((idx, _, old)) = self.find(sig) {
+            self.set_record(idx, sig.0, ppa.pack());
+            return (TableInsert::Updated { old }, 0);
+        }
+
+        // Linear-probe for an empty slot starting at home (a full table
+        // has none).
+        let home = self.home_slot(sig);
+        let Some(mut free_dist) = (0..self.records).find(|&d| !self.occupied(self.at(home, d)))
+        else {
+            return (TableInsert::Full, 0);
+        };
+
+        // Hopscotch displacement: while the free slot is out of hop range,
+        // move an earlier-homed record into it to pull the hole closer.
+        // Each move logs the slots it rewrites so a dead end can be undone.
+        let mut undo: Vec<(usize, PackedRecord)> = Vec::new();
+        let mut displacements = 0;
+        while free_dist >= self.hop_width {
+            match self.pull_hole_closer(home, free_dist, &mut undo) {
+                Some(new_dist) => {
+                    free_dist = new_dist;
+                    displacements += 1;
+                }
+                None => {
+                    for (i, old) in undo.into_iter().rev() {
+                        *self.slot_mut(i) = old;
+                    }
+                    return (TableInsert::Full, displacements);
+                }
+            }
+        }
+
+        let idx = self.at(home, free_dist);
+        self.set_record(idx, sig.0, ppa.pack());
+        let info = self.hopinfo_at(home as usize) | 1 << free_dist;
+        self.set_hopinfo(home as usize, info);
+        (TableInsert::Inserted, displacements)
+    }
+
+    /// Classic hopscotch displacement step: the hole sits `free_dist` slots
+    /// after `home`. Find a record in the window of `hop_width - 1` slots
+    /// before the hole that may legally move into it (the hole stays within
+    /// its own home's hop range), move it, and return the hole's new
+    /// distance from `home`. The rewritten slots' old bytes go to `undo`.
+    fn pull_hole_closer(
+        &mut self,
+        home: u32,
+        free_dist: u32,
+        undo: &mut Vec<(usize, PackedRecord)>,
+    ) -> Option<u32> {
+        let cap = self.records;
+        let hole_abs = (home + free_dist) % cap;
+        // Candidate positions: hole - (hop_width - 1) .. hole, in order, so
+        // the hole moves as far back as possible per step.
+        for back in (1..self.hop_width).rev() {
+            let cand_abs = (hole_abs + cap - back) % cap;
+            // The candidate's home must be able to reach the hole: distance
+            // from the candidate's home to the hole < hop_width. Find the
+            // candidate's home by scanning the hop_width homes that could
+            // own it (the bit in its home's hopinfo).
+            for hd in (back..self.hop_width).rev() {
+                let cand_home = (cand_abs + cap - (hd - back)) % cap;
+                // distance from cand_home to candidate is hd - back;
+                // distance from cand_home to hole is hd.
+                let info = self.hopinfo_at(cand_home as usize);
+                let cand_dist = hd - back;
+                if info & (1 << cand_dist) == 0 {
+                    continue;
+                }
+                let cand_idx = cand_abs as usize;
+                if !self.occupied(cand_idx) {
+                    continue;
+                }
+                // Verify this record really homes here (hopinfo bits are
+                // authoritative, but be defensive about aliasing).
+                let sig = self.sig_at(cand_idx);
+                if self.home_slot(KeySignature(sig)) != cand_home {
+                    continue;
+                }
+                // Move candidate into the hole.
+                let hole_idx = hole_abs as usize;
+                for i in [hole_idx, cand_idx, cand_home as usize] {
+                    undo.push((i, *self.slot(i)));
+                }
+                let ppa_raw = self.ppa_raw_at(cand_idx);
+                self.set_record(hole_idx, sig, ppa_raw);
+                self.clear(cand_idx);
+                self.set_hopinfo(cand_home as usize, (info & !(1 << cand_dist)) | (1 << hd));
+                // The hole is now at the candidate's old position.
+                return Some((cand_abs + cap - home) % cap);
+            }
+        }
+        None
+    }
+
+    /// Remove `sig`, returning its PPA.
+    pub fn remove(&mut self, sig: KeySignature) -> Option<Ppa> {
+        let (idx, d, ppa) = self.find(sig)?;
+        self.clear(idx);
+        let home = self.home_slot(sig) as usize;
+        let info = self.hopinfo_at(home) & !(1 << d);
+        self.set_hopinfo(home, info);
+        Some(ppa)
+    }
+}
+
+/// A page-sized hopscotch table over a buffer it owns: [`TablePage`]'s
+/// operations plus a record count and a displacement tally.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecordTable {
-    slots: Vec<IndexRecord>,
-    hop_width: u32,
+    table: TablePage<Vec<u8>>,
     len: u32,
-    /// Hopscotch displacements performed by inserts on this in-DRAM copy
-    /// (not serialized; telemetry drains it per operation).
+    /// Hopscotch displacements inserts have performed on this copy,
+    /// including ones undone by a `Full` insert (not serialized).
     displacements: u64,
 }
 
 impl RecordTable {
     /// Fresh empty table with `records` slots (Eq. 1) and hop width `h`.
     pub fn new(records: u32, hop_width: u32) -> Self {
-        assert!(records > 0, "table needs at least one slot");
-        assert!((1..=32).contains(&hop_width), "hop width must be 1..=32");
-        assert!(hop_width <= records, "hop width cannot exceed table size");
-        RecordTable {
-            slots: vec![IndexRecord::empty(); records as usize],
-            hop_width,
-            len: 0,
-            displacements: 0,
-        }
+        RecordTable::from_encoded(empty_page(records, records as usize * REC), records, hop_width)
+    }
+
+    fn from_encoded(page: Vec<u8>, records: u32, hop_width: u32) -> Self {
+        let table = TablePage::new(page, records, hop_width);
+        RecordTable { len: table.count(), table, displacements: 0 }
     }
 
     /// Hopscotch displacements inserts have performed on this copy.
@@ -75,260 +406,69 @@ impl RecordTable {
     /// Total slots `R`.
     #[inline]
     pub fn capacity(&self) -> u32 {
-        self.slots.len() as u32
+        self.table.capacity()
     }
 
     /// Occupancy fraction in [0, 1].
     #[inline]
     pub fn occupancy(&self) -> f64 {
-        self.len as f64 / self.slots.len() as f64
+        self.len as f64 / self.capacity() as f64
     }
 
     /// The record layer's fixed hash: home slot for `sig`.
-    ///
-    /// Fibonacci multiplicative mix over the full signature — independent
-    /// of the directory's low-bit selection, identical across all tables
-    /// ("a fixed hash function for all hash tables in the record layer").
     #[inline]
     pub fn home_slot(&self, sig: KeySignature) -> u32 {
-        let mixed = sig.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        ((mixed >> 24) % self.slots.len() as u64) as u32
+        self.table.home_slot(sig)
     }
 
+    /// Look up `sig` (≤ hop-width probes).
     #[inline]
-    fn at(&self, base: u32, dist: u32) -> usize {
-        ((base + dist) % self.slots.len() as u32) as usize
-    }
-
-    /// Look up `sig`; probes only the home bucket's hop neighborhood, so
-    /// cost is bounded by the hop width.
     pub fn lookup(&self, sig: KeySignature) -> Option<Ppa> {
-        let home = self.home_slot(sig);
-        let mut hops = self.slots[home as usize].hopinfo;
-        while hops != 0 {
-            let d = hops.trailing_zeros();
-            let slot = &self.slots[self.at(home, d)];
-            if slot.is_occupied() && slot.sig == sig {
-                return Some(slot.ppa());
-            }
-            hops &= hops - 1;
-        }
-        None
+        self.table.lookup(sig)
     }
 
     /// Insert or update `sig → ppa`.
     pub fn insert(&mut self, sig: KeySignature, ppa: Ppa) -> TableInsert {
-        let home = self.home_slot(sig);
-
-        // Update in place if the signature is already present.
-        let mut hops = self.slots[home as usize].hopinfo;
-        while hops != 0 {
-            let d = hops.trailing_zeros();
-            let idx = self.at(home, d);
-            if self.slots[idx].is_occupied() && self.slots[idx].sig == sig {
-                let old = self.slots[idx].ppa();
-                self.slots[idx].set(sig, ppa);
-                return TableInsert::Updated { old };
-            }
-            hops &= hops - 1;
+        let (outcome, displacements) = self.table.insert(sig, ppa);
+        self.displacements += displacements;
+        if outcome == TableInsert::Inserted {
+            self.len += 1;
         }
-
-        if self.len == self.capacity() {
-            return TableInsert::Full;
-        }
-
-        // Linear-probe for an empty slot starting at home.
-        let cap = self.slots.len() as u32;
-        let mut free_dist = None;
-        for d in 0..cap {
-            if !self.slots[self.at(home, d)].is_occupied() {
-                free_dist = Some(d);
-                break;
-            }
-        }
-        let Some(mut free_dist) = free_dist else {
-            return TableInsert::Full;
-        };
-
-        // Hopscotch displacement: while the free slot is out of hop range,
-        // move an earlier-homed record into it to pull the hole closer.
-        while free_dist >= self.hop_width {
-            match self.pull_hole_closer(home, free_dist) {
-                Some(new_dist) => {
-                    free_dist = new_dist;
-                    self.displacements += 1;
-                }
-                None => return TableInsert::Full,
-            }
-        }
-
-        let idx = self.at(home, free_dist);
-        self.slots[idx].set(sig, ppa);
-        self.slots[home as usize].hopinfo |= 1 << free_dist;
-        self.len += 1;
-        TableInsert::Inserted
-    }
-
-    /// Classic hopscotch displacement step: the hole sits `free_dist` slots
-    /// after `home`. Find a record in the window of `hop_width - 1` slots
-    /// before the hole that may legally move into it (the hole stays within
-    /// its own home's hop range), move it, and return the hole's new
-    /// distance from `home`.
-    fn pull_hole_closer(&mut self, home: u32, free_dist: u32) -> Option<u32> {
-        let cap = self.slots.len() as u32;
-        let hole_abs = (home + free_dist) % cap;
-        // Candidate positions: hole - (hop_width - 1) .. hole, in order, so
-        // the hole moves as far back as possible per step.
-        for back in (1..self.hop_width).rev() {
-            let cand_abs = (hole_abs + cap - back) % cap;
-            // The candidate's home must be able to reach the hole: distance
-            // from the candidate's home to the hole < hop_width. Check every
-            // home that currently points at the candidate — there is exactly
-            // one (the bit in its home's hopinfo).
-            // Find the candidate's home by scanning the hop_width homes that
-            // could own it.
-            for hd in (back..self.hop_width).rev() {
-                let cand_home = (cand_abs + cap - (hd - back)) % cap;
-                // distance from cand_home to candidate is hd - back;
-                // distance from cand_home to hole is hd.
-                let info = self.slots[cand_home as usize].hopinfo;
-                let cand_dist = hd - back;
-                if info & (1 << cand_dist) != 0 {
-                    let cand_idx = cand_abs as usize;
-                    if !self.slots[cand_idx].is_occupied() {
-                        continue;
-                    }
-                    // Verify this record really homes here (hopinfo bits are
-                    // authoritative, but be defensive about aliasing).
-                    if self.home_slot(self.slots[cand_idx].sig) != cand_home {
-                        continue;
-                    }
-                    // Move candidate into the hole.
-                    let (sig, ppa_raw) = (self.slots[cand_idx].sig, self.slots[cand_idx].ppa_raw);
-                    let hole_idx = hole_abs as usize;
-                    self.slots[hole_idx].sig = sig;
-                    self.slots[hole_idx].ppa_raw = ppa_raw;
-                    self.slots[cand_idx].clear();
-                    let home_info = &mut self.slots[cand_home as usize].hopinfo;
-                    *home_info = (*home_info & !(1 << cand_dist)) | (1 << hd);
-                    // The hole is now at the candidate's old position.
-                    let new_dist = (cand_abs + cap - home) % cap;
-                    return Some(new_dist);
-                }
-            }
-        }
-        None
+        outcome
     }
 
     /// Remove `sig`, returning its PPA.
     pub fn remove(&mut self, sig: KeySignature) -> Option<Ppa> {
-        let home = self.home_slot(sig);
-        let mut hops = self.slots[home as usize].hopinfo;
-        while hops != 0 {
-            let d = hops.trailing_zeros();
-            let idx = self.at(home, d);
-            if self.slots[idx].is_occupied() && self.slots[idx].sig == sig {
-                let ppa = self.slots[idx].ppa();
-                self.slots[idx].clear();
-                self.slots[home as usize].hopinfo &= !(1 << d);
-                self.len -= 1;
-                return Some(ppa);
-            }
-            hops &= hops - 1;
+        let removed = self.table.remove(sig);
+        if removed.is_some() {
+            self.len -= 1;
         }
-        None
+        removed
     }
 
-    /// Iterate over stored `(signature, ppa)` pairs (migration, GC).
+    /// Iterate over stored `(signature, ppa)` pairs in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (KeySignature, Ppa)> + '_ {
-        self.slots.iter().filter(|s| s.is_occupied()).map(|s| (s.sig, s.ppa()))
+        self.table.iter()
     }
 
     /// Serialize into a flash-page image of `page_size` bytes.
     pub fn to_page(&self, page_size: usize) -> Bytes {
-        assert!(self.slots.len() * IndexRecord::PACKED_LEN <= page_size, "table exceeds page");
+        let encoded = self.table.page.as_slice();
+        assert!(encoded.len() <= page_size, "table exceeds page");
         let mut out = vec![0u8; page_size];
-        for (i, slot) in self.slots.iter().enumerate() {
-            slot.encode_into(
-                &mut out[i * IndexRecord::PACKED_LEN..(i + 1) * IndexRecord::PACKED_LEN],
-            );
-        }
+        out[..encoded.len()].copy_from_slice(encoded);
         Bytes::from(out)
     }
 
     /// Reconstruct from a flash-page image.
     pub fn from_page(data: &[u8], records: u32, hop_width: u32) -> Self {
-        let mut table = RecordTable::new(records, hop_width);
-        let mut len = 0;
-        for i in 0..records as usize {
-            let rec = IndexRecord::decode(
-                &data[i * IndexRecord::PACKED_LEN..(i + 1) * IndexRecord::PACKED_LEN],
-            );
-            if rec.is_occupied() {
-                len += 1;
-            }
-            table.slots[i] = rec;
-        }
-        table.len = len;
-        table
+        RecordTable::from_encoded(data[..records as usize * REC].to_vec(), records, hop_width)
     }
 
-    /// Internal consistency check (tests and the device auditor): every
-    /// hopinfo bit points at an occupied slot homed at that bucket, and
-    /// every occupied slot is covered by exactly one hopinfo bit of its
-    /// home. Violations carry structured context (slot, home, signature)
-    /// so callers can assert on the failure class.
+    /// [`TablePage::check_invariants`] against this copy's record count.
     #[doc(hidden)]
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        let cap = self.slots.len() as u32;
-        let mut covered = vec![false; self.slots.len()];
-        for home in 0..cap {
-            let mut hops = self.slots[home as usize].hopinfo;
-            while hops != 0 {
-                let d = hops.trailing_zeros();
-                if d >= self.hop_width {
-                    return Err(InvariantViolation::HopBitOutOfRange {
-                        home,
-                        bit: d,
-                        hop_width: self.hop_width,
-                    });
-                }
-                let idx = self.at(home, d);
-                let slot = &self.slots[idx];
-                if !slot.is_occupied() {
-                    return Err(InvariantViolation::HopBitTargetsEmptySlot {
-                        home,
-                        bit: d,
-                        slot: idx as u32,
-                    });
-                }
-                if self.home_slot(slot.sig) != home {
-                    return Err(InvariantViolation::MisHomedRecord {
-                        slot: idx as u32,
-                        home,
-                        sig: slot.sig.0,
-                    });
-                }
-                if covered[idx] {
-                    return Err(InvariantViolation::SlotCoveredTwice {
-                        slot: idx as u32,
-                        sig: slot.sig.0,
-                    });
-                }
-                covered[idx] = true;
-                hops &= hops - 1;
-            }
-        }
-        let covered_count = covered.iter().filter(|&&c| c).count() as u32;
-        let occupied = self.slots.iter().filter(|s| s.is_occupied()).count() as u32;
-        if covered_count != occupied || occupied != self.len {
-            return Err(InvariantViolation::CoverageMismatch {
-                covered: covered_count,
-                occupied,
-                len: self.len,
-            });
-        }
-        Ok(())
+        self.table.check_invariants(self.len)
     }
 }
 
@@ -425,6 +565,29 @@ mod tests {
     }
 
     #[test]
+    fn full_after_displacements_leaves_page_unchanged() {
+        // Fill a small, narrow table until inserts start failing, then
+        // check every failing insert that displaced records first was
+        // rolled back byte for byte.
+        let mut t = RecordTable::new(30, 4);
+        let mut rolled_back = 0;
+        for i in 0..2_000u64 {
+            let s = sig(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let before = t.clone();
+            let displaced = t.displacements();
+            if t.insert(s, ppa(i as u32)) == TableInsert::Full {
+                assert_eq!(t.to_page(512), before.to_page(512), "Full must not move records");
+                assert_eq!(t.len(), before.len());
+                if t.displacements() > displaced {
+                    rolled_back += 1;
+                }
+            }
+            t.check_invariants().unwrap();
+        }
+        assert!(rolled_back > 0, "no Full insert displaced records first");
+    }
+
+    #[test]
     fn page_serialization_roundtrip() {
         let mut t = RecordTable::new(30, 16);
         for i in 0..20u64 {
@@ -435,6 +598,36 @@ mod tests {
         let back = RecordTable::from_page(&page, 30, 16);
         assert_eq!(back, t);
         back.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn empty_page_matches_record_encoding() {
+        let page = empty_page(3, 60);
+        let mut slot = [0u8; REC];
+        IndexRecord::empty().encode_into(&mut slot);
+        for i in 0..3 {
+            assert_eq!(&page[i * REC..(i + 1) * REC], &slot);
+        }
+        assert!(page[3 * REC..].iter().all(|&b| b == 0), "padding is zero");
+        assert_eq!(RecordTable::new(3, 2).to_page(60), Bytes::from(page));
+    }
+
+    #[test]
+    fn in_place_ops_match_the_owned_table() {
+        let mut page = empty_page(40, 40 * REC + 5);
+        let mut owned = RecordTable::new(40, 8);
+        for i in 0..120u64 {
+            let s = sig(i.wrapping_mul(0x2545_f491_4f6c_dd1d) % 97);
+            let mut view = TablePage::new(&mut page[..], 40, 8);
+            if i % 3 == 2 {
+                assert_eq!(view.remove(s), owned.remove(s));
+            } else {
+                assert_eq!(view.insert(s, ppa(i as u32)).0, owned.insert(s, ppa(i as u32)));
+            }
+            assert_eq!(TablePage::new(&page[..], 40, 8).lookup(s), owned.lookup(s));
+        }
+        assert_eq!(&page[..], &owned.to_page(40 * REC + 5)[..]);
+        TablePage::new(&page[..], 40, 8).check_invariants(owned.len()).unwrap();
     }
 
     #[test]

@@ -7,9 +7,10 @@ use rhik_ftl::{Ftl, IndexBackend, IndexError, IndexStats, InsertOutcome};
 use rhik_nand::Ppa;
 use rhik_sigs::KeySignature;
 
-use crate::bucket::{RecordTable, TableInsert};
+use crate::bucket::{TableInsert, TablePage};
 use crate::config::RhikConfig;
 use crate::directory::Directory;
+use crate::pages::{self, CachedTables, Table};
 
 /// Cache keys with this bit set identify directory snapshot pages rather
 /// than record-layer tables (they share the FTL's index-page namespace for
@@ -138,14 +139,15 @@ impl RhikIndex {
         // than failing the whole mount.
         let mut len = 0u64;
         let mut lost_tables = 0u64;
+        let count =
+            |bytes: &Bytes| TablePage::new(&bytes[..], records_per_table, cfg.hop_width).count();
         for slot in 0..dir.len() as u32 {
             if let Some(ppa) = dir.entry(slot).table_ppa {
                 match ftl.read_index_page(ppa) {
                     Ok(bytes) => {
-                        let table =
-                            RecordTable::from_page(&bytes, records_per_table, cfg.hop_width);
-                        dir.entry_mut(slot).records = table.len();
-                        len += table.len() as u64;
+                        let records = count(&bytes);
+                        dir.entry_mut(slot).records = records;
+                        len += records as u64;
                     }
                     Err(_) => {
                         dir.entry_mut(slot).table_ppa = None;
@@ -157,11 +159,10 @@ impl RhikIndex {
             if let Some(ppa) = dir.entry(slot).overflow_ppa {
                 match ftl.read_index_page(ppa) {
                     Ok(bytes) => {
-                        let table =
-                            RecordTable::from_page(&bytes, records_per_table, cfg.hop_width);
-                        dir.entry_mut(slot).overflow_records = table.len();
+                        let records = count(&bytes);
+                        dir.entry_mut(slot).overflow_records = records;
                         dir.entry_mut(slot).has_overflow = true;
-                        len += table.len() as u64;
+                        len += records as u64;
                     }
                     Err(_) => {
                         dir.entry_mut(slot).overflow_ppa = None;
@@ -226,10 +227,6 @@ impl RhikIndex {
         self.len as f64 / self.total_capacity() as f64
     }
 
-    pub(crate) fn stats_mut(&mut self) -> &mut IndexStats {
-        &mut self.stats
-    }
-
     pub(crate) fn dir_mut(&mut self) -> &mut Directory {
         &mut self.dir
     }
@@ -282,140 +279,18 @@ impl RhikIndex {
     /// Returns the table and the number of flash reads performed (0 on a
     /// cache hit or a never-persisted empty table, 1 otherwise — the
     /// paper's bound).
-    pub(crate) fn load_table(
-        &mut self,
-        ftl: &mut Ftl,
-        slot: u32,
-    ) -> Result<(RecordTable, u64), IndexError> {
+    fn load_table(&mut self, ftl: &mut Ftl, slot: u32) -> Result<(Table, u64), IndexError> {
         let key = self.dir.cache_key(slot);
         let ppa = self.dir.entry(slot).table_ppa;
-        self.load_any_table(ftl, key, ppa)
+        pages::load(self, ftl, key, ppa)
     }
 
-    /// Load `slot`'s hyper-local overflow table (creating an empty one).
-    fn load_overflow(
-        &mut self,
-        ftl: &mut Ftl,
-        slot: u32,
-    ) -> Result<(RecordTable, u64), IndexError> {
+    /// Load `slot`'s hyper-local overflow table (an empty one if it has
+    /// none yet).
+    fn load_overflow(&mut self, ftl: &mut Ftl, slot: u32) -> Result<(Table, u64), IndexError> {
         let key = OVERFLOW_KEY | self.dir.cache_key(slot);
         let ppa = self.dir.entry(slot).overflow_ppa;
-        self.load_any_table(ftl, key, ppa)
-    }
-
-    fn load_any_table(
-        &mut self,
-        ftl: &mut Ftl,
-        key: u64,
-        ppa: Option<Ppa>,
-    ) -> Result<(RecordTable, u64), IndexError> {
-        if let Some(bytes) = ftl.cache().get(key) {
-            return Ok((
-                RecordTable::from_page(&bytes, self.records_per_table, self.cfg.hop_width),
-                0,
-            ));
-        }
-        match ppa {
-            Some(ppa) => {
-                let bytes = ftl.read_index_page(ppa)?;
-                self.stats.metadata_flash_reads += 1;
-                let table =
-                    RecordTable::from_page(&bytes, self.records_per_table, self.cfg.hop_width);
-                self.install_in_cache(ftl, key, bytes, false)?;
-                Ok((table, 1))
-            }
-            None => Ok((RecordTable::new(self.records_per_table, self.cfg.hop_width), 0)),
-        }
-    }
-
-    /// Put a (possibly mutated) table back into the cache as dirty.
-    pub(crate) fn store_table(
-        &mut self,
-        ftl: &mut Ftl,
-        slot: u32,
-        table: &RecordTable,
-    ) -> Result<(), IndexError> {
-        let key = self.dir.cache_key(slot);
-        let page = table.to_page(ftl.geometry().page_size as usize);
-        self.install_in_cache(ftl, key, page, true)
-    }
-
-    /// Put an overflow table back into the cache as dirty.
-    fn store_overflow(
-        &mut self,
-        ftl: &mut Ftl,
-        slot: u32,
-        table: &RecordTable,
-    ) -> Result<(), IndexError> {
-        let key = OVERFLOW_KEY | self.dir.cache_key(slot);
-        let page = table.to_page(ftl.geometry().page_size as usize);
-        let entry = self.dir.entry_mut(slot);
-        entry.has_overflow = true;
-        entry.overflow_records = table.len();
-        self.install_in_cache(ftl, key, page, true)
-    }
-
-    /// Insert into the cache, writing back any dirty evictions.
-    fn install_in_cache(
-        &mut self,
-        ftl: &mut Ftl,
-        key: u64,
-        bytes: Bytes,
-        dirty: bool,
-    ) -> Result<(), IndexError> {
-        let evicted = ftl.cache().insert(key, bytes, dirty);
-        for ev in evicted {
-            self.write_back(ftl, ev.key, ev.data, ev.dirty)?;
-        }
-        Ok(())
-    }
-
-    /// Persist an evicted page if it is dirty and still belongs to the
-    /// current configuration.
-    fn write_back(
-        &mut self,
-        ftl: &mut Ftl,
-        key: u64,
-        data: Bytes,
-        dirty: bool,
-    ) -> Result<(), IndexError> {
-        if !dirty || key & DIR_PAGE_KEY != 0 {
-            return Ok(()); // snapshots are written eagerly, never dirty
-        }
-        let is_overflow = key & OVERFLOW_KEY != 0;
-        let key = key & !OVERFLOW_KEY;
-        if !self.dir.is_current_key(key) {
-            // Mid-migration, a dirty page of the frozen pre-doubling
-            // directory is still the authoritative copy of an un-split
-            // slot: persist it and repoint the old entry, or the split
-            // would read a stale flash image.
-            let old_pending = self.migration.as_ref().is_some_and(|m| {
-                m.old.is_current_key(key) && !m.is_split(Directory::slot_of_key(key))
-            });
-            if old_pending {
-                let slot = Directory::slot_of_key(key);
-                let page_bytes = data.len() as u64;
-                let new_ppa = ftl.write_index_page(data, SpareMeta::index_page())?;
-                self.stats.metadata_flash_programs += 1;
-                let entry = self.migration.as_mut().expect("checked above").old.entry_mut(slot);
-                let target =
-                    if is_overflow { &mut entry.overflow_ppa } else { &mut entry.table_ppa };
-                if let Some(old) = target.replace(new_ppa) {
-                    ftl.retire_index_page(old, page_bytes);
-                }
-            }
-            return Ok(()); // otherwise pre-resize generation: already retired
-        }
-        let slot = Directory::slot_of_key(key);
-        let page_bytes = data.len() as u64;
-        let new_ppa = ftl.write_index_page(data, SpareMeta::index_page())?;
-        self.stats.metadata_flash_programs += 1;
-        let entry = self.dir.entry_mut(slot);
-        let target = if is_overflow { &mut entry.overflow_ppa } else { &mut entry.table_ppa };
-        if let Some(old) = target.replace(new_ppa) {
-            ftl.retire_index_page(old, page_bytes);
-        }
-        Ok(())
+        pages::load(self, ftl, key, ppa)
     }
 
     /// Mirror a `sig → head` change into the attached read view (no-op
@@ -616,6 +491,59 @@ impl RhikIndex {
     }
 }
 
+impl CachedTables for RhikIndex {
+    fn table_shape(&self) -> (u32, u32) {
+        (self.records_per_table, self.cfg.hop_width)
+    }
+
+    fn stats_mut(&mut self) -> &mut IndexStats {
+        &mut self.stats
+    }
+
+    /// Persist a dirty page that still belongs to the current
+    /// configuration (or to an un-split slot of a migration's frozen old
+    /// directory) and repoint its directory entry.
+    fn write_back(&mut self, ftl: &mut Ftl, key: u64, data: Bytes) -> Result<(), IndexError> {
+        if key & DIR_PAGE_KEY != 0 {
+            return Ok(()); // snapshots are written eagerly, never dirty
+        }
+        let is_overflow = key & OVERFLOW_KEY != 0;
+        let key = key & !OVERFLOW_KEY;
+        if !self.dir.is_current_key(key) {
+            // Mid-migration, a dirty page of the frozen pre-doubling
+            // directory is still the authoritative copy of an un-split
+            // slot: persist it and repoint the old entry, or the split
+            // would read a stale flash image.
+            let old_pending = self.migration.as_ref().is_some_and(|m| {
+                m.old.is_current_key(key) && !m.is_split(Directory::slot_of_key(key))
+            });
+            if old_pending {
+                let slot = Directory::slot_of_key(key);
+                let page_bytes = data.len() as u64;
+                let new_ppa = ftl.write_index_page(data, SpareMeta::index_page())?;
+                self.stats.metadata_flash_programs += 1;
+                let entry = self.migration.as_mut().expect("checked above").old.entry_mut(slot);
+                let target =
+                    if is_overflow { &mut entry.overflow_ppa } else { &mut entry.table_ppa };
+                if let Some(old) = target.replace(new_ppa) {
+                    ftl.retire_index_page(old, page_bytes);
+                }
+            }
+            return Ok(()); // otherwise pre-resize generation: already retired
+        }
+        let slot = Directory::slot_of_key(key);
+        let page_bytes = data.len() as u64;
+        let new_ppa = ftl.write_index_page(data, SpareMeta::index_page())?;
+        self.stats.metadata_flash_programs += 1;
+        let entry = self.dir.entry_mut(slot);
+        let target = if is_overflow { &mut entry.overflow_ppa } else { &mut entry.table_ppa };
+        if let Some(old) = target.replace(new_ppa) {
+            ftl.retire_index_page(old, page_bytes);
+        }
+        Ok(())
+    }
+}
+
 impl IndexBackend for RhikIndex {
     fn insert(
         &mut self,
@@ -632,59 +560,68 @@ impl IndexBackend for RhikIndex {
         // If the bucket has overflowed before, the signature may already
         // live in the overflow table; updates must land there, not create
         // a duplicate in the primary.
-        if self.dir.entry(slot).has_overflow && table.lookup(sig).is_none() {
+        if self.dir.entry(slot).has_overflow && table.lookup(ftl, sig).is_none() {
+            table.pin(ftl); // the overflow load may evict the primary
             let (mut overflow, _) = self.load_overflow(ftl, slot)?;
-            if overflow.lookup(sig).is_some() {
-                let TableInsert::Updated { old } = overflow.insert(sig, ppa) else {
+            if overflow.lookup(ftl, sig).is_some() {
+                let (TableInsert::Updated { old }, _) = overflow.insert(ftl, sig, ppa) else {
                     unreachable!("lookup said present");
                 };
-                self.store_overflow(ftl, slot, &overflow)?;
                 self.note_view_upsert(sig, ppa);
+                overflow.save(self, ftl)?;
                 self.maybe_flush_directory(ftl)?;
                 return Ok(InsertOutcome::Updated { old });
             }
+            table.unpin(ftl);
         }
 
-        let outcome = match table.insert(sig, ppa) {
+        // Counts and the read view follow the page the moment it changes,
+        // so a refused write-back in `save` (which keeps every page) can
+        // be retried without drift.
+        let (placed, displacements) = table.insert(ftl, sig, ppa);
+        let outcome = match placed {
             TableInsert::Inserted => {
-                self.store_table(ftl, slot, &table)?;
-                self.dir.entry_mut(slot).records = table.len();
+                self.dir.entry_mut(slot).records += 1;
                 self.len += 1;
+                self.note_view_upsert(sig, ppa);
+                table.save(self, ftl)?;
                 InsertOutcome::Inserted
             }
             TableInsert::Updated { old } => {
-                self.store_table(ftl, slot, &table)?;
+                self.note_view_upsert(sig, ppa);
+                table.save(self, ftl)?;
                 InsertOutcome::Updated { old }
             }
             TableInsert::Full if self.cfg.hyper_local => {
                 // §VI hyper-local scaling: absorb the reject in a
                 // per-bucket overflow table instead of aborting.
                 let (mut overflow, _) = self.load_overflow(ftl, slot)?;
-                match overflow.insert(sig, ppa) {
+                let outcome = match overflow.insert(ftl, sig, ppa).0 {
                     TableInsert::Inserted => {
-                        self.store_overflow(ftl, slot, &overflow)?;
+                        let entry = self.dir.entry_mut(slot);
+                        entry.overflow_records += 1;
+                        entry.has_overflow = true;
                         self.len += 1;
                         InsertOutcome::Inserted
                     }
-                    TableInsert::Updated { old } => {
-                        self.store_overflow(ftl, slot, &overflow)?;
-                        InsertOutcome::Updated { old }
-                    }
+                    TableInsert::Updated { old } => InsertOutcome::Updated { old },
                     TableInsert::Full => {
                         self.stats.insert_aborts += 1;
                         return Err(IndexError::TableFull { table: slot as u64 });
                     }
-                }
+                };
+                self.note_view_upsert(sig, ppa);
+                overflow.save(self, ftl)?;
+                outcome
             }
             TableInsert::Full => {
                 self.stats.insert_aborts += 1;
                 return Err(IndexError::TableFull { table: slot as u64 });
             }
         };
-        if table.displacements() > 0 {
-            ftl.telemetry().counter_add("rhik_hopscotch_displacements", table.displacements());
+        if displacements > 0 {
+            ftl.telemetry().counter_add("rhik_hopscotch_displacements", displacements);
         }
-        self.note_view_upsert(sig, ppa);
         self.maybe_resize(ftl)?;
         self.maybe_flush_directory(ftl)?;
         Ok(outcome)
@@ -697,18 +634,18 @@ impl IndexBackend for RhikIndex {
         if let Some((key, entry)) = self.old_route(sig) {
             // Un-migrated slot: serve from the frozen old table, same
             // ≤ 1-flash-read path as a live table.
-            let (table, mut reads) = self.load_any_table(ftl, key, entry.table_ppa)?;
+            let (table, mut reads) = pages::load(self, ftl, key, entry.table_ppa)?;
             debug_assert!(reads <= 1, "old-table lookup exceeded one flash read");
-            if let Some(hit) = table.lookup(sig) {
+            if let Some(hit) = table.lookup(ftl, sig) {
                 self.stats.note_lookup_reads(reads);
                 return Ok(Some(hit));
             }
             let mut hit = None;
             if entry.has_overflow {
                 let (overflow, r2) =
-                    self.load_any_table(ftl, OVERFLOW_KEY | key, entry.overflow_ppa)?;
+                    pages::load(self, ftl, OVERFLOW_KEY | key, entry.overflow_ppa)?;
                 reads += r2;
-                hit = overflow.lookup(sig);
+                hit = overflow.lookup(ftl, sig);
             }
             self.stats.note_lookup_reads(reads);
             return Ok(hit);
@@ -716,7 +653,7 @@ impl IndexBackend for RhikIndex {
         let slot = self.dir.slot_of(sig);
         let (table, mut reads) = self.load_table(ftl, slot)?;
         debug_assert!(reads <= 1, "primary lookup exceeded one flash read");
-        if let Some(hit) = table.lookup(sig) {
+        if let Some(hit) = table.lookup(ftl, sig) {
             self.stats.note_lookup_reads(reads);
             return Ok(Some(hit));
         }
@@ -727,7 +664,7 @@ impl IndexBackend for RhikIndex {
         if self.dir.entry(slot).has_overflow {
             let (overflow, r2) = self.load_overflow(ftl, slot)?;
             reads += r2;
-            hit = overflow.lookup(sig);
+            hit = overflow.lookup(ftl, sig);
         }
         self.stats.note_lookup_reads(reads);
         Ok(hit)
@@ -739,20 +676,23 @@ impl IndexBackend for RhikIndex {
         self.migration_work(ftl, Some(sig))?;
         let slot = self.dir.slot_of(sig);
         let (mut table, _) = self.load_table(ftl, slot)?;
-        let mut removed = table.remove(sig);
+        let mut removed = table.remove(ftl, sig);
         if removed.is_some() {
-            self.store_table(ftl, slot, &table)?;
-            self.dir.entry_mut(slot).records = table.len();
+            self.dir.entry_mut(slot).records -= 1;
         } else if self.dir.entry(slot).has_overflow {
             let (mut overflow, _) = self.load_overflow(ftl, slot)?;
-            removed = overflow.remove(sig);
+            removed = overflow.remove(ftl, sig);
             if removed.is_some() {
-                self.store_overflow(ftl, slot, &overflow)?;
+                self.dir.entry_mut(slot).overflow_records -= 1;
             }
+            table = overflow;
         }
         if removed.is_some() {
+            // As in `insert`, counts and the read view follow the page
+            // before `save` can refuse a write-back.
             self.len -= 1;
             self.note_view_remove(sig);
+            table.save(self, ftl)?;
             self.maybe_flush_directory(ftl)?;
         }
         Ok(removed)
@@ -785,10 +725,7 @@ impl IndexBackend for RhikIndex {
             crate::resize::step(self, ftl, u32::MAX, None)?;
         }
         // Persist every dirty cached table, then the directory snapshot.
-        let dirty = ftl.cache().drain_dirty();
-        for ev in dirty {
-            self.write_back(ftl, ev.key, ev.data, true)?;
-        }
+        pages::flush_dirty(self, ftl)?;
         self.flush_directory(ftl)
     }
 
@@ -913,15 +850,11 @@ impl IndexBackend for RhikIndex {
         for slot in 0..self.dir.len() as u32 {
             if self.dir.entry(slot).records > 0 {
                 let (table, _) = self.load_table(ftl, slot)?;
-                for (sig, ppa) in table.iter() {
-                    visit(sig, ppa);
-                }
+                table.for_each(ftl, visit);
             }
             if self.dir.entry(slot).overflow_records > 0 {
                 let (overflow, _) = self.load_overflow(ftl, slot)?;
-                for (sig, ppa) in overflow.iter() {
-                    visit(sig, ppa);
-                }
+                overflow.for_each(ftl, visit);
             }
         }
         // Mid-migration, records of un-split slots still live in the
@@ -942,10 +875,8 @@ impl IndexBackend for RhikIndex {
             }
         }
         for (key, ppa) in pending {
-            let (table, _) = self.load_any_table(ftl, key, ppa)?;
-            for (sig, ppa) in table.iter() {
-                visit(sig, ppa);
-            }
+            let (table, _) = pages::load(self, ftl, key, ppa)?;
+            table.for_each(ftl, visit);
         }
         Ok(())
     }
@@ -1478,6 +1409,152 @@ mod tests {
             }
         }
         assert!(saw_migration, "batch 1 must leave migrations observable");
+    }
+
+    /// A signature in `slot` of the current directory, from the `i`-th on.
+    fn sig_in_slot(idx: &RhikIndex, slot: u32, mut i: u64) -> KeySignature {
+        while idx.directory().slot_of(sig(i)) != slot {
+            i += 1;
+        }
+        sig(i)
+    }
+
+    #[test]
+    fn patching_a_cached_table_never_writes_through_to_flash() {
+        let (mut ftl, mut idx) = setup_with_blocks(64);
+        for i in 0..40u64 {
+            idx.insert(&mut ftl, sig(i), Ppa::new(1, 1)).unwrap();
+        }
+        let slot = 0;
+        let key = idx.directory().cache_key(slot);
+        let mut next = 1_000u64;
+        for round in ["after flush", "after a fill from flash"] {
+            // Flushing writes the cached page back: flash and cache now
+            // share one buffer. The second round also drops the cached
+            // copy, so the lookup below fills the cache from flash.
+            idx.flush(&mut ftl).unwrap();
+            if round == "after a fill from flash" {
+                ftl.cache().remove(key);
+                idx.lookup(&mut ftl, sig_in_slot(&idx, slot, 0)).unwrap();
+                assert!(ftl.cache_ref().peek(key).is_some(), "lookup filled the cache");
+            }
+            let ppa = idx.directory().entry(slot).table_ppa.expect("slot persisted");
+            let on_flash = ftl.peek_page(ppa).unwrap().0.to_vec();
+            assert_eq!(&ftl.cache_ref().peek(key).unwrap()[..], &on_flash[..]);
+
+            let s = sig_in_slot(&idx, slot, next);
+            next = s.0 % 1_000_000 + 1;
+            idx.insert(&mut ftl, s, Ppa::new(2, 2)).unwrap();
+            assert_eq!(idx.directory().entry(slot).table_ppa, Some(ppa), "{round}: no write-back");
+            assert_eq!(ftl.peek_page(ppa).unwrap().0.to_vec(), on_flash, "{round}: flash changed");
+            assert_ne!(&ftl.cache_ref().peek(key).unwrap()[..], &on_flash[..], "{round}");
+            assert!(ftl.cache_ref().is_dirty(key));
+            assert_eq!(idx.lookup(&mut ftl, s).unwrap(), Some(Ppa::new(2, 2)));
+        }
+    }
+
+    #[test]
+    fn table_full_after_displacements_leaves_the_cached_page_clean() {
+        // 30-slot tables with hop width 4 and no resize until a table is
+        // completely full: inserts start failing well before that, some
+        // after moving records.
+        let mut ftl = Ftl::new(FtlConfig {
+            geometry: rhik_nand::NandGeometry {
+                blocks: 512,
+                pages_per_block: 8,
+                page_size: 512,
+                spare_size: 16,
+                channels: 2,
+            },
+            ..FtlConfig::tiny()
+        });
+        let mut idx = RhikIndex::new(
+            RhikConfig {
+                initial_dir_bits: 0,
+                hop_width: 4,
+                occupancy_threshold: 1.0,
+                dir_flush_interval: 1_000_000,
+                ..Default::default()
+            },
+            512,
+        );
+        let mut displaced_fulls = 0;
+        for i in 0..400u64 {
+            idx.flush(&mut ftl).unwrap();
+            let slot = idx.directory().slot_of(sig(i));
+            let key = idx.directory().cache_key(slot);
+            let before = ftl.cache_ref().peek(key).cloned();
+            // What the same insert does to an owned copy of the page.
+            let rehearsal = before.as_ref().map(|page| {
+                let mut t = crate::RecordTable::from_page(page, 30, 4);
+                (t.insert(sig(i), Ppa::new(0, 0)), t.displacements())
+            });
+            if let Err(e) = idx.insert(&mut ftl, sig(i), Ppa::new(0, 0)) {
+                assert_eq!(e, IndexError::TableFull { table: slot as u64 });
+                assert_eq!(ftl.cache_ref().peek(key), before.as_ref(), "page changed");
+                assert!(!ftl.cache_ref().is_dirty(key), "a failed insert dirtied the page");
+                if let Some((TableInsert::Full, moves)) = rehearsal {
+                    displaced_fulls += (moves > 0) as u32;
+                }
+            }
+        }
+        assert!(displaced_fulls > 0, "no Full insert displaced records first");
+    }
+
+    #[test]
+    fn refused_write_back_loses_no_acknowledged_key() {
+        // Sixteen tables share an 8-page cache on a 64-page FTL nobody
+        // garbage-collects: dirty-table write-backs drain the pool until
+        // one is refused.
+        let mut ftl = Ftl::new(FtlConfig::tiny());
+        let mut idx = RhikIndex::new(
+            RhikConfig {
+                initial_dir_bits: 4,
+                hop_width: 16,
+                occupancy_threshold: 1.0,
+                dir_flush_interval: 1_000_000,
+                ..Default::default()
+            },
+            512,
+        );
+        let mut acked = std::collections::HashMap::new();
+        let mut refused = false;
+        for i in 0..2_000u64 {
+            let (s, p) = (sig(i ^ 0x5eed), Ppa::new(i as u32 % 8, i as u32 % 8));
+            match idx.insert(&mut ftl, s, p) {
+                Ok(_) => {}
+                // Retry once, as `KvssdDevice::put` does after collecting.
+                Err(IndexError::NeedsGc) => {
+                    refused = true;
+                    if idx.insert(&mut ftl, s, p).is_err() {
+                        break;
+                    }
+                }
+                Err(e) => panic!("insert {i}: {e}"),
+            }
+            acked.insert(s, p);
+            if refused {
+                break;
+            }
+        }
+        assert!(refused, "the pool never ran dry");
+        assert_eq!(idx.len(), acked.len() as u64, "len drifted from the acknowledged keys");
+        // Reading the rest back needs write-backs too: collect garbage
+        // whenever one is refused, as the device's lookup path does.
+        let gc = rhik_ftl::GcConfig { low_watermark: 4, high_watermark: 4, ..Default::default() };
+        for (s, p) in &acked {
+            let found = loop {
+                match idx.lookup(&mut ftl, *s) {
+                    Ok(found) => break found,
+                    Err(IndexError::NeedsGc) => {
+                        let report = rhik_ftl::gc::run(&mut ftl, &mut idx, &gc).unwrap();
+                        assert!(report.index_blocks_erased > 0, "GC reclaimed nothing");
+                    }
+                    Err(e) => panic!("lookup: {e}"),
+                }
+            };
+            assert_eq!(found, Some(*p), "acknowledged key lost");
+        }
     }
 
     #[test]

@@ -16,16 +16,19 @@
 //!
 //! Entry point: [`RhikIndex`], which implements
 //! [`rhik_ftl::IndexBackend`], so it plugs straight into the device
-//! emulator and the GC machinery.
+//! emulator and the GC machinery. Record-layer tables are only ever
+//! handled in their flash encoding ([`TablePage`]), reached through the
+//! FTL page cache by the [`pages`] protocol the hash baselines share.
 
 mod bucket;
 mod config;
 mod directory;
 mod index;
+pub mod pages;
 mod record;
 mod resize;
 
-pub use bucket::{RecordTable, TableInsert};
+pub use bucket::{RecordTable, TableInsert, TablePage};
 pub use config::RhikConfig;
 pub use directory::{DirEntry, Directory};
 pub use index::RhikIndex;

@@ -6,6 +6,11 @@
 use rhik_nand::Ppa;
 use rhik_sigs::KeySignature;
 
+/// One record-layer slot in its flash encoding: the table pages hold these
+/// back to back, and the `packed_*`/`pack_*` accessors of [`IndexRecord`]
+/// are the only code that knows the field offsets.
+pub(crate) type PackedRecord = [u8; IndexRecord::PACKED_LEN];
+
 /// One record-layer slot: signature (8 B) + PPA (5 B) + hopinfo (4 B).
 ///
 /// The hopinfo bitmap belongs to the slot in its role as a *home bucket*:
@@ -61,23 +66,55 @@ impl IndexRecord {
         self.ppa_raw = Self::EMPTY_PPA;
     }
 
+    /// The signature field of a packed slot.
+    #[inline]
+    pub(crate) fn packed_sig(p: &PackedRecord) -> u64 {
+        u64::from_le_bytes([p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7]])
+    }
+
+    /// The 40-bit PPA field of a packed slot ([`IndexRecord::EMPTY_PPA`]
+    /// when vacant).
+    #[inline]
+    pub(crate) fn packed_ppa(p: &PackedRecord) -> u64 {
+        u64::from_le_bytes([p[8], p[9], p[10], p[11], p[12], 0, 0, 0])
+    }
+
+    /// The hopinfo field of a packed slot.
+    #[inline]
+    pub(crate) fn packed_hopinfo(p: &PackedRecord) -> u32 {
+        u32::from_le_bytes([p[13], p[14], p[15], p[16]])
+    }
+
+    /// Write a packed slot's signature and PPA fields, keeping its hopinfo.
+    #[inline]
+    pub(crate) fn pack_entry(p: &mut PackedRecord, sig: u64, ppa_raw: u64) {
+        p[..8].copy_from_slice(&sig.to_le_bytes());
+        p[8..13].copy_from_slice(&ppa_raw.to_le_bytes()[..5]);
+    }
+
+    /// Write a packed slot's hopinfo field.
+    #[inline]
+    pub(crate) fn pack_hopinfo(p: &mut PackedRecord, hopinfo: u32) {
+        p[13..].copy_from_slice(&hopinfo.to_le_bytes());
+    }
+
     /// Serialize into `out` (exactly [`IndexRecord::PACKED_LEN`] bytes).
     pub fn encode_into(&self, out: &mut [u8]) {
-        debug_assert_eq!(out.len(), Self::PACKED_LEN, "encode buffer must be exactly one record");
-        out[..8].copy_from_slice(&self.sig.0.to_le_bytes());
-        let ppa = self.ppa_raw.to_le_bytes();
-        out[8..13].copy_from_slice(&ppa[..5]);
-        out[13..17].copy_from_slice(&self.hopinfo.to_le_bytes());
+        let mut packed = [0u8; Self::PACKED_LEN];
+        Self::pack_entry(&mut packed, self.sig.0, self.ppa_raw);
+        Self::pack_hopinfo(&mut packed, self.hopinfo);
+        out.copy_from_slice(&packed);
     }
 
     /// Deserialize from exactly [`IndexRecord::PACKED_LEN`] bytes.
     pub fn decode(raw: &[u8]) -> Self {
-        debug_assert_eq!(raw.len(), Self::PACKED_LEN, "decode input must be exactly one record");
-        let sig = KeySignature(u64::from_le_bytes(raw[..8].try_into().expect("8 bytes")));
-        let mut ppa = [0u8; 8];
-        ppa[..5].copy_from_slice(&raw[8..13]);
-        let hopinfo = u32::from_le_bytes(raw[13..17].try_into().expect("4 bytes"));
-        IndexRecord { sig, ppa_raw: u64::from_le_bytes(ppa), hopinfo }
+        let mut packed = [0u8; Self::PACKED_LEN];
+        packed.copy_from_slice(raw);
+        IndexRecord {
+            sig: KeySignature(Self::packed_sig(&packed)),
+            ppa_raw: Self::packed_ppa(&packed),
+            hopinfo: Self::packed_hopinfo(&packed),
+        }
     }
 }
 

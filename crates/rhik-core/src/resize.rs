@@ -37,13 +37,15 @@
 //!   partway), and a mid-migration `NeedsGc` simply pauses the cursor
 //!   until the device garbage-collects.
 
+use bytes::Bytes;
 use rhik_ftl::layout::SpareMeta;
 use rhik_ftl::{Ftl, IndexBackend, IndexError, ResizeEvent};
 use rhik_nand::NandOp;
 
-use crate::bucket::{RecordTable, TableInsert};
+use crate::bucket::{empty_page, page_records, TableInsert, TablePage};
 use crate::directory::Directory;
 use crate::index::{RhikIndex, OVERFLOW_KEY};
+use crate::pages::CachedTables;
 
 /// An in-flight incremental doubling.
 pub(crate) struct Migration {
@@ -268,6 +270,21 @@ fn advance(
     Ok(split)
 }
 
+/// One successor slot of a split, built in its flash encoding: the primary
+/// table page, and an overflow page if hopscotch clustering rejected a
+/// record — each with its record count.
+struct Successor {
+    table: Vec<u8>,
+    records: u32,
+    overflow: Option<(Vec<u8>, u32)>,
+}
+
+impl Successor {
+    fn new(records_per_table: u32, page_size: usize) -> Self {
+        Successor { table: empty_page(records_per_table, page_size), records: 0, overflow: None }
+    }
+}
+
 /// Split one old slot's records into its two successor slots by stored
 /// signature, write the successors to flash, and retire the old pages.
 fn split_one(
@@ -300,15 +317,15 @@ fn split_one(
                  idx: &mut RhikIndex,
                  cache_key: u64,
                  ppa: Option<rhik_nand::Ppa>|
-     -> Result<Option<RecordTable>, IndexError> {
+     -> Result<Option<Bytes>, IndexError> {
         if let Some(bytes) = ftl.cache().get(cache_key) {
-            return Ok(Some(RecordTable::from_page(&bytes, records_per_table, hop_width)));
+            return Ok(Some(bytes.clone()));
         }
         match ppa {
             Some(ppa) => {
                 let bytes = ftl.read_index_page(ppa)?;
                 idx.stats_mut().metadata_flash_reads += 1;
-                Ok(Some(RecordTable::from_page(&bytes, records_per_table, hop_width)))
+                Ok(Some(bytes))
             }
             None => Ok(None),
         }
@@ -334,29 +351,30 @@ fn split_one(
     // goes to a fresh overflow table for the target slot — the resize
     // must never fail half-done.
     let (lo_slot, hi_slot) = Directory::split_targets(slot, old_bits);
-    let mut lo = RecordTable::new(records_per_table, hop_width);
-    let mut hi = RecordTable::new(records_per_table, hop_width);
-    let mut lo_ovf: Option<RecordTable> = None;
-    let mut hi_ovf: Option<RecordTable> = None;
+    let mut lo = Successor::new(records_per_table, page_size);
+    let mut hi = Successor::new(records_per_table, page_size);
     let mut moved = 0u64;
-    for (sig, ppa) in
-        table.iter().flat_map(|t| t.iter()).chain(overflow.iter().flat_map(|t| t.iter()))
-    {
+    let old_records = table.iter().chain(overflow.iter());
+    for (sig, ppa) in old_records.flat_map(|page| page_records(page, records_per_table)) {
         let target_slot = idx.directory().slot_of(sig);
         debug_assert!(
             target_slot == lo_slot || target_slot == hi_slot,
             "split record re-homed outside the two successor slots"
         );
-        let (target, target_ovf) =
-            if target_slot == lo_slot { (&mut lo, &mut lo_ovf) } else { (&mut hi, &mut hi_ovf) };
-        match target.insert(sig, ppa) {
-            TableInsert::Inserted => moved += 1,
+        let target = if target_slot == lo_slot { &mut lo } else { &mut hi };
+        let mut primary = TablePage::new(&mut target.table[..], records_per_table, hop_width);
+        match primary.insert(sig, ppa).0 {
+            TableInsert::Inserted => target.records += 1,
             TableInsert::Updated { .. } => unreachable!("signatures unique within a table"),
             TableInsert::Full => {
-                let ovf = target_ovf
-                    .get_or_insert_with(|| RecordTable::new(records_per_table, hop_width));
-                match ovf.insert(sig, ppa) {
-                    TableInsert::Inserted => moved += 1,
+                let ovf = target
+                    .overflow
+                    .get_or_insert_with(|| (empty_page(records_per_table, page_size), 0));
+                match TablePage::new(&mut ovf.0[..], records_per_table, hop_width)
+                    .insert(sig, ppa)
+                    .0
+                {
+                    TableInsert::Inserted => ovf.1 += 1,
                     TableInsert::Updated { .. } => {
                         unreachable!("signatures unique within a bucket")
                     }
@@ -374,28 +392,27 @@ fn split_one(
                 }
             }
         }
+        moved += 1;
     }
 
     // Persist the successors immediately (streamed migration). Replacing
     // (and retiring) any existing successor pointer makes a retry after a
     // mid-slot flash failure clean: the losing attempt's pages go stale.
-    for (new_slot, new_table, new_ovf) in [(lo_slot, lo, lo_ovf), (hi_slot, hi, hi_ovf)] {
-        if !new_table.is_empty() {
-            let page = new_table.to_page(page_size);
-            let ppa = ftl.write_index_page(page, SpareMeta::index_page())?;
+    for (new_slot, successor) in [(lo_slot, lo), (hi_slot, hi)] {
+        if successor.records > 0 {
+            let ppa = ftl.write_index_page(successor.table.into(), SpareMeta::index_page())?;
             idx.stats_mut().metadata_flash_programs += 1;
             let entry = idx.dir_mut().entry_mut(new_slot);
-            entry.records = new_table.len();
+            entry.records = successor.records;
             if let Some(prev) = entry.table_ppa.replace(ppa) {
                 ftl.retire_index_page(prev, page_size as u64);
             }
         }
-        if let Some(ovf) = new_ovf {
-            let page = ovf.to_page(page_size);
-            let ppa = ftl.write_index_page(page, SpareMeta::index_page())?;
+        if let Some((page, records)) = successor.overflow {
+            let ppa = ftl.write_index_page(page.into(), SpareMeta::index_page())?;
             idx.stats_mut().metadata_flash_programs += 1;
             let entry = idx.dir_mut().entry_mut(new_slot);
-            entry.overflow_records = ovf.len();
+            entry.overflow_records = records;
             entry.has_overflow = true;
             if let Some(prev) = entry.overflow_ppa.replace(ppa) {
                 ftl.retire_index_page(prev, page_size as u64);

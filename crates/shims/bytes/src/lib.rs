@@ -44,6 +44,14 @@ impl Bytes {
     pub fn to_vec(&self) -> Vec<u8> {
         self.data.to_vec()
     }
+
+    /// Copy-on-write mutable access: writes in place when this handle is
+    /// the buffer's only owner, and first moves it to a private copy when
+    /// clones share it. (An extension over upstream `Bytes`, whose
+    /// mutable counterpart is `BytesMut`.)
+    pub fn make_mut(&mut self) -> &mut [u8] {
+        Arc::make_mut(&mut self.data)
+    }
 }
 
 impl Deref for Bytes {
@@ -184,6 +192,18 @@ mod tests {
         let b = a.clone();
         assert_eq!(a, b);
         assert!(Arc::ptr_eq(&a.data, &b.data));
+    }
+
+    #[test]
+    fn make_mut_copies_only_shared_buffers() {
+        let mut a = Bytes::from(vec![1, 2, 3]);
+        let b = a.clone();
+        a.make_mut()[0] = 9;
+        assert_eq!(&a[..], &[9, 2, 3]);
+        assert_eq!(&b[..], &[1, 2, 3], "a shared buffer is copied before the write");
+        let before = a.as_ptr();
+        a.make_mut()[1] = 8;
+        assert_eq!(a.as_ptr(), before, "a sole owner writes in place");
     }
 
     #[test]
