@@ -1,6 +1,6 @@
 //! Sharded multi-queue scaling: threads × shards throughput matrix.
 //!
-//! Compares the global-mutex [`SharedKvssd`] baseline against
+//! Compares a single-queue baseline (one mutex over one device) against
 //! [`ShardedKvssd`] at 1/2/4 shards under 1/2/4 submitting threads, for
 //! Zipfian (θ = 0.99) and uniform key streams. Two throughput metrics
 //! per cell:
@@ -23,7 +23,8 @@ use rhik_bench::{
     attribution_json, attribution_table, audit_requested, emit_json, reads_per_lookup_json,
     render_table, trace_dump_requested, Scale,
 };
-use rhik_kvssd::{DeviceConfig, KvssdDevice, ShardedKvssd, SharedKvssd, TelemetrySink};
+use rhik_ftl::sync::Mutex;
+use rhik_kvssd::{DeviceConfig, KvssdDevice, ShardedKvssd, TelemetrySink};
 use rhik_nand::DeviceProfile;
 use rhik_workloads::{KeyStream, Keygen};
 use serde_json::{json, Value};
@@ -301,59 +302,51 @@ fn run_sharded(
     }
 }
 
+/// The single-queue baseline: one mutex over one device, so every
+/// command serializes on one submission queue and one clock.
 fn run_shared(threads: u64, dist: Dist, population: u64, ops: u64) -> RunResult {
-    let dev = SharedKvssd::new(KvssdDevice::rhik(config()));
+    let dev = Mutex::new(KvssdDevice::rhik(config()));
+    let lock = || dev.lock().unwrap_or_else(|poison| poison.into_inner());
     let value = vec![0xAB; VALUE_BYTES];
     let start = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..threads {
-            let dev = dev.clone();
             let value = &value;
             scope.spawn(move || {
                 let keygen = Keygen::new(KeyStream::Sequential, KEY_BYTES, 0);
                 let lo = population * t / threads;
                 let hi = population * (t + 1) / threads;
                 for id in lo..hi {
-                    dev.put(&keygen.key_for(id), value).unwrap();
+                    lock().put(&keygen.key_for(id), value).unwrap();
                 }
                 let mut gen = Keygen::new(stream_for(dist, population), KEY_BYTES, 0xC0FFEE + t);
                 for i in 0..ops / threads {
                     let key = gen.next_key();
                     if i % 2 == 0 {
-                        let _ = dev.get(&key).unwrap();
+                        let _ = lock().get(&key).unwrap();
                     } else {
-                        dev.put(&key, value).unwrap();
+                        lock().put(&key, value).unwrap();
                     }
                 }
             });
         }
     });
+    let dev = lock();
     if audit_requested() {
         let report = dev.audit(&mut rhik_audit::DeviceAuditor::new());
         assert!(report.is_ok(), "--audit found invariant violations:\n{report}");
         eprintln!("[audit] shared {threads}t: clean");
     }
-    let (device_secs, put_p99_ns, put_p999_ns, get_p50_ns, get_p99_ns, get_p999_ns) = dev
-        .with_device(|d| {
-            let gets = d.get_latencies();
-            (
-                d.elapsed_secs(),
-                d.put_latencies().p99_ns(),
-                d.put_latencies().p999_ns(),
-                gets.p50_ns(),
-                gets.p99_ns(),
-                gets.p999_ns(),
-            )
-        });
+    let (puts, gets) = (dev.put_latencies(), dev.get_latencies());
     RunResult {
         total_ops: population + (ops / threads) * threads,
         wall_secs: start.elapsed().as_secs_f64(),
-        device_secs,
-        put_p99_ns,
-        put_p999_ns,
-        get_p50_ns,
-        get_p99_ns,
-        get_p999_ns,
+        device_secs: dev.elapsed_secs(),
+        put_p99_ns: puts.p99_ns(),
+        put_p999_ns: puts.p999_ns(),
+        get_p50_ns: gets.p50_ns(),
+        get_p99_ns: gets.p99_ns(),
+        get_p999_ns: gets.p999_ns(),
         cache: None,
     }
 }

@@ -359,7 +359,6 @@ fn clean_extent_block<I: IndexBackend>(
 
 /// Reconstruct the on-flash extent a decoded head entry describes.
 fn extent_of(entry: &layout::PairEntry, head: Ppa, page_size: usize) -> crate::ftl::WrittenExtent {
-    let body = (entry.val_total_len - entry.frag_len) as u64;
     crate::ftl::WrittenExtent {
         head,
         cont_start: entry.cont_start,
@@ -368,7 +367,7 @@ fn extent_of(entry: &layout::PairEntry, head: Ppa, page_size: usize) -> crate::f
             + entry.key.len()
             + entry.frag_len as usize
             + layout::SIG_ENTRY_LEN) as u64,
-        cont_bytes: body,
+        cont_bytes: entry.body_len() as u64,
     }
 }
 
@@ -381,23 +380,17 @@ fn relocate_pair<I: IndexBackend>(
     entry: &layout::PairEntry,
     report: &mut GcReport,
 ) -> Result<(), FtlError> {
-    let mut value = entry.value_frag.to_vec();
-    let mut remaining = (entry.val_total_len - entry.frag_len) as usize;
-    if remaining > 0 {
-        let Some(start) = entry.cont_start else {
-            return Err(FtlError::Corrupt(
-                "GC victim holds an overflowing pair without a continuation extent".into(),
-            ));
-        };
-        let mut i = 0;
-        while remaining > 0 {
-            let (cd, _) = ftl.read_data_page(Ppa::new(start.block, start.page + i))?;
-            let take = remaining.min(cd.len());
-            value.extend_from_slice(&cd[..take]);
-            remaining -= take;
-            i += 1;
-        }
-    }
+    let value = layout::assemble_value(
+        &entry.value_frag,
+        entry.body_len() as usize,
+        entry.cont_start,
+        |ppa| ftl.read_data_page(ppa).map(|(page, _)| page),
+    )?
+    .ok_or_else(|| {
+        FtlError::Corrupt(
+            "GC victim holds an overflowing pair without a continuation extent".into(),
+        )
+    })?;
 
     let extent = ftl.store_pair(sig, &entry.key, &value, entry.flags)?;
     match index.insert(ftl, sig, extent.head) {

@@ -153,10 +153,14 @@ pub struct PairEntry {
 }
 
 impl PairEntry {
+    /// Value bytes stored in continuation pages (after the head fragment).
+    pub fn body_len(&self) -> u32 {
+        self.val_total_len - self.frag_len
+    }
+
     /// Continuation pages needed after the head page.
     pub fn cont_pages(&self, page_size: u32) -> u32 {
-        let rest = self.val_total_len - self.frag_len;
-        rest.div_ceil(page_size)
+        self.body_len().div_ceil(page_size)
     }
 
     /// Total on-flash footprint of this pair in bytes (record + sig entry +
@@ -427,6 +431,35 @@ pub fn find_in_head(data: &[u8], page_size: usize, sig: KeySignature) -> Option<
     page.find(sig).map(|i| page.entry(i))
 }
 
+/// Assemble a stored value: its head fragment `frag`, then `body_len`
+/// bytes of continuation pages starting at `cont_start`, each read
+/// through `read_page`. Continuation pages are full and consecutive in
+/// their block, so the body is their concatenation cut to `body_len`.
+/// Returns `Ok(None)` when a body is due but no continuation extent is
+/// recorded (a corrupt pair).
+pub fn assemble_value<E>(
+    frag: &[u8],
+    body_len: usize,
+    cont_start: Option<Ppa>,
+    mut read_page: impl FnMut(Ppa) -> Result<Bytes, E>,
+) -> Result<Option<Vec<u8>>, E> {
+    let mut value = Vec::with_capacity(frag.len() + body_len);
+    value.extend_from_slice(frag);
+    if body_len > 0 {
+        let Some(start) = cont_start else { return Ok(None) };
+        let mut remaining = body_len;
+        let mut page = start.page;
+        while remaining > 0 {
+            let data = read_page(Ppa::new(start.block, page))?;
+            let take = remaining.min(data.len());
+            value.extend_from_slice(&data[..take]);
+            remaining -= take;
+            page += 1;
+        }
+    }
+    Ok(Some(value))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,5 +613,25 @@ mod tests {
             flags: 0,
         };
         assert_eq!(e.footprint(), (RECORD_PREFIX_LEN + 3 + 100 + SIG_ENTRY_LEN) as u64);
+    }
+
+    #[test]
+    fn assemble_value_reads_consecutive_full_pages() {
+        // Two 4-byte continuation pages at (3, 5) and (3, 6); the body is
+        // 6 bytes, so only part of the second page belongs to the value.
+        let mut reads = Vec::new();
+        let value = assemble_value::<()>(b"ab", 6, Some(Ppa::new(3, 5)), |ppa| {
+            reads.push(ppa);
+            Ok(Bytes::from(vec![b'0' + ppa.page as u8; 4]))
+        });
+        assert_eq!(value, Ok(Some(b"ab555566".to_vec())));
+        assert_eq!(reads, [Ppa::new(3, 5), Ppa::new(3, 6)]);
+
+        // No body: no reads, even without an extent.
+        let none = assemble_value::<()>(b"ab", 0, None, |_| panic!("no page is due"));
+        assert_eq!(none, Ok(Some(b"ab".to_vec())));
+        // A body without an extent is corrupt; a failed read propagates.
+        assert_eq!(assemble_value::<()>(b"ab", 1, None, |_| Err(())), Ok(None));
+        assert_eq!(assemble_value(b"ab", 1, Some(Ppa::new(0, 0)), |_| Err("fault")), Err("fault"));
     }
 }

@@ -1,7 +1,6 @@
 //! The device side of the DRAM hot-object cache tier: one
-//! [`CacheTier`] per device, shared by [`crate::ShardedKvssd`] and
-//! [`crate::SharedKvssd`], pairing the [`HotCache`] with the
-//! [`VersionTable`] the index bumps.
+//! [`CacheTier`] per [`crate::ShardedKvssd`], shared by its shards,
+//! pairing the [`HotCache`] with the [`VersionTable`] the index bumps.
 //!
 //! The fill protocol (the whole correctness story, pinned down by the
 //! loom model in `rhik-hotcache`):

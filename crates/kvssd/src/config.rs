@@ -33,13 +33,12 @@ pub struct DeviceConfig {
     pub rhik: rhik_core::RhikConfig,
     /// Shard count for [`crate::ShardedKvssd`] (power of two, ≥ 1). Each
     /// shard owns a slice of the signature space with its own submission
-    /// queue and index; 1 = unsharded. Ignored by the single-queue
-    /// `KvssdDevice` / `SharedKvssd` entry points.
+    /// queue and index; 1 = one queue. Ignored by a bare
+    /// [`crate::KvssdDevice`].
     pub shards: u32,
     /// DRAM hot-object cache tier above the index (distinct from
     /// `cache_budget_bytes`, which funds the FTL's index-*page* cache).
-    /// Default **off**; honored by [`crate::ShardedKvssd`] and
-    /// [`crate::SharedKvssd::rhik`].
+    /// Default **off**; honored by [`crate::ShardedKvssd`].
     pub hot_cache: CacheConfig,
 }
 

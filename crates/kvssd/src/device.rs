@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use rhik_baseline::{LsmConfig, LsmIndex, MultiLevelConfig, MultiLevelIndex, SimpleHashIndex};
 use rhik_core::RhikIndex;
-use rhik_ftl::layout::{self, PairEntry};
+use rhik_ftl::layout;
 use rhik_ftl::{gc, Ftl, FtlError, GcConfig, IndexBackend, IndexError, WrittenExtent};
 use rhik_nand::{NandError, Ppa};
 use rhik_sigs::{KeySignature, SigHasher};
@@ -105,7 +105,7 @@ pub struct KvssdDevice<I: IndexBackend> {
     gc_cfg: GcConfig,
     stats: DeviceStats,
     /// Open iterator sessions (slot-indexed; `None` = free slot).
-    iter_sessions: Vec<Option<crate::cmd::IterSession>>,
+    pub(crate) iter_sessions: Vec<Option<crate::cmd::IterSession>>,
     /// Per-command-class latency (puts / gets), for tail analysis.
     put_latencies: crate::LatencyHistogram,
     get_latencies: crate::LatencyHistogram,
@@ -371,7 +371,7 @@ impl<I: IndexBackend> KvssdDevice<I> {
 
     /// Drain media ops to the timing engine, charging `host_bytes` of host
     /// transfer to this command.
-    fn settle(&mut self, host_bytes: u64) -> crate::CommandTiming {
+    pub(crate) fn settle(&mut self, host_bytes: u64) -> crate::CommandTiming {
         let ops = self.ftl.drain_timed_ops();
         self.engine.account(&ops, host_bytes)
     }
@@ -603,77 +603,50 @@ impl<I: IndexBackend> KvssdDevice<I> {
     /// Read the full pair stored at `head` for `sig` (write buffer aware).
     /// Returns the key, value, and the pair's on-flash extent (for
     /// staleness accounting on update/delete).
-    fn read_pair(
+    pub(crate) fn read_pair(
         &mut self,
         sig: KeySignature,
         head: Ppa,
     ) -> Result<Option<(Bytes, Bytes, WrittenExtent)>> {
-        if Some(head) == self.ftl.pending_head() {
-            if let (Some((k, frag)), Some(extent)) =
+        let (key, frag, extent) = if Some(head) == self.ftl.pending_head() {
+            // The head fragment is in the DRAM buffer; the body (if any)
+            // is already on flash and costs real reads.
+            let (Some((key, frag)), Some(extent)) =
                 (self.ftl.pending_pair(sig), self.ftl.pending_extent(sig))
-            {
-                // The head fragment is in the DRAM buffer; the body (if
-                // any) is already on flash and costs real reads.
-                let mut value = frag.to_vec();
-                if let Some(start) = extent.cont_start {
-                    let mut remaining = extent.cont_bytes as usize;
-                    let mut i = 0;
-                    while remaining > 0 {
-                        let (cd, _) = self
-                            .ftl
-                            .read_data_page(Ppa::new(start.block, start.page + i))
-                            .map_err(Self::map_ftl_err)?;
-                        let take = remaining.min(cd.len());
-                        value.extend_from_slice(&cd[..take]);
-                        remaining -= take;
-                        i += 1;
-                    }
-                }
-                return Ok(Some((k, Bytes::from(value), extent)));
-            }
-            return Ok(None);
-        }
-        let (data, _) = self.ftl.read_data_page(head).map_err(Self::map_ftl_err)?;
-        let page_size = self.ftl.geometry().page_size as usize;
-        let Some(entry) = layout::find_in_head(&data, page_size, sig) else {
-            return Ok(None);
-        };
-        let extent = WrittenExtent {
-            head,
-            cont_start: entry.cont_start,
-            cont_pages: entry.cont_pages(self.ftl.geometry().page_size),
-            head_bytes: (layout::RECORD_PREFIX_LEN
-                + entry.key.len()
-                + entry.frag_len as usize
-                + layout::SIG_ENTRY_LEN) as u64,
-            cont_bytes: (entry.val_total_len - entry.frag_len) as u64,
-        };
-        let value = self.assemble_value(&entry)?;
-        Ok(Some((entry.key.clone(), value, extent)))
-    }
-
-    fn assemble_value(&mut self, entry: &PairEntry) -> Result<Bytes> {
-        let mut value = entry.value_frag.to_vec();
-        let mut remaining = (entry.val_total_len - entry.frag_len) as usize;
-        if remaining > 0 {
-            let Some(start) = entry.cont_start else {
-                return Err(KvError::Corrupt(
-                    "stored pair overflows its head page but has no continuation extent".into(),
-                ));
+            else {
+                return Ok(None);
             };
-            let mut i = 0;
-            while remaining > 0 {
-                let (cd, _) = self
-                    .ftl
-                    .read_data_page(Ppa::new(start.block, start.page + i))
-                    .map_err(Self::map_ftl_err)?;
-                let take = remaining.min(cd.len());
-                value.extend_from_slice(&cd[..take]);
-                remaining -= take;
-                i += 1;
-            }
-        }
-        Ok(Bytes::from(value))
+            (key, frag, extent)
+        } else {
+            let (data, _) = self.ftl.read_data_page(head).map_err(Self::map_ftl_err)?;
+            let page_size = self.ftl.geometry().page_size;
+            let Some(entry) = layout::find_in_head(&data, page_size as usize, sig) else {
+                return Ok(None);
+            };
+            let extent = WrittenExtent {
+                head,
+                cont_start: entry.cont_start,
+                cont_pages: entry.cont_pages(page_size),
+                head_bytes: (layout::RECORD_PREFIX_LEN
+                    + entry.key.len()
+                    + entry.frag_len as usize
+                    + layout::SIG_ENTRY_LEN) as u64,
+                cont_bytes: entry.body_len() as u64,
+            };
+            (entry.key, entry.value_frag, extent)
+        };
+        let ftl = &mut self.ftl;
+        let value =
+            layout::assemble_value(&frag, extent.cont_bytes as usize, extent.cont_start, |ppa| {
+                ftl.read_data_page(ppa).map(|(page, _)| page)
+            })
+            .map_err(Self::map_ftl_err)?
+            .ok_or_else(|| {
+                KvError::Corrupt(
+                    "stored pair overflows its head page but has no continuation extent".into(),
+                )
+            })?;
+        Ok(Some((key, Bytes::from(value), extent)))
     }
 
     // ------------------------------------------------------------ commands
@@ -859,45 +832,6 @@ impl<I: IndexBackend> KvssdDevice<I> {
         Ok(ExistReport { probably_exists: hit, flash_reads })
     }
 
-    /// `iterate`: enumerate keys with the given prefix (§VI's integrated
-    /// iterator support). With the default hasher this is a full index
-    /// sweep that reads each candidate pair to verify its true prefix.
-    /// With [`SigHasher::PrefixSuffix`], candidates whose signature's high
-    /// half cannot match the prefix are skipped *without any flash read* —
-    /// the paper's "careful partitioning of the keys inside the index".
-    /// Returns up to `limit` keys (unordered, like the Samsung iterator).
-    pub fn iterate(&mut self, prefix: &[u8], limit: usize) -> Result<Vec<Bytes>> {
-        self.stats.iterates += 1;
-        let mut candidates = Vec::new();
-        self.index
-            .scan_records(&mut self.ftl, &mut |sig, ppa| candidates.push((sig, ppa)))
-            .map_err(Self::map_index_err)?;
-
-        // Signature-level pruning when the hasher supports it and the
-        // prefix pins all four signature-prefix bytes.
-        if prefix.len() >= 4 {
-            if let Some(bucket) = self.hasher.prefix_bucket(prefix) {
-                candidates.retain(|(sig, _)| (sig.0 >> 32) as u32 == bucket);
-            }
-        }
-
-        let mut keys = Vec::new();
-        let mut host_bytes = 0u64;
-        for (sig, head) in candidates {
-            if keys.len() >= limit {
-                break;
-            }
-            if let Some((stored_key, _v, _)) = self.read_pair(sig, head)? {
-                if stored_key.starts_with(prefix) {
-                    host_bytes += stored_key.len() as u64;
-                    keys.push(stored_key);
-                }
-            }
-        }
-        self.settle(host_bytes);
-        Ok(keys)
-    }
-
     /// Tear the device apart, keeping the flash (crash simulation,
     /// re-mounting with a different engine, forensics).
     pub fn into_parts(self) -> (Ftl, I) {
@@ -921,67 +855,23 @@ impl<I: IndexBackend> KvssdDevice<I> {
         self.engine.set_compound(false);
     }
 
-    pub(crate) fn hasher_ref(&self) -> &SigHasher {
-        &self.hasher
-    }
-
-    pub(crate) fn scan_for_iterate(&mut self, out: &mut Vec<(KeySignature, Ppa)>) -> Result<()> {
+    /// Every stored record whose signature can match `prefix`, for an
+    /// iterator session. With [`SigHasher::PrefixSuffix`] and a prefix
+    /// that pins all four signature-prefix bytes, candidates in other
+    /// prefix buckets are pruned without any flash read — the paper's
+    /// "careful partitioning of the keys inside the index" (§VI).
+    pub(crate) fn iterate_candidates(&mut self, prefix: &[u8]) -> Result<Vec<(KeySignature, Ppa)>> {
         self.stats.iterates += 1;
+        let mut candidates = Vec::new();
         self.index
-            .scan_records(&mut self.ftl, &mut |sig, ppa| out.push((sig, ppa)))
-            .map_err(Self::map_index_err)
-    }
-
-    pub(crate) fn alloc_iter_slot(&mut self, session: crate::cmd::IterSession) -> usize {
-        if let Some(slot) = self.iter_sessions.iter().position(Option::is_none) {
-            self.iter_sessions[slot] = Some(session);
-            slot
-        } else {
-            self.iter_sessions.push(Some(session));
-            self.iter_sessions.len() - 1
-        }
-    }
-
-    pub(crate) fn free_iter_slot(&mut self, slot: usize) -> Result<()> {
-        match self.iter_sessions.get_mut(slot) {
-            Some(s @ Some(_)) => {
-                *s = None;
-                Ok(())
+            .scan_records(&mut self.ftl, &mut |sig, ppa| candidates.push((sig, ppa)))
+            .map_err(Self::map_index_err)?;
+        if prefix.len() >= 4 {
+            if let Some(bucket) = self.hasher.prefix_bucket(prefix) {
+                candidates.retain(|(sig, _)| (sig.0 >> 32) as u32 == bucket);
             }
-            _ => Err(KvError::Unsupported("iterator handle not open")),
         }
-    }
-
-    /// Current candidate of a session without consuming it.
-    pub(crate) fn iter_peek(
-        &mut self,
-        handle: crate::cmd::IterHandle,
-    ) -> Result<Option<(KeySignature, Ppa, Vec<u8>)>> {
-        match self.iter_sessions.get(handle.0) {
-            Some(Some(s)) => {
-                Ok(s.candidates.get(s.pos).map(|&(sig, ppa)| (sig, ppa, s.prefix.clone())))
-            }
-            _ => Err(KvError::Unsupported("iterator handle not open")),
-        }
-    }
-
-    pub(crate) fn iter_advance(&mut self, handle: crate::cmd::IterHandle) -> Result<()> {
-        match self.iter_sessions.get_mut(handle.0) {
-            Some(Some(s)) => {
-                s.pos += 1;
-                Ok(())
-            }
-            _ => Err(KvError::Unsupported("iterator handle not open")),
-        }
-    }
-
-    /// `read_pair` for sibling modules.
-    pub(crate) fn read_pair_public(
-        &mut self,
-        sig: KeySignature,
-        head: Ppa,
-    ) -> Result<Option<(Bytes, Bytes, WrittenExtent)>> {
-        self.read_pair(sig, head)
+        Ok(candidates)
     }
 
     /// Flush all buffered state (shutdown / checkpoint).

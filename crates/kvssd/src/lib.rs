@@ -20,14 +20,15 @@
 //! [`KvssdDevice::rhik`], [`KvssdDevice::multilevel`],
 //! [`KvssdDevice::simple_hash`], [`KvssdDevice::lsm`].
 //!
-//! Two concurrent entry points wrap the single-owner device:
+//! [`KvssdDevice::execute_batch`] runs a compound command over
+//! [`BatchOp`]/[`BatchReply`] (Kim et al.'s coalescing, \[8\]).
 //!
-//! * [`ShardedKvssd`] — the recommended one: `S` submission queues, each
-//!   owning a slice of the signature space (routed by high signature
-//!   bits) with its own index and timing engine, over one shared flash
-//!   pool. Resizes stall only the affected shard.
-//! * [`SharedKvssd`] — the single-queue baseline: one global mutex, one
-//!   serialized command stream.
+//! [`ShardedKvssd`] is the concurrent entry point: `S` submission queues,
+//! each owning a slice of the signature space (routed by high signature
+//! bits) with its own index and timing engine, over one shared flash pool.
+//! Resizes stall only the affected shard. Every shard-locked command runs
+//! through one locked pass over `execute_batch`; the hot-object cache and
+//! the lock-free read view answer gets in front of it.
 
 mod cache_tier;
 mod cmd;
@@ -37,16 +38,14 @@ mod engine;
 mod error;
 mod histogram;
 mod sharded;
-mod shared;
 
-pub use cmd::{Command, CommandResult, IterHandle};
+pub use cmd::{BatchOp, BatchReply, IterHandle};
 pub use config::{DeviceConfig, EngineMode};
 pub use device::{DeviceStats, ExistReport, KvssdDevice};
 pub use engine::{CommandTiming, TimingEngine};
 pub use error::KvError;
 pub use histogram::LatencyHistogram;
-pub use sharded::{BatchOp, BatchReply, GroupCommitStats, LockfreeReadStats, ShardedKvssd};
-pub use shared::SharedKvssd;
+pub use sharded::{GroupCommitStats, LockfreeReadStats, ShardedKvssd};
 
 // Observability types, re-exported so device users need not depend on the
 // telemetry crate directly.

@@ -1,11 +1,9 @@
 //! Sharded multi-queue device execution.
 //!
-//! [`crate::SharedKvssd`] serializes every command behind one global
-//! mutex — one submission queue, like a single-queue host driver. Real
-//! KV-SSDs expose multiple submission queues, and RHIK's directory makes
-//! the keyspace trivially partitionable: the directory entry is selected
-//! by *low* signature bits, so taking the *high* bits as a shard id
-//! splits the signature space into `S` disjoint slices whose index
+//! Real KV-SSDs expose multiple submission queues, and RHIK's directory
+//! makes the keyspace trivially partitionable: the directory entry is
+//! selected by *low* signature bits, so taking the *high* bits as a shard
+//! id splits the signature space into `S` disjoint slices whose index
 //! structures never interact.
 //!
 //! [`ShardedKvssd`] exploits that: each shard owns a full device
@@ -22,14 +20,22 @@
 //! * per-shard stats and histograms aggregate into a device-wide view
 //!   via [`DeviceStats::merge`] / `LatencyHistogram::merge`.
 //!
+//! One request path: every command that needs a shard lock — a get the
+//! hot cache and the lock-free view could not answer, the puts a
+//! group-commit leader drains, a delete, an exist, the rest of a
+//! [`ShardedKvssd::submit_batch`] — runs through one private locked pass:
+//! one lock acquisition and one compound submission through
+//! [`KvssdDevice::execute_batch`], then, with the lock released, the
+//! `DeviceFull` retry and the hot-cache fill for get hits. The cache and
+//! the lock-free view sit in front of that pass, never beside it.
+//!
 //! Trade-offs (documented, not hidden): GC and wear accounting are per
 //! shard — a shard can only reclaim its *own* leased blocks, and the
 //! global free-block watermark may trigger GC in a shard with little to
 //! reclaim. When one shard exhausts the pool while another still holds
-//! garbage, the router runs a device-wide GC sweep (every shard's
+//! garbage, the locked pass runs a device-wide GC sweep (every shard's
 //! collector, serialized by the pool's GC permit) and retries before
-//! surfacing `DeviceFull`. The single-queue `SharedKvssd` remains the
-//! baseline for timing-faithful single-stream experiments.
+//! surfacing `DeviceFull`.
 
 use std::sync::Arc;
 
@@ -40,13 +46,13 @@ use rhik_ftl::layout;
 // wslint's `std-mutex-outside-sync` rule holds workspace-wide).
 use rhik_ftl::sync::{Condvar, Counter, Mutex, MutexGuard};
 use rhik_ftl::{FlashPool, Ftl, IndexBackend, Lookup, MediaReader, ReadView};
-use rhik_nand::Ppa;
 use rhik_sigs::{KeySignature, SigHasher};
 use rhik_telemetry::{OpKind, OpSpan, TelemetrySink};
 
 use crate::cache_tier::{CacheTier, Probe};
+use crate::cmd::{BatchOp, BatchReply};
 use crate::config::DeviceConfig;
-use crate::device::{DeviceStats, ExistReport, KvssdDevice};
+use crate::device::{DeviceStats, KvssdDevice};
 use crate::error::KvError;
 use crate::histogram::LatencyHistogram;
 use crate::Result;
@@ -126,6 +132,70 @@ impl ReadPath {
             sink.record_op(span, "kvssd_gets", Some(("get_latency_ns", latency)), Some(0), &[]);
         }
     }
+
+    /// Walk the published chain for `sig` — directory snapshot → head
+    /// page → continuation pages — and re-validate the bucket after the
+    /// reads. Returns the pages read and `Some(answer)`: the value, or
+    /// `None` for a validated absence. No answer means only the locked
+    /// path can decide (contended bucket, head still in the write buffer,
+    /// failed validation). Touches no counter, so the audit's coherence
+    /// join walks the chain through it too.
+    fn walk(&self, sig: KeySignature, key: &[u8]) -> (u64, Option<Option<Vec<u8>>>) {
+        let hit = match self.view.lookup(sig.0) {
+            // A validated miss costs zero flash reads — the §IV-A3
+            // signature-only answer, straight from DRAM.
+            Lookup::Miss => return (0, Some(None)),
+            Lookup::Contended => return (0, None),
+            Lookup::Hit(hit) => hit,
+        };
+        // Optimistic flash read: the head may be stale (concurrent
+        // update/GC) or still in the DRAM write buffer (unprogrammed
+        // page ⇒ the media read errors). Validation decides.
+        let Ok((data, _)) = self.media.read_page(hit.head) else { return (0, None) };
+        let mut pages = 1;
+        let page_size = self.media.geometry().page_size as usize;
+        let Some(entry) = layout::find_in_head(&data, page_size, sig) else {
+            return (pages, None);
+        };
+        // A different stored key is either a true signature collision
+        // (absent) or a stale page; validation tells them apart.
+        let value = if entry.key == key {
+            let read = layout::assemble_value(
+                &entry.value_frag,
+                entry.body_len() as usize,
+                entry.cont_start,
+                |ppa| {
+                    self.media.read_page(ppa).map(|(page, _)| {
+                        pages += 1;
+                        page
+                    })
+                },
+            );
+            let Ok(Some(value)) = read else { return (pages, None) };
+            Some(value)
+        } else {
+            None
+        };
+        (pages, hit.validate().then_some(value))
+    }
+
+    /// One lock-free get attempt. `Some(value)` is a completed command
+    /// (stats and latency recorded); `None` means fall back to the locked
+    /// path, which re-runs the command from scratch.
+    fn get(&self, shard: u32, sig: KeySignature, key: &[u8]) -> Option<Option<Bytes>> {
+        let (pages, answer) = self.walk(sig, key);
+        let Some(value) = answer else {
+            // The optimistic reads happened on real media; charge them to
+            // the shard clock even though the locked retry pays again.
+            self.fallbacks.incr();
+            self.pages_read.add(pages);
+            self.read_ns.add(pages * self.media.page_read_ns());
+            return None;
+        };
+        let bytes = value.as_ref().map_or(0, |v| v.len() as u64);
+        self.record(shard, pages, bytes, value.is_some());
+        Some(value.map(Bytes::from))
+    }
 }
 
 /// Aggregated lock-free read-path counters (diagnostics, benches, the
@@ -151,18 +221,15 @@ pub struct LockfreeReadStats {
 
 /// One waiter's mailbox in the put group-commit queue.
 struct PutSlot {
-    result: Mutex<Option<Result<()>>>,
+    result: Mutex<Option<BatchReply>>,
     ready: Condvar,
 }
 
-struct PendingPut {
-    key: Vec<u8>,
-    value: Vec<u8>,
-    slot: Arc<PutSlot>,
-}
-
 struct CommitQueue {
-    items: Vec<PendingPut>,
+    /// Puts waiting for the next batch, and their owners' slots (same
+    /// order).
+    ops: Vec<BatchOp>,
+    slots: Vec<Arc<PutSlot>>,
     /// True while some thread is draining the queue into the shard.
     /// Cleared only in the same critical section that observes the
     /// queue empty, so no enqueued item can be stranded: a push either
@@ -186,10 +253,16 @@ struct GroupCommit {
 impl GroupCommit {
     fn new() -> Self {
         GroupCommit {
-            // bounded-by: the batch leader swaps out the whole queue each
-            // commit round (drain_commits), so it holds at most the puts
-            // enqueued during one batch submission.
-            queue: Mutex::new(CommitQueue { items: Vec::new(), leader_active: false }),
+            queue: Mutex::new(CommitQueue {
+                // bounded-by: the batch leader swaps out the whole queue
+                // each commit round (drain_commits), so it holds at most
+                // the puts enqueued during one batch submission.
+                ops: Vec::new(),
+                // bounded-by: one slot per queued op, pushed and taken
+                // together with `ops`.
+                slots: Vec::new(),
+                leader_active: false,
+            }),
             batches: Counter::new(),
             batched_puts: Counter::new(),
             max_batch: Counter::new(),
@@ -212,47 +285,13 @@ pub struct GroupCommitStats {
     pub max_batch: u64,
 }
 
-// ---------------------------------------------------- batch submission
+// ---------------------------------------------------- request path
 
-/// One operation in a host-assembled per-shard batch. Network front ends
-/// (`rhik-server`) coalesce pipelined commands per shard and hand the
-/// whole batch over in one [`ShardedKvssd::submit_batch`] call, so N
-/// pipelined ops cost one shard handoff instead of N.
-#[derive(Clone, Debug)]
-pub enum BatchOp {
-    Get { key: Vec<u8> },
-    Put { key: Vec<u8>, value: Vec<u8> },
-    Delete { key: Vec<u8> },
-    Exists { key: Vec<u8> },
-}
-
-impl BatchOp {
-    /// The key this op addresses (routing + cost accounting).
-    pub fn key(&self) -> &[u8] {
-        match self {
-            BatchOp::Get { key }
-            | BatchOp::Put { key, .. }
-            | BatchOp::Delete { key }
-            | BatchOp::Exists { key } => key,
-        }
-    }
-
-    /// Payload bytes this op carries (admission-control cost accounting).
-    pub fn payload_bytes(&self) -> usize {
-        match self {
-            BatchOp::Put { key, value } => key.len() + value.len(),
-            BatchOp::Get { key } | BatchOp::Delete { key } | BatchOp::Exists { key } => key.len(),
-        }
-    }
-}
-
-/// Reply to one [`BatchOp`], in submission order.
-#[derive(Clone, Debug)]
-pub enum BatchReply {
-    Get(Result<Option<Bytes>>),
-    Put(Result<()>),
-    Delete(Result<()>),
-    Exists(Result<bool>),
+/// The error for a reply that does not answer its op. Unreachable:
+/// [`KvssdDevice::execute_batch`] answers each op with a reply of its
+/// kind.
+fn mismatched(reply: Option<BatchReply>) -> KvError {
+    KvError::Corrupt(format!("op answered with {reply:?}"))
 }
 
 /// Outcome of one fast-path (no shard lock) get attempt.
@@ -438,50 +477,9 @@ impl ShardedKvssd<RhikIndex> {
                 fill_version: entry.version,
                 current_version: current,
                 cached_value: entry.value.to_vec(),
-                index_value: self.audit_chain_read(read, KeySignature(entry.sig), &entry.key),
+                index_value: read.walk(KeySignature(entry.sig), &entry.key).1,
             });
         }
-    }
-
-    /// Re-read one key through the lock-free chain for the audit join,
-    /// without touching command counters or the shard clock. `None`
-    /// means the chain could not be walked without side effects (page
-    /// still in the write buffer) — the sample is skipped.
-    fn audit_chain_read(
-        &self,
-        read: &ReadPath,
-        sig: KeySignature,
-        key: &[u8],
-    ) -> Option<Option<Vec<u8>>> {
-        let hit = match read.view.lookup(sig.0) {
-            // A validated miss is authoritative: the key is absent.
-            Lookup::Miss => return Some(None),
-            Lookup::Contended => return None, // writer active: skip
-            Lookup::Hit(hit) => hit,
-        };
-        let (data, _) = read.media.read_page(hit.head).ok()?;
-        let page_size = read.media.geometry().page_size as usize;
-        let entry = layout::find_in_head(&data, page_size, sig)?;
-        if entry.key != key {
-            return Some(None); // signature collision: this key is absent
-        }
-        let mut value = entry.value_frag.to_vec();
-        let mut remaining = (entry.val_total_len - entry.frag_len) as usize;
-        if remaining > 0 {
-            let start = entry.cont_start?;
-            let mut i = 0;
-            while remaining > 0 {
-                let (cd, _) = read.media.read_page(Ppa::new(start.block, start.page + i)).ok()?;
-                let take = remaining.min(cd.len());
-                value.extend_from_slice(&cd[..take]);
-                remaining -= take;
-                i += 1;
-            }
-        }
-        if !hit.validate() {
-            return None;
-        }
-        Some(Some(value))
     }
 }
 
@@ -507,116 +505,62 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
         self.shards[shard].lock().unwrap_or_else(|poison| poison.into_inner())
     }
 
-    /// Device-wide GC sweep. A shard's collector can only reclaim blocks
-    /// that shard leased, so when the pool runs dry the garbage may sit
-    /// in *other* shards' blocks — unreachable to the shard that hit the
-    /// wall. Runs every shard's collector (one at a time; the pool's GC
-    /// permit serializes collection anyway) and reports whether anything
-    /// was reclaimed.
-    fn gc_sweep(&self) -> Result<bool> {
-        let mut reclaimed = false;
-        for shard in 0..self.shards.len() {
-            reclaimed |= self.lock(shard).collect_garbage()?;
-        }
-        Ok(reclaimed)
-    }
-
-    /// Run `op` on one shard, recovering from `DeviceFull` with a
-    /// device-wide GC sweep. Retries as long as each sweep reclaims
-    /// blocks; `DeviceFull` surfaces only when no shard has garbage
-    /// left. The shard lock is released between attempt and sweep so
-    /// the sweep can visit this shard too.
-    fn with_full_retry<R>(
-        &self,
-        shard: usize,
-        mut op: impl FnMut(&mut KvssdDevice<I>) -> Result<R>,
-    ) -> Result<R> {
-        loop {
-            let r = op(&mut self.lock(shard));
-            match r {
-                Err(KvError::DeviceFull) => {
-                    if !self.gc_sweep()? {
-                        return Err(KvError::DeviceFull);
-                    }
-                }
-                other => return other,
-            }
-        }
+    /// Which shard a key routes to (front ends use this to assemble
+    /// per-shard batches for [`ShardedKvssd::submit_batch`]).
+    pub fn shard_for_key(&self, key: &[u8]) -> usize {
+        self.route(key)
     }
 
     /// `put` with write group commit: enqueue, then either drain the
     /// shard as batch leader or wait for the current leader to carry
-    /// this item in its next batch. Either way the result comes back
-    /// through the slot; `DeviceFull` is retried by the *owner* (with a
-    /// device-wide GC sweep) outside all queue and shard locks.
+    /// this item in its next batch. Either way the reply comes back
+    /// through the slot, `DeviceFull` retries included.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         let shard = self.route(key);
         let slot = Arc::new(PutSlot { result: Mutex::new(None), ready: Condvar::new() });
         let lead = {
             let mut q = self.ext[shard].commit.lock_queue();
-            q.items.push(PendingPut {
-                key: key.to_vec(),
-                value: value.to_vec(),
-                slot: Arc::clone(&slot),
-            });
+            q.ops.push(BatchOp::Put { key: key.to_vec(), value: value.to_vec() });
+            q.slots.push(Arc::clone(&slot));
             !std::mem::replace(&mut q.leader_active, true)
         };
         if lead {
             self.drain_commits(shard);
         }
         // The leader filled its own slot while draining; followers wait.
-        let result = {
-            let mut done = slot.result.lock().unwrap_or_else(|p| p.into_inner());
-            loop {
-                if let Some(r) = done.take() {
-                    break r;
-                }
-                done = slot.ready.wait(done).unwrap_or_else(|p| p.into_inner());
+        let mut done = slot.result.lock().unwrap_or_else(|p| p.into_inner());
+        loop {
+            match done.take() {
+                None => done = slot.ready.wait(done).unwrap_or_else(|p| p.into_inner()),
+                Some(BatchReply::Put(result)) => return result,
+                other => return Err(mismatched(other)),
             }
-        };
-        match result {
-            Err(KvError::DeviceFull) => self.with_full_retry(shard, |dev| dev.put(key, value)),
-            other => other,
         }
     }
 
-    /// Batch leader: repeatedly swap the queue out and execute it as one
-    /// compound submission under a single shard-lock acquisition. The
-    /// `leader_active` flag is cleared only in the critical section that
-    /// sees the queue empty, so every concurrently enqueued item is
-    /// either drained here or enqueued by a thread that sees the flag
-    /// down and leads its own batch.
+    /// Batch leader: repeatedly swap the queue out and run it through the
+    /// locked pass. The `leader_active` flag is cleared only in the
+    /// critical section that sees the queue empty, so every concurrently
+    /// enqueued item is either drained here or enqueued by a thread that
+    /// sees the flag down and leads its own batch.
     fn drain_commits(&self, shard: usize) {
         let commit = &self.ext[shard].commit;
         loop {
-            let batch = {
+            let (ops, slots) = {
                 let mut q = commit.lock_queue();
-                if q.items.is_empty() {
+                if q.ops.is_empty() {
                     q.leader_active = false;
                     return;
                 }
-                std::mem::take(&mut q.items)
+                (std::mem::take(&mut q.ops), std::mem::take(&mut q.slots))
             };
             commit.batches.incr();
-            commit.batched_puts.add(batch.len() as u64);
-            commit.max_batch.note_max(batch.len() as u64);
-            let mut results = Vec::with_capacity(batch.len());
-            {
-                let mut dev = self.lock(shard);
-                if batch.len() > 1 {
-                    dev.begin_compound();
-                }
-                for item in &batch {
-                    results.push(dev.put(&item.key, &item.value));
-                }
-                if batch.len() > 1 {
-                    dev.end_compound();
-                }
-            }
-            for (item, result) in batch.into_iter().zip(results) {
-                let mut done = item.slot.result.lock().unwrap_or_else(|p| p.into_inner());
-                *done = Some(result);
-                item.slot.ready.notify_one();
+            commit.batched_puts.add(ops.len() as u64);
+            commit.max_batch.note_max(ops.len() as u64);
+            let locked: Vec<(&BatchOp, Option<u64>)> = ops.iter().map(|op| (op, None)).collect();
+            for (slot, reply) in slots.iter().zip(self.run_locked(shard, &locked)) {
+                *slot.result.lock().unwrap_or_else(|p| p.into_inner()) = Some(reply);
+                slot.ready.notify_one();
             }
         }
     }
@@ -627,25 +571,89 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
     /// published snapshot, read record pages through the media lock,
     /// validate, and return without ever touching the shard's command
     /// mutex. Any ambiguity (contended bucket, pending write buffer,
-    /// failed validation) falls back to the classic locked path. Values
-    /// read from the index are offered back to the cache under the
+    /// failed validation) falls back to the locked pass. Values read
+    /// from the index are offered back to the cache under the
     /// version-re-check fill protocol (see `cache_tier`).
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         let sig = self.hasher.sign(key);
         let shard = self.shard_of(sig);
-        match self.fast_get(shard, sig, key) {
-            FastGet::Done(result) => result,
-            FastGet::NeedsLock { fill_version } => {
-                let result = self.lock(shard).get(key);
-                self.admit_after_read(shard, sig, key, fill_version, &result);
-                result
-            }
+        let fill_version = match self.fast_get(shard, sig, key) {
+            FastGet::Done(result) => return result,
+            FastGet::NeedsLock { fill_version } => fill_version,
+        };
+        let op = BatchOp::Get { key: key.to_vec() };
+        match self.run_locked(shard, &[(&op, fill_version)]).pop() {
+            Some(BatchReply::Get(result)) => result,
+            other => Err(mismatched(other)),
         }
     }
 
+    pub fn delete(&self, key: &[u8]) -> Result<()> {
+        let op = BatchOp::Delete { key: key.to_vec() };
+        match self.run_locked(self.route(key), &[(&op, None)]).pop() {
+            Some(BatchReply::Delete(result)) => result,
+            other => Err(mismatched(other)),
+        }
+    }
+
+    /// `exist`: the signature-only membership answer (§IV-A3).
+    pub fn exist(&self, key: &[u8]) -> Result<bool> {
+        let op = BatchOp::Exists { key: key.to_vec() };
+        match self.run_locked(self.route(key), &[(&op, None)]).pop() {
+            Some(BatchReply::Exists(result)) => result,
+            other => Err(mismatched(other)),
+        }
+    }
+
+    /// Execute a host-assembled batch of ops that all route to `shard`,
+    /// in order, under at most one shard-lock acquisition. Gets are first
+    /// answered on the cache / lock-free path (no lock at all); whatever
+    /// remains — puts, deletes, exists, fallback gets — runs through the
+    /// locked pass as one compound submission, so the modeled device sees
+    /// one queue handoff for the whole batch. Replies come back in
+    /// submission order.
+    pub fn submit_batch(&self, shard: usize, ops: &[BatchOp]) -> Vec<BatchReply> {
+        let mut fast: Vec<Option<BatchReply>> = Vec::with_capacity(ops.len());
+        let mut locked: Vec<(&BatchOp, Option<u64>)> = Vec::new();
+        // Gets may leave the batch for the no-lock fast path only while
+        // no earlier op in the batch mutates: a get *after* a put/delete
+        // must observe it (pipelined read-your-writes), and neither the
+        // cache nor the published read view reflects the mutation until
+        // the locked pass actually runs it.
+        let mut mutated = false;
+        for op in ops {
+            debug_assert_eq!(
+                self.route(op.key()),
+                shard,
+                "batch op routed to the wrong shard queue"
+            );
+            let fill_version = match op {
+                BatchOp::Get { key } if !mutated => {
+                    match self.fast_get(shard, self.hasher.sign(key), key) {
+                        FastGet::Done(result) => {
+                            fast.push(Some(BatchReply::Get(result)));
+                            continue;
+                        }
+                        FastGet::NeedsLock { fill_version } => fill_version,
+                    }
+                }
+                BatchOp::Get { .. } | BatchOp::Exists { .. } => None,
+                BatchOp::Put { .. } | BatchOp::Delete { .. } => {
+                    mutated = true;
+                    None
+                }
+            };
+            fast.push(None);
+            locked.push((op, fill_version));
+        }
+        // Each op was answered on the fast path or is in `locked`, whose
+        // replies come back in order.
+        let mut from_lock = self.run_locked(shard, &locked).into_iter();
+        fast.into_iter().filter_map(|reply| reply.or_else(|| from_lock.next())).collect()
+    }
+
     /// The no-shard-lock prefix of a get: cache probe, then a lock-free
-    /// index walk. Both `get` and `submit_batch` start here; only the
-    /// locked fallback differs (single command vs. compound batch).
+    /// index walk. Both `get` and `submit_batch` start here.
     fn fast_get(&self, shard: usize, sig: KeySignature, key: &[u8]) -> FastGet {
         if key.is_empty() {
             // The locked path owns argument validation.
@@ -658,16 +666,63 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
             },
             None => None,
         };
-        if let Some(read) = &self.ext[shard].read {
-            match self.lockfree_get(read, shard as u32, sig, key) {
-                Some(result) => {
-                    self.admit_after_read(shard, sig, key, fill_version, &result);
-                    return FastGet::Done(result);
-                }
-                None => read.fallbacks.incr(),
-            }
+        let read = self.ext[shard].read.as_ref();
+        if let Some(value) = read.and_then(|read| read.get(shard as u32, sig, key)) {
+            let result = Ok(value);
+            self.admit_after_read(shard, sig, key, fill_version, &result);
+            return FastGet::Done(result);
         }
         FastGet::NeedsLock { fill_version }
+    }
+
+    /// The one path that runs commands under a shard lock. Each entry is
+    /// an op and, for a get, the hot-cache fill version its probe saw
+    /// before the lock (`None`: no fill). The ops run as one compound
+    /// submission under one lock acquisition; then, with the lock
+    /// released, an op that hit `DeviceFull` is retried after a
+    /// device-wide GC sweep, and get hits are offered to the hot cache.
+    fn run_locked(&self, shard: usize, ops: &[(&BatchOp, Option<u64>)]) -> Vec<BatchReply> {
+        if ops.is_empty() {
+            return Vec::new();
+        }
+        let mut replies = self.lock(shard).execute_batch(ops.iter().map(|&(op, _)| op));
+        for (&(op, fill_version), reply) in ops.iter().zip(&mut replies) {
+            if matches!(reply.err(), Some(KvError::DeviceFull)) {
+                *reply = self.with_full_retry(shard, op);
+            }
+            if let (Some(_), BatchOp::Get { key }, BatchReply::Get(result)) =
+                (fill_version, op, &*reply)
+            {
+                self.admit_after_read(shard, self.hasher.sign(key), key, fill_version, result);
+            }
+        }
+        replies
+    }
+
+    /// Re-run `op`, which hit `DeviceFull` in the locked pass. A shard's
+    /// collector can only reclaim blocks that shard leased, so when the
+    /// pool runs dry the garbage may sit in *other* shards' blocks. While
+    /// the op still reports `DeviceFull`, sweep every shard's collector
+    /// (one at a time; the pool's GC permit serializes collection anyway)
+    /// and retry as long as a sweep reclaims anything. Runs with no shard
+    /// lock held, so the sweep can visit the op's own shard too.
+    fn with_full_retry(&self, shard: usize, op: &BatchOp) -> BatchReply {
+        loop {
+            let reply = self.lock(shard).execute(op);
+            if !matches!(reply.err(), Some(KvError::DeviceFull)) {
+                return reply;
+            }
+            let mut reclaimed = false;
+            for s in 0..self.shards.len() {
+                match self.lock(s).collect_garbage() {
+                    Ok(r) => reclaimed |= r,
+                    Err(e) => return BatchReply::failed(op, e),
+                }
+            }
+            if !reclaimed {
+                return reply;
+            }
+        }
     }
 
     /// Step 3 of the cache fill protocol, shared by every read path.
@@ -682,243 +737,6 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
         if let (Some(tier), Some(v1), Ok(Some(value))) = (&self.cache, fill_version, result) {
             tier.try_admit(shard as u32, sig, key, value, v1);
         }
-    }
-
-    /// Which shard a key routes to (front ends use this to assemble
-    /// per-shard batches for [`ShardedKvssd::submit_batch`]).
-    pub fn shard_for_key(&self, key: &[u8]) -> usize {
-        self.route(key)
-    }
-
-    /// Execute a host-assembled batch of ops that all route to `shard`,
-    /// in order, under at most one shard-lock acquisition. Gets are first
-    /// answered on the cache / lock-free path (no lock at all); whatever
-    /// remains — puts, deletes, exists, fallback gets — runs as one
-    /// compound submission, so the modeled device sees one queue handoff
-    /// for the whole batch. Replies come back in submission order.
-    /// `DeviceFull` is retried per op with a device-wide GC sweep after
-    /// the compound ends (the sweep needs the shard lock released).
-    pub fn submit_batch(&self, shard: usize, ops: &[BatchOp]) -> Vec<BatchReply> {
-        let mut replies: Vec<Option<BatchReply>> = ops.iter().map(|_| None).collect();
-        let mut locked: Vec<(usize, Option<u64>)> = Vec::new();
-        // Gets may leave the batch for the no-lock fast path only while
-        // no earlier op in the batch mutates: a get *after* a put/delete
-        // must observe it (pipelined read-your-writes), and neither the
-        // cache nor the published read view reflects the mutation until
-        // the locked pass below actually runs it.
-        let mut mutated = false;
-        for (i, op) in ops.iter().enumerate() {
-            debug_assert_eq!(
-                self.route(op.key()),
-                shard,
-                "batch op routed to the wrong shard queue"
-            );
-            match op {
-                BatchOp::Get { key } if !mutated => {
-                    let sig = self.hasher.sign(key);
-                    match self.fast_get(shard, sig, key) {
-                        FastGet::Done(result) => replies[i] = Some(BatchReply::Get(result)),
-                        FastGet::NeedsLock { fill_version } => locked.push((i, fill_version)),
-                    }
-                }
-                BatchOp::Get { .. } | BatchOp::Exists { .. } => locked.push((i, None)),
-                BatchOp::Put { .. } | BatchOp::Delete { .. } => {
-                    mutated = true;
-                    locked.push((i, None));
-                }
-            }
-        }
-        if !locked.is_empty() {
-            let mut dev = self.lock(shard);
-            if locked.len() > 1 {
-                dev.begin_compound();
-            }
-            for &(i, _) in &locked {
-                replies[i] = Some(match &ops[i] {
-                    BatchOp::Get { key } => BatchReply::Get(dev.get(key)),
-                    BatchOp::Put { key, value } => BatchReply::Put(dev.put(key, value)),
-                    BatchOp::Delete { key } => BatchReply::Delete(dev.delete(key)),
-                    BatchOp::Exists { key } => {
-                        BatchReply::Exists(dev.exist(key).map(|r| r.probably_exists))
-                    }
-                });
-            }
-            if locked.len() > 1 {
-                dev.end_compound();
-            }
-        }
-        for &(i, fill_version) in &locked {
-            match (&ops[i], &replies[i]) {
-                // Locked-path read hits still feed the hot cache.
-                (BatchOp::Get { key }, Some(BatchReply::Get(result))) => {
-                    let sig = self.hasher.sign(key);
-                    self.admit_after_read(shard, sig, key, fill_version, result);
-                }
-                // Full-device mutations retry outside the compound, where
-                // the device-wide sweep can take every shard lock.
-                (BatchOp::Put { key, value }, Some(BatchReply::Put(Err(KvError::DeviceFull)))) => {
-                    replies[i] = Some(BatchReply::Put(
-                        self.with_full_retry(shard, |dev| dev.put(key, value)),
-                    ));
-                }
-                (BatchOp::Delete { key }, Some(BatchReply::Delete(Err(KvError::DeviceFull)))) => {
-                    replies[i] = Some(BatchReply::Delete(
-                        self.with_full_retry(shard, |dev| dev.delete(key)),
-                    ));
-                }
-                _ => {}
-            }
-        }
-        replies
-            .into_iter()
-            .map(|r| match r {
-                Some(reply) => reply,
-                // Unreachable: every index is either answered in pass 1 or
-                // pushed to `locked` and answered in pass 2.
-                None => BatchReply::Get(Err(KvError::Corrupt("unanswered batch op".into()))),
-            })
-            .collect()
-    }
-
-    /// One lock-free get attempt. `Some(result)` is a completed command
-    /// (stats and latency recorded); `None` means fall back to the
-    /// locked path, which re-runs the command from scratch.
-    fn lockfree_get(
-        &self,
-        read: &ReadPath,
-        shard: u32,
-        sig: KeySignature,
-        key: &[u8],
-    ) -> Option<Result<Option<Bytes>>> {
-        let hit = match read.view.lookup(sig.0) {
-            // A validated miss costs zero flash reads — the §IV-A3
-            // signature-only answer, straight from DRAM.
-            Lookup::Miss => {
-                read.record(shard, 0, 0, false);
-                return Some(Ok(None));
-            }
-            Lookup::Contended => return None,
-            Lookup::Hit(hit) => hit,
-        };
-        // Optimistic flash read: the head may be stale (concurrent
-        // update/GC) or still in the DRAM write buffer (unprogrammed
-        // page ⇒ the media read errors). Validation decides.
-        let mut pages = 1u64;
-        let charge_wasted = |pages: u64| {
-            // The optimistic reads happened on real media; charge them
-            // to the shard clock even though the locked retry pays again.
-            read.pages_read.add(pages);
-            read.read_ns.add(pages * read.media.page_read_ns());
-        };
-        let Ok((data, _)) = read.media.read_page(hit.head) else {
-            return None;
-        };
-        let page_size = read.media.geometry().page_size as usize;
-        let Some(entry) = layout::find_in_head(&data, page_size, sig) else {
-            charge_wasted(pages);
-            return None;
-        };
-        if entry.key != key {
-            // Stored pair is a different key: either a true signature
-            // collision (report not-found) or a stale page — validate
-            // to tell them apart.
-            if !hit.validate() {
-                charge_wasted(pages);
-                return None;
-            }
-            read.record(shard, pages, 0, false);
-            return Some(Ok(None));
-        }
-        let mut value = entry.value_frag.to_vec();
-        let mut remaining = (entry.val_total_len - entry.frag_len) as usize;
-        if remaining > 0 {
-            let Some(start) = entry.cont_start else {
-                charge_wasted(pages);
-                return None;
-            };
-            let mut i = 0;
-            while remaining > 0 {
-                let Ok((cd, _)) = read.media.read_page(Ppa::new(start.block, start.page + i))
-                else {
-                    charge_wasted(pages);
-                    return None;
-                };
-                pages += 1;
-                let take = remaining.min(cd.len());
-                value.extend_from_slice(&cd[..take]);
-                remaining -= take;
-                i += 1;
-            }
-        }
-        if !hit.validate() {
-            charge_wasted(pages);
-            return None;
-        }
-        read.record(shard, pages, value.len() as u64, true);
-        Some(Ok(Some(Bytes::from(value))))
-    }
-
-    pub fn delete(&self, key: &[u8]) -> Result<()> {
-        self.with_full_retry(self.route(key), |dev| dev.delete(key))
-    }
-
-    pub fn exist(&self, key: &[u8]) -> Result<ExistReport> {
-        self.lock(self.route(key)).exist(key)
-    }
-
-    /// Store a batch of pairs, grouped by shard so each shard's queue is
-    /// locked once and its commands run as one compound submission.
-    /// Results come back in input order.
-    pub fn put_batch(&self, items: &[(&[u8], &[u8])]) -> Vec<Result<()>> {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, (key, _)) in items.iter().enumerate() {
-            by_shard[self.route(key)].push(i);
-        }
-        let mut results: Vec<Option<Result<()>>> = items.iter().map(|_| None).collect();
-        for (shard, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let mut dev = self.lock(shard);
-            dev.begin_compound();
-            for &i in idxs {
-                let (key, value) = items[i];
-                results[i] = Some(dev.put(key, value));
-            }
-            dev.end_compound();
-        }
-        // Items that hit a full device retry individually: the compound
-        // holds the shard lock, so the device-wide sweep must run after
-        // it ends.
-        for (i, slot) in results.iter_mut().enumerate() {
-            if matches!(slot, Some(Err(KvError::DeviceFull))) {
-                let (key, value) = items[i];
-                *slot = Some(self.with_full_retry(self.route(key), |dev| dev.put(key, value)));
-            }
-        }
-        results.into_iter().map(|r| r.expect("every item routed to a shard")).collect()
-    }
-
-    /// Fetch a batch of keys, grouped by shard (one lock + one compound
-    /// submission per shard). Results come back in input order.
-    pub fn get_batch(&self, keys: &[&[u8]]) -> Vec<Result<Option<Bytes>>> {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, key) in keys.iter().enumerate() {
-            by_shard[self.route(key)].push(i);
-        }
-        let mut results: Vec<Option<Result<Option<Bytes>>>> = keys.iter().map(|_| None).collect();
-        for (shard, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let mut dev = self.lock(shard);
-            dev.begin_compound();
-            for &i in idxs {
-                results[i] = Some(dev.get(keys[i]));
-            }
-            dev.end_compound();
-        }
-        results.into_iter().map(|r| r.expect("every key routed to a shard")).collect()
     }
 
     /// Flush every shard (shutdown / checkpoint).
@@ -1006,8 +824,8 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
 
     /// Simulated device time since power-on. Shard queues run in
     /// parallel on the modeled hardware, so the device is done when its
-    /// *slowest* shard is — the max over per-shard clocks. (Compare:
-    /// `SharedKvssd` accrues every command on one clock.)
+    /// *slowest* shard is — the max over per-shard clocks. (Compare: a
+    /// single queue accrues every command on one clock.)
     pub fn device_elapsed_secs(&self) -> f64 {
         (0..self.shards.len())
             .map(|s| {
@@ -1196,29 +1014,6 @@ mod tests {
         assert_eq!(dev.shard_of(KeySignature(u64::MAX)), 3);
         // Low bits (directory selection) never influence the shard.
         assert_eq!(dev.shard_of(KeySignature(0xFFFF)), 0);
-    }
-
-    #[test]
-    fn batch_apis_preserve_input_order() {
-        let dev = sharded(4);
-        let keys: Vec<String> = (0..50).map(|i| format!("batch-{i:03}")).collect();
-        let values: Vec<String> = (0..50).map(|i| format!("value-{i:03}")).collect();
-        let items: Vec<(&[u8], &[u8])> =
-            keys.iter().zip(values.iter()).map(|(k, v)| (k.as_bytes(), v.as_bytes())).collect();
-        for r in dev.put_batch(&items) {
-            r.unwrap();
-        }
-        let key_refs: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes()).collect();
-        let got = dev.get_batch(&key_refs);
-        for (i, r) in got.iter().enumerate() {
-            assert_eq!(&r.as_ref().unwrap().as_ref().unwrap()[..], values[i].as_bytes());
-        }
-        // Batch with an invalid key: the error lands at the right index.
-        let mixed: Vec<(&[u8], &[u8])> = vec![(b"ok-1", b"v"), (b"", b"v"), (b"ok-2", b"v")];
-        let results = dev.put_batch(&mixed);
-        assert!(results[0].is_ok());
-        assert_eq!(results[1].as_ref().unwrap_err(), &KvError::EmptyKey);
-        assert!(results[2].is_ok());
     }
 
     #[test]
@@ -1449,29 +1244,45 @@ mod tests {
         dev.put(b"present", b"v").unwrap();
         let ops = [
             BatchOp::Get { key: b"present".to_vec() },
+            BatchOp::Put { key: b"ok-1".to_vec(), value: b"v".to_vec() },
             BatchOp::Delete { key: b"absent".to_vec() },
+            BatchOp::Put { key: b"".to_vec(), value: b"v".to_vec() },
             BatchOp::Get { key: b"missing".to_vec() },
+            BatchOp::Put { key: b"ok-2".to_vec(), value: b"v".to_vec() },
         ];
-        // Route each op through its own shard's queue like a server would;
-        // single-op batches take the uncompounded path.
-        for (i, op) in ops.iter().enumerate() {
-            let shard = dev.shard_for_key(op.key());
-            let replies = dev.submit_batch(shard, std::slice::from_ref(op));
-            match (i, &replies[0]) {
-                (0, BatchReply::Get(Ok(Some(v)))) => assert_eq!(&v[..], b"v"),
-                (1, BatchReply::Delete(Err(KvError::KeyNotFound))) => {}
-                (2, BatchReply::Get(Ok(None))) => {}
-                other => panic!("unexpected reply: {other:?}"),
+        // Route each op through its own shard's queue like a server would,
+        // one multi-op batch per shard; each reply must answer its own op.
+        let mut answered = 0;
+        for shard in 0..dev.shard_count() {
+            let (idx, batch): (Vec<usize>, Vec<BatchOp>) = ops
+                .iter()
+                .enumerate()
+                .filter(|(_, op)| dev.shard_for_key(op.key()) == shard)
+                .map(|(i, op)| (i, op.clone()))
+                .unzip();
+            let replies = dev.submit_batch(shard, &batch);
+            assert_eq!(replies.len(), batch.len());
+            for (i, reply) in idx.into_iter().zip(&replies) {
+                match (i, reply) {
+                    (0, BatchReply::Get(Ok(Some(v)))) => assert_eq!(&v[..], b"v"),
+                    (1 | 5, BatchReply::Put(Ok(()))) => {}
+                    (2, BatchReply::Delete(Err(KvError::KeyNotFound))) => {}
+                    (3, BatchReply::Put(Err(KvError::EmptyKey))) => {}
+                    (4, BatchReply::Get(Ok(None))) => {}
+                    other => panic!("unexpected reply: {other:?}"),
+                }
+                answered += 1;
             }
         }
+        assert_eq!(answered, ops.len());
     }
 
     #[test]
     fn exist_routes_like_get() {
         let dev = sharded(4);
         dev.put(b"present", b"v").unwrap();
-        assert!(dev.exist(b"present").unwrap().probably_exists);
-        assert!(!dev.exist(b"absent-key").unwrap().probably_exists);
+        assert!(dev.exist(b"present").unwrap());
+        assert!(!dev.exist(b"absent-key").unwrap());
     }
 
     #[test]

@@ -160,8 +160,8 @@ fn aggregate_stats_equal_shard_sums_after_concurrency() {
 
 /// The tentpole property: while shard 0's submission queue is stalled
 /// (exactly what a directory resize does to its own shard), gets routed
-/// to other shards complete. With the global mutex of `SharedKvssd`
-/// this test would deadlock; the 10 s timeout is the proof budget.
+/// to other shards complete. With one global mutex over the whole
+/// device this test would deadlock; the 10 s timeout is the proof budget.
 #[test]
 fn stalled_shard_does_not_block_other_shards() {
     let dev = sharded(4);

@@ -11,8 +11,8 @@
 //! read hands the parser an entire pipeline and every complete frame is
 //! enqueued before the connection is revisited; ops land in per-shard
 //! DRR queues and ride [`ShardedKvssd::submit_batch`] as one batch —
-//! one shard-lock acquisition and one group-commit hand-off for the
-//! whole batch instead of per-op. On the way out, replies coalesce into
+//! lock-free gets, then one shard-lock acquisition and one compound
+//! submission for the rest of the batch instead of per-op. On the way out, replies coalesce into
 //! one vectored write. N pipelined ops ≈ 2 syscalls + one shard handoff.
 //!
 //! Backpressure is a chain of bounded stages, each gating the previous:

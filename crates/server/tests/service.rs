@@ -112,7 +112,10 @@ fn auth_binds_tenants_and_rejects_unknown() {
 
 #[test]
 fn quota_caps_admission_rate() {
-    let quota = 400u64;
+    // Small enough that the burst floor (64) applies and the client's
+    // offered rate (several hundred ops/s) exceeds the bucket by more
+    // than 2.5x, so the throttle engages on every run.
+    let quota = 100u64;
     let server = test_server(vec![TenantSpec {
         name: "capped".into(),
         ops_per_sec: quota,

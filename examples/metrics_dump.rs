@@ -8,11 +8,11 @@
 //! cargo run --release --example metrics_dump
 //! ```
 
-use rhik::kvssd::{DeviceConfig, SharedKvssd, Stage, TelemetrySink};
+use rhik::kvssd::{DeviceConfig, ShardedKvssd, Stage, TelemetrySink};
 use rhik::nand::DeviceProfile;
 
 fn main() {
-    let dev = SharedKvssd::rhik(
+    let dev = ShardedKvssd::rhik(
         DeviceConfig::small().with_profile(DeviceProfile::kvemu_like()).with_hot_cache(256 * 1024),
     );
     let sink = TelemetrySink::enabled();
