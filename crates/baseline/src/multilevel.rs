@@ -1,4 +1,5 @@
-//! The Samsung-style multi-level hash index.
+//! The Samsung-style multi-level hash index, and with one level the
+//! NVMKV-style fixed hash index.
 //!
 //! "Samsung KVSSD uses a multi-level hash table as the primary index" \[7\].
 //! Our model grows by *appending levels*: when an insert cannot find room
@@ -7,10 +8,13 @@
 //! Fig. 2. Lookups probe levels newest-capacity-last in insertion order,
 //! paying up to one flash read per probed level; this is exactly the
 //! behaviour RHIK's ≤ 1-read design eliminates.
+//!
+//! `max_levels: 1` is NVMKV/KVFTL's single table (\[4\], §III): sized at
+//! initialization and never grown, so at most one flash read per lookup
+//! but a hard key-count cap.
 
 use rhik_core::pages::{self, CachedTables};
 use rhik_core::TableInsert;
-use rhik_ftl::layout::SpareMeta;
 use rhik_ftl::{Ftl, IndexBackend, IndexError, IndexStats, InsertOutcome};
 use rhik_nand::Ppa;
 use rhik_sigs::KeySignature;
@@ -23,6 +27,7 @@ pub struct MultiLevelConfig {
     /// Hard cap on levels; inserting past it fails with
     /// [`IndexError::CapacityExhausted`] — the bounded-key-count behaviour
     /// observed on the real device (§III: ~3.1 B keys on a 3.84 TB PM983).
+    /// One level is the NVMKV-style fixed table.
     pub max_levels: u32,
     /// Hopscotch hop width within each table.
     pub hop_width: u32,
@@ -116,24 +121,18 @@ impl CachedTables for MultiLevelIndex {
         &mut self.stats
     }
 
-    fn write_back(
-        &mut self,
-        ftl: &mut Ftl,
-        key: u64,
-        data: bytes::Bytes,
-    ) -> Result<(), IndexError> {
-        let level = ((key >> 40) - 1) as usize;
-        let slot = (key & 0xff_ffff_ffff) as usize;
-        if level >= self.levels.len() || slot >= self.levels[level].tables.len() {
-            return Ok(());
-        }
-        let bytes_len = data.len() as u64;
-        let new_ppa = ftl.write_index_page(data, SpareMeta::index_page())?;
-        self.stats.metadata_flash_programs += 1;
-        if let Some(old) = self.levels[level].tables[slot].replace(new_ppa) {
-            ftl.retire_index_page(old, bytes_len);
-        }
-        Ok(())
+    fn table_ppa(&mut self, key: u64) -> Option<&mut Option<Ppa>> {
+        let level = ((key >> 40) as usize).checked_sub(1)?;
+        self.levels.get_mut(level)?.tables.get_mut((key & 0xff_ffff_ffff) as usize)
+    }
+
+    /// Levels in order, slots ascending.
+    fn tables(&self) -> impl Iterator<Item = (u64, Option<Ppa>, u32)> + '_ {
+        self.levels.iter().enumerate().flat_map(|(level, l)| {
+            l.tables.iter().zip(&l.records).enumerate().map(move |(slot, (&ppa, &records))| {
+                (Self::cache_key(level, slot as u32), ppa, records)
+            })
+        })
     }
 }
 
@@ -266,30 +265,11 @@ impl IndexBackend for MultiLevelIndex {
         ftl: &mut Ftl,
         visit: &mut dyn FnMut(KeySignature, Ppa),
     ) -> Result<(), IndexError> {
-        for level in 0..self.levels.len() {
-            for slot in 0..self.levels[level].tables.len() as u32 {
-                if self.levels[level].records[slot as usize] == 0 {
-                    continue;
-                }
-                let (table, _) = self.load_table(ftl, level, slot)?;
-                table.for_each(ftl, visit);
-            }
-        }
-        Ok(())
+        pages::scan_records(self, ftl, visit)
     }
 
     fn live_index_pages_in(&self, block: u32) -> Vec<(u64, Ppa)> {
-        let mut out = Vec::new();
-        for (li, level) in self.levels.iter().enumerate() {
-            for (si, slot) in level.tables.iter().enumerate() {
-                if let Some(ppa) = slot {
-                    if ppa.block == block {
-                        out.push((Self::cache_key(li, si as u32), *ppa));
-                    }
-                }
-            }
-        }
-        out
+        pages::live_pages_in(self, block)
     }
 
     fn relocate_index_page(
@@ -298,22 +278,7 @@ impl IndexBackend for MultiLevelIndex {
         key: u64,
         old: Ppa,
     ) -> Result<Option<Ppa>, IndexError> {
-        let level = ((key >> 40) - 1) as usize;
-        let slot = (key & 0xff_ffff_ffff) as usize;
-        if level >= self.levels.len()
-            || slot >= self.levels[level].tables.len()
-            || self.levels[level].tables[slot] != Some(old)
-        {
-            return Ok(None);
-        }
-        let bytes = ftl.read_index_page(old)?;
-        self.stats.metadata_flash_reads += 1;
-        let len = bytes.len() as u64;
-        let new_ppa = ftl.write_index_page(bytes, SpareMeta::index_page())?;
-        self.stats.metadata_flash_programs += 1;
-        self.levels[level].tables[slot] = Some(new_ppa);
-        ftl.retire_index_page(old, len);
-        Ok(Some(new_ppa))
+        pages::relocate(self, ftl, key, old)
     }
 }
 
@@ -437,6 +402,66 @@ mod tests {
         assert!(stored <= 90);
         assert!(idx_small.capacity().unwrap() >= stored);
         let _ = idx.len(); // silence unused
+    }
+
+    /// The NVMKV-style fixed table: one level of 4 tables × 30 slots.
+    fn one_level() -> (Ftl, MultiLevelIndex) {
+        let (ftl, _) = setup(128);
+        let cfg = MultiLevelConfig { initial_bits: 2, max_levels: 1, hop_width: 16 };
+        (ftl, MultiLevelIndex::new(cfg, 512))
+    }
+
+    #[test]
+    fn one_level_crud_cycle() {
+        let (mut ftl, mut idx) = one_level();
+        idx.insert(&mut ftl, mix(1), Ppa::new(1, 1)).unwrap();
+        assert_eq!(idx.lookup(&mut ftl, mix(1)).unwrap(), Some(Ppa::new(1, 1)));
+        assert_eq!(
+            idx.insert(&mut ftl, mix(1), Ppa::new(2, 2)).unwrap(),
+            InsertOutcome::Updated { old: Ppa::new(1, 1) }
+        );
+        assert_eq!(idx.remove(&mut ftl, mix(1)).unwrap(), Some(Ppa::new(2, 2)));
+        assert!(idx.is_empty());
+    }
+
+    #[test]
+    fn one_level_has_a_hard_capacity_cap() {
+        let (mut ftl, mut idx) = one_level(); // 4 tables × 30 = 120 records max
+        let mut stored = 0u64;
+        let mut capped = false;
+        for i in 0..500u64 {
+            match idx.insert(&mut ftl, mix(i), Ppa::new(0, 0)) {
+                Ok(_) => stored += 1,
+                Err(IndexError::CapacityExhausted) => {
+                    capped = true;
+                    break;
+                }
+                Err(e) => panic!("unexpected {e}"),
+            }
+        }
+        assert!(capped, "never capped; stored {stored}");
+        assert_eq!(idx.level_count(), 1, "a one-level index never grows");
+        assert_eq!(idx.capacity(), Some(120));
+        assert!(stored as f64 >= 120.0 * 0.5, "cap hit too early: {stored}");
+        // Existing keys remain intact after the failure.
+        for i in 0..stored {
+            assert!(idx.lookup(&mut ftl, mix(i)).unwrap().is_some(), "key {i} lost");
+        }
+    }
+
+    #[test]
+    fn one_level_reads_at_most_once_per_lookup() {
+        // A single level also keeps RHIK's ≤ 1 flash read per lookup; its
+        // problem is capacity, not reads.
+        let (mut ftl, mut idx) = one_level();
+        for i in 0..100u64 {
+            idx.insert(&mut ftl, mix(i), Ppa::new(0, 0)).unwrap();
+        }
+        idx.flush(&mut ftl).unwrap();
+        for i in 0..100u64 {
+            idx.lookup(&mut ftl, mix(i)).unwrap();
+        }
+        assert!(idx.stats().pct_lookups_within(1) > 100.0 - 1e-9);
     }
 
     #[test]

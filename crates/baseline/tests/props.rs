@@ -1,10 +1,10 @@
 //! Property tests: every baseline index matches a `HashMap<sig, ppa>`
-//! model under arbitrary op sequences (the same contract RHIK's property
-//! suite enforces — all four schemes must be interchangeable behind
-//! `IndexBackend`).
+//! model under arbitrary op sequences, GC relocation of index blocks
+//! included (the same contract RHIK's property suite enforces — every
+//! scheme must be interchangeable behind `IndexBackend`).
 
 use proptest::prelude::*;
-use rhik_baseline::{LsmConfig, LsmIndex, MultiLevelConfig, MultiLevelIndex, SimpleHashIndex};
+use rhik_baseline::{LsmConfig, LsmIndex, MultiLevelConfig, MultiLevelIndex};
 use rhik_ftl::{Ftl, FtlConfig, IndexBackend, IndexError};
 use rhik_nand::{NandGeometry, Ppa};
 use rhik_sigs::KeySignature;
@@ -36,6 +36,9 @@ enum Op {
     Remove(u16),
     Lookup(u16),
     Flush,
+    /// Relocate every live index page of one written block, as GC does
+    /// before erasing it.
+    Relocate(u16),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -44,6 +47,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => any::<u16>().prop_map(Op::Remove),
         3 => any::<u16>().prop_map(Op::Lookup),
         1 => Just(Op::Flush),
+        1 => any::<u16>().prop_map(Op::Relocate),
     ]
 }
 
@@ -78,6 +82,20 @@ fn check_against_model<I: IndexBackend>(mut idx: I, ops: &[Op]) -> Result<(), Te
                 prop_assert_eq!(got, model.get(&sig.0).copied());
             }
             Op::Flush => idx.flush(&mut ftl).map_err(|e| TestCaseError::fail(format!("{e}")))?,
+            Op::Relocate(n) => {
+                // Nothing is erased here, so index pages fill blocks in
+                // allocation order; `n` picks a written block that still
+                // holds live pages.
+                let written = ftl.stats().index_page_programs.div_ceil(8) as u32;
+                let live: Vec<u32> =
+                    (0..written).filter(|&b| !idx.live_index_pages_in(b).is_empty()).collect();
+                if let Some(&block) = live.get(*n as usize % live.len().max(1)) {
+                    for (key, old) in idx.live_index_pages_in(block) {
+                        idx.relocate_index_page(&mut ftl, key, old)
+                            .map_err(|e| TestCaseError::fail(format!("relocate: {e}")))?;
+                    }
+                }
+            }
         }
         prop_assert_eq!(idx.len(), model.len() as u64);
     }
@@ -102,8 +120,11 @@ proptest! {
     }
 
     #[test]
-    fn simple_hash_matches_hashmap(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        check_against_model(SimpleHashIndex::new(3, 16, 512), &ops)?;
+    fn one_level_matches_hashmap(ops in proptest::collection::vec(op_strategy(), 1..300)) {
+        check_against_model(
+            MultiLevelIndex::new(MultiLevelConfig { initial_bits: 3, max_levels: 1, hop_width: 16 }, 512),
+            &ops,
+        )?;
     }
 
     #[test]
@@ -183,18 +204,22 @@ fn stream_digest(idx: &mut dyn IndexBackend, seed: u64, ops: u32) -> u64 {
     h
 }
 
-/// Digests recorded with the decode–modify–encode implementation the
-/// in-place page operations replaced (capacity aborts included).
+/// Digests recorded before the hash baselines shared one page-table
+/// protocol: the multi-level rows with the decode–modify–encode
+/// implementation the in-place page operations replaced, the one-level
+/// row with the per-index write-back and relocation code (capacity
+/// aborts included).
 #[test]
 fn hash_baseline_pages_and_cache_decisions_are_pinned() {
-    let ml = MultiLevelConfig { initial_bits: 1, max_levels: 6, hop_width: 8 };
-    for (seed, simple, multilevel) in [
-        (1u64, 0x250d_c4db_d7bc_7c11u64, 0xf510_920d_f25c_bf0du64),
-        (2, 0xeba5_697c_52f2_1c45, 0xe862_8239_b6b6_ff82),
+    let multilevel = MultiLevelConfig { initial_bits: 1, max_levels: 6, hop_width: 8 };
+    let one_level = MultiLevelConfig { initial_bits: 3, max_levels: 1, hop_width: 8 };
+    for (cfg, digests) in [
+        (multilevel, [0xf510_920d_f25c_bf0du64, 0xe862_8239_b6b6_ff82]),
+        (one_level, [0x97ca_ab5e_8379_638a, 0xed62_d710_89fc_dfca]),
     ] {
-        let got = stream_digest(&mut SimpleHashIndex::new(3, 8, 512), seed, 2000);
-        assert_eq!(got, simple, "simple-hash digest drifted, seed {seed}");
-        let got = stream_digest(&mut MultiLevelIndex::new(ml, 512), seed, 2000);
-        assert_eq!(got, multilevel, "multilevel digest drifted, seed {seed}");
+        for (seed, want) in [1u64, 2].into_iter().zip(digests) {
+            let got = stream_digest(&mut MultiLevelIndex::new(cfg, 512), seed, 2000);
+            assert_eq!(got, want, "digest drifted: {cfg:?} seed {seed}");
+        }
     }
 }

@@ -1,6 +1,5 @@
 //! Block allocation and per-block accounting.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rhik_nand::{BlockId, NandGeometry};
@@ -48,16 +47,15 @@ impl BlockMeta {
     }
 }
 
-/// Free-pool + open-block manager.
+/// Open-block manager over a [`FlashPool`] of free blocks.
 ///
 /// One open block per stream; pages are handed out sequentially. When a
-/// block fills (or is closed early), it is sealed and a new block is pulled
-/// from the free pool. A configurable reserve is withheld from normal
-/// allocation so GC always has scratch blocks to relocate into.
+/// block fills (or is closed early), it is sealed and a new block is leased
+/// from the pool. The pool withholds a reserve from normal allocation so GC
+/// always has scratch blocks to relocate into.
 #[derive(Debug)]
 pub struct BlockAllocator {
     geometry: NandGeometry,
-    free: VecDeque<BlockId>,
     meta: Vec<BlockMeta>,
     open_data: Option<BlockId>,
     open_extent: Option<BlockId>,
@@ -65,14 +63,11 @@ pub struct BlockAllocator {
     /// Partially-programmed extent blocks set aside while a large extent
     /// claimed a fresh block; reused before the free pool is touched.
     parked_extent: Vec<BlockId>,
-    /// Blocks withheld for GC relocation.
-    reserve: u32,
     /// When true, allocation may dip into the reserve (GC in progress).
     gc_mode: bool,
-    /// Sharded mode: free blocks live in a device-wide [`FlashPool`]
-    /// instead of the private `free` deque, so multiple allocators can
-    /// share one flash array without double-leasing a block.
-    pool: Option<Arc<FlashPool>>,
+    /// The free blocks: this FTL's own pool, or one a sharded device
+    /// shares between its shards so no block is leased twice.
+    pool: Arc<FlashPool>,
 }
 
 /// Raised when the free pool (minus reserve) is exhausted — the device must
@@ -111,32 +106,9 @@ impl AcquireClass {
 }
 
 impl BlockAllocator {
-    pub fn new(geometry: NandGeometry, reserve: u32) -> Self {
-        assert!(
-            (reserve as u64) < geometry.blocks as u64,
-            "reserve must leave at least one allocatable block"
-        );
-        BlockAllocator {
-            geometry,
-            free: (0..geometry.blocks).collect(),
-            meta: (0..geometry.blocks).map(|_| BlockMeta::fresh()).collect(),
-            open_data: None,
-            open_extent: None,
-            open_index: None,
-            // bounded-by: every entry is a distinct parked BlockId, so at
-            // most geometry.blocks elements.
-            parked_extent: Vec::new(),
-            reserve,
-            gc_mode: false,
-            pool: None,
-        }
-    }
-
-    /// Pooled-mode allocator for one shard of a sharded device: free
-    /// blocks come from (and return to) the shared `pool`, while open
-    /// blocks, parked blocks, and per-block metadata remain private to
-    /// this allocator. The reserve floor is enforced by the pool, so the
-    /// local `reserve` is zero.
+    /// An allocator whose free blocks come from (and return to) `pool`,
+    /// while open blocks, parked blocks, and per-block metadata remain
+    /// private to it. The pool enforces the reserve floor.
     pub fn with_pool(geometry: NandGeometry, pool: Arc<FlashPool>) -> Self {
         assert_eq!(
             pool.total_blocks(),
@@ -145,9 +117,6 @@ impl BlockAllocator {
         );
         BlockAllocator {
             geometry,
-            // bounded-by: pooled mode returns blocks to the shared pool,
-            // so the local free list never exceeds geometry.blocks.
-            free: VecDeque::new(),
             meta: (0..geometry.blocks).map(|_| BlockMeta::fresh()).collect(),
             open_data: None,
             open_extent: None,
@@ -155,9 +124,8 @@ impl BlockAllocator {
             // bounded-by: every entry is a distinct parked BlockId, so at
             // most geometry.blocks elements.
             parked_extent: Vec::new(),
-            reserve: 0,
             gc_mode: false,
-            pool: Some(pool),
+            pool,
         }
     }
 
@@ -169,22 +137,15 @@ impl BlockAllocator {
         &mut self.meta[block as usize]
     }
 
-    /// Blocks available to normal allocation (excludes reserve). In
-    /// pooled mode this is the *device-wide* count, which is what the GC
-    /// watermarks must observe.
+    /// Blocks available to normal allocation (excludes reserve): the
+    /// *pool-wide* count, which is what the GC watermarks must observe.
     pub fn free_blocks(&self) -> u32 {
-        match &self.pool {
-            Some(pool) => pool.free_blocks(),
-            None => (self.free.len() as u32).saturating_sub(self.reserve),
-        }
+        self.pool.free_blocks()
     }
 
     /// Blocks in the free pool including the reserve.
     pub fn free_blocks_raw(&self) -> u32 {
-        match &self.pool {
-            Some(pool) => pool.free_blocks_raw(),
-            None => self.free.len() as u32,
-        }
+        self.pool.free_blocks_raw()
     }
 
     /// Enter/leave GC mode (GC may consume the reserve).
@@ -197,18 +158,14 @@ impl BlockAllocator {
         self.gc_mode
     }
 
-    /// The effective GC reserve: the shared pool's in pooled mode, the
-    /// local one otherwise (where the pooled-mode local reserve is 0).
+    /// The pool's GC reserve.
     pub fn gc_reserve(&self) -> u32 {
-        match &self.pool {
-            Some(pool) => pool.reserve(),
-            None => self.reserve,
-        }
+        self.pool.reserve()
     }
 
-    /// The shared flash pool, when this allocator runs in pooled mode.
-    pub fn pool(&self) -> Option<&Arc<FlashPool>> {
-        self.pool.as_ref()
+    /// The flash pool this allocator leases from.
+    pub fn pool(&self) -> &Arc<FlashPool> {
+        &self.pool
     }
 
     fn pop_free(&mut self, allow_reserve: bool) -> Result<BlockId, NeedsGc> {
@@ -219,13 +176,7 @@ impl BlockAllocator {
         } else {
             AcquireClass::Normal
         };
-        if let Some(pool) = &self.pool {
-            return pool.acquire(class);
-        }
-        if self.free.len() <= class.floor(self.reserve) {
-            return Err(NeedsGc);
-        }
-        Ok(self.free.pop_front().expect("checked non-empty"))
+        self.pool.acquire(class)
     }
 
     fn open_slot(&mut self, stream: Stream) -> &mut Option<BlockId> {
@@ -365,10 +316,7 @@ impl BlockAllocator {
         );
         self.parked_extent.retain(|&b| b != block);
         self.meta[block as usize] = BlockMeta::fresh();
-        match &self.pool {
-            Some(pool) => pool.release(block),
-            None => self.free.push_back(block),
-        }
+        self.pool.release(block);
     }
 
     /// Candidate GC victims of `stream`: any non-open block with stale
@@ -403,7 +351,8 @@ mod tests {
     use rhik_nand::Ppa;
 
     fn alloc() -> BlockAllocator {
-        BlockAllocator::new(NandGeometry::tiny(), 2)
+        let pool = Arc::new(FlashPool::new(NandGeometry::tiny(), 2));
+        BlockAllocator::with_pool(NandGeometry::tiny(), pool)
     }
 
     #[test]
@@ -537,7 +486,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserve must leave")]
     fn reserve_cannot_cover_all_blocks() {
-        let _ = BlockAllocator::new(NandGeometry::tiny(), 8);
+        let _ = FlashPool::new(NandGeometry::tiny(), 8);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rhik_telemetry::{Stage, StageEvent, TelemetrySink};
 use crate::alloc::{BlockAllocator, NeedsGc, Stream};
 use crate::cache::IndexPageCache;
 use crate::layout::{PageBuilder, SpareMeta, RECORD_PREFIX_LEN, SIG_ENTRY_LEN};
-use crate::sync::{Mutex, MutexGuard};
+use crate::sync::{FlashPool, Mutex, MutexGuard};
 use crate::traits::TimedOp;
 
 /// Errors surfaced by FTL services.
@@ -170,32 +170,19 @@ pub struct Ftl {
 }
 
 impl Ftl {
+    /// A single-owner FTL: erase blocks come from a flash pool of its own,
+    /// withholding `config.gc_reserve_blocks` for GC.
     pub fn new(config: FtlConfig) -> Self {
-        config.geometry.validate().expect("invalid geometry");
-        Ftl {
-            nand: Arc::new(Mutex::new(NandArray::new(config.geometry))),
-            geometry: config.geometry,
-            profile: config.profile,
-            alloc: BlockAllocator::new(config.geometry, config.gc_reserve_blocks),
-            cache: IndexPageCache::new(config.cache_budget_bytes),
-            stats: FtlStats::default(),
-            timed_ops: Vec::new(), // bounded-by: device drains it every op (drain_timed_ops)
-            telemetry: TelemetrySink::disabled(),
-            stage_log: Vec::new(), // bounded-by: device drains it every op (drain_stage_log)
-            stage_scope: None,
-            data_builder: None,
-            // bounded-by: cleared when the head page programs; holds at
-            // most one index page's worth of staged pairs.
-            pending: HashMap::new(),
-        }
+        let pool = FlashPool::new(config.geometry, config.gc_reserve_blocks);
+        Self::with_pool(config, Arc::new(pool))
     }
 
-    /// One shard's FTL front-end over a shared flash array: erase blocks
-    /// are leased from `pool` (see [`crate::sync::FlashPool`]) instead of
-    /// a private free list, so several shard FTLs can coexist without
-    /// over-committing capacity. `config.gc_reserve_blocks` is ignored —
-    /// the reserve is global, enforced by the pool.
-    pub fn with_pool(config: FtlConfig, pool: std::sync::Arc<crate::sync::FlashPool>) -> Self {
+    /// An FTL whose erase blocks are leased from `pool` (see
+    /// [`crate::sync::FlashPool`]). A sharded device hands every shard's
+    /// FTL the same pool, so they coexist without over-committing
+    /// capacity. `config.gc_reserve_blocks` is ignored — the reserve is
+    /// the pool's.
+    pub fn with_pool(config: FtlConfig, pool: Arc<FlashPool>) -> Self {
         config.geometry.validate().expect("invalid geometry");
         Ftl {
             nand: Arc::new(Mutex::new(NandArray::new(config.geometry))),
@@ -668,7 +655,8 @@ impl Ftl {
 
     /// Program a full index page; returns its address. Metadata writes may
     /// dip into the GC reserve so cache write-backs never fail mid-flight;
-    /// resize prechecks and the device's proactive GC keep the pool healthy.
+    /// resize's per-split space check and the device's proactive GC keep
+    /// the pool healthy.
     pub fn write_index_page(&mut self, data: Bytes, meta: SpareMeta) -> Result<Ppa, FtlError> {
         let ppa = self.alloc.next_page(Stream::Index, true).map_err(FtlError::from)?;
         let len = data.len() as u64;

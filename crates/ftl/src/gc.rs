@@ -14,6 +14,8 @@
 //! cleaning asks the index which of its pages are still live and
 //! relocates those.
 
+use std::sync::Arc;
+
 use crate::alloc::Stream;
 use crate::ftl::{Ftl, FtlError};
 use crate::layout::{self, PageKind, SpareMeta};
@@ -104,12 +106,11 @@ pub fn run<I: IndexBackend>(
     index: &mut I,
     cfg: &GcConfig,
 ) -> Result<GcReport, FtlError> {
-    // In pooled (sharded) mode, at most one shard collects at a time:
-    // concurrent collectors could race the shared pool to zero blocks
-    // and strand each other mid-relocation. Single-owner devices have
-    // no pool and take no lock.
-    let pool = ftl.alloc_ref().pool().cloned();
-    let _permit = pool.as_ref().map(|p| p.gc_permit());
+    // At most one collector per flash pool at a time: concurrent shard
+    // collectors could race a shared pool to zero blocks and strand each
+    // other mid-relocation. A single-owner device's permit is uncontended.
+    let pool = Arc::clone(ftl.alloc_ref().pool());
+    let _permit = pool.gc_permit();
     let mut report = GcReport::default();
     ftl.note_gc_run();
     ftl.alloc_mut().set_gc_mode(true);
@@ -267,7 +268,7 @@ fn clean_head_block<I: IndexBackend>(
     // Pass 2: relocate. The old body pages (extent partition) become
     // stale; the old head bytes vanish with the erase below.
     for (sig, entry) in live {
-        let old = extent_of(&entry, Ppa::new(block, 0), page_size);
+        let old = entry.extent(Ppa::new(block, 0), page_size as u32);
         relocate_pair(ftl, index, sig, &entry, report)?;
         if old.cont_start.is_some() {
             ftl.mark_stale(&old);
@@ -346,7 +347,7 @@ fn clean_extent_block<I: IndexBackend>(
 
     for (sig, head, entry) in relocate {
         // The old head entry goes stale in its (still live) head block.
-        let old = extent_of(&entry, head, page_size);
+        let old = entry.extent(head, page_size as u32);
         relocate_pair(ftl, index, sig, &entry, report)?;
         ftl.mark_stale(&old);
     }
@@ -355,20 +356,6 @@ fn clean_extent_block<I: IndexBackend>(
     ftl.note_gc_erase();
     report.data_blocks_erased += 1;
     Ok(true)
-}
-
-/// Reconstruct the on-flash extent a decoded head entry describes.
-fn extent_of(entry: &layout::PairEntry, head: Ppa, page_size: usize) -> crate::ftl::WrittenExtent {
-    crate::ftl::WrittenExtent {
-        head,
-        cont_start: entry.cont_start,
-        cont_pages: entry.cont_pages(page_size as u32),
-        head_bytes: (layout::RECORD_PREFIX_LEN
-            + entry.key.len()
-            + entry.frag_len as usize
-            + layout::SIG_ENTRY_LEN) as u64,
-        cont_bytes: entry.body_len() as u64,
-    }
 }
 
 /// Read a pair's full value and write it back through the normal store

@@ -171,6 +171,21 @@ impl PairEntry {
             + self.val_total_len as u64
             + SIG_ENTRY_LEN as u64
     }
+
+    /// Where the pair this entry of the head page at `head` describes
+    /// lives on flash.
+    pub fn extent(&self, head: Ppa, page_size: u32) -> crate::ftl::WrittenExtent {
+        crate::ftl::WrittenExtent {
+            head,
+            cont_start: self.cont_start,
+            cont_pages: self.cont_pages(page_size),
+            head_bytes: (RECORD_PREFIX_LEN
+                + self.key.len()
+                + self.frag_len as usize
+                + SIG_ENTRY_LEN) as u64,
+            cont_bytes: self.body_len() as u64,
+        }
+    }
 }
 
 /// Incremental builder for a head page.

@@ -436,7 +436,8 @@ impl Counter {
     }
 }
 
-/// Device-wide free-block pool shared by every shard's allocator.
+/// The free-block pool: one per flash array, owned by a single FTL or
+/// shared by every shard's allocator.
 pub struct FlashPool {
     free: Mutex<VecDeque<BlockId>>,
     /// Cached `free.len()` so watermark checks never take the lock.

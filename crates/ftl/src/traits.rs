@@ -146,7 +146,8 @@ impl IndexStats {
 /// The contract between the KVSSD firmware and an indexing scheme.
 ///
 /// Implementations: `rhik-core`'s `RhikIndex` (the paper's contribution),
-/// and `rhik-baseline`'s `MultiLevelIndex` / `SimpleHashIndex` / `LsmIndex`.
+/// and `rhik-baseline`'s `MultiLevelIndex` (one level: the NVMKV-style
+/// fixed table) / `LsmIndex`.
 ///
 /// All flash traffic goes through the supplied [`Ftl`], so the firmware's
 /// statistics see exactly what the index does.

@@ -1,7 +1,7 @@
 //! The KVSSD device: the five vendor commands over a pluggable index.
 
 use bytes::Bytes;
-use rhik_baseline::{LsmConfig, LsmIndex, MultiLevelConfig, MultiLevelIndex, SimpleHashIndex};
+use rhik_baseline::{LsmConfig, LsmIndex, MultiLevelConfig, MultiLevelIndex};
 use rhik_core::RhikIndex;
 use rhik_ftl::layout;
 use rhik_ftl::{gc, Ftl, FtlError, GcConfig, IndexBackend, IndexError, WrittenExtent};
@@ -199,17 +199,10 @@ impl KvssdDevice<RhikIndex> {
 }
 
 impl KvssdDevice<MultiLevelIndex> {
-    /// Build a device around the Samsung-style multi-level hash baseline.
+    /// Build a device around the Samsung-style multi-level hash baseline
+    /// (with `max_levels: 1`, the NVMKV-style fixed hash table).
     pub fn multilevel(cfg: DeviceConfig, ml: MultiLevelConfig) -> Self {
         let index = MultiLevelIndex::new(ml, cfg.geometry.page_size);
-        Self::with_index(cfg, index)
-    }
-}
-
-impl KvssdDevice<SimpleHashIndex> {
-    /// Build a device around the NVMKV-style fixed hash baseline.
-    pub fn simple_hash(cfg: DeviceConfig, bits: u32, hop_width: u32) -> Self {
-        let index = SimpleHashIndex::new(bits, hop_width, cfg.geometry.page_size);
         Self::with_index(cfg, index)
     }
 }
@@ -623,16 +616,7 @@ impl<I: IndexBackend> KvssdDevice<I> {
             let Some(entry) = layout::find_in_head(&data, page_size as usize, sig) else {
                 return Ok(None);
             };
-            let extent = WrittenExtent {
-                head,
-                cont_start: entry.cont_start,
-                cont_pages: entry.cont_pages(page_size),
-                head_bytes: (layout::RECORD_PREFIX_LEN
-                    + entry.key.len()
-                    + entry.frag_len as usize
-                    + layout::SIG_ENTRY_LEN) as u64,
-                cont_bytes: entry.body_len() as u64,
-            };
+            let extent = entry.extent(head, page_size);
             (entry.key, entry.value_frag, extent)
         };
         let ftl = &mut self.ftl;
@@ -1242,7 +1226,7 @@ mod tests {
             dev.put(format!("t-{i}").as_bytes(), &[0u8; 4096]).unwrap();
         }
         assert!(dev.elapsed_secs() > 0.0);
-        assert!(dev.engine().latencies().count() >= 50);
+        assert_eq!(dev.put_latencies().count(), 50);
     }
 
     #[test]
@@ -1316,7 +1300,10 @@ mod tests {
             cfg,
             MultiLevelConfig { initial_bits: 1, max_levels: 8, hop_width: 16 },
         );
-        let mut sh = KvssdDevice::simple_hash(cfg, 4, 16);
+        let mut sh = KvssdDevice::multilevel(
+            cfg,
+            MultiLevelConfig { initial_bits: 4, max_levels: 1, hop_width: 16 },
+        );
         let mut lsm = KvssdDevice::lsm(cfg, LsmConfig::default());
         for i in 0..200u64 {
             let k = format!("key-{i:04}");

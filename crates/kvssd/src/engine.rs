@@ -17,7 +17,6 @@ use rhik_ftl::TimedOp;
 use rhik_nand::DeviceProfile;
 
 use crate::config::EngineMode;
-use crate::histogram::LatencyHistogram;
 
 /// Timing outcome of one command.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,7 +44,6 @@ pub struct TimingEngine {
     inflight: Vec<u64>,
     /// Largest completion time seen.
     horizon_ns: u64,
-    latencies: LatencyHistogram,
     /// Inside a compound command: overhead charged once, then waived.
     compound: bool,
     compound_overhead_charged: bool,
@@ -62,7 +60,6 @@ impl TimingEngine {
             // reaches the profile's queue depth.
             inflight: Vec::new(),
             horizon_ns: 0,
-            latencies: LatencyHistogram::new(),
             compound: false,
             compound_overhead_charged: false,
         }
@@ -84,10 +81,6 @@ impl TimingEngine {
         self.horizon_ns.max(self.issue_free_ns)
     }
 
-    pub fn latencies(&self) -> &LatencyHistogram {
-        &self.latencies
-    }
-
     /// Commands still in flight (async mode; always 0 in sync mode, where
     /// the host blocks per command). Telemetry exports this as the
     /// per-shard submission-queue-depth gauge.
@@ -106,7 +99,7 @@ impl TimingEngine {
         };
         let transfer = self.profile.host_transfer_ns(host_bytes);
 
-        let timing = match self.mode {
+        match self.mode {
             EngineMode::Sync => {
                 // The host blocks: everything serializes after the later of
                 // "host free" and "all previous work done".
@@ -143,9 +136,7 @@ impl TimingEngine {
                 self.horizon_ns = self.horizon_ns.max(done);
                 CommandTiming { submitted_ns: start, completed_ns: done }
             }
-        };
-        self.latencies.record(timing.latency_ns());
-        timing
+        }
     }
 
     /// Stall the device (resize holds the submission queue, §IV-A2): no
@@ -255,13 +246,5 @@ mod tests {
             let c = e.account(&[], 0);
             assert_eq!(c.latency_ns(), 5, "{mode:?}: overhead restored");
         }
-    }
-
-    #[test]
-    fn latencies_recorded() {
-        let mut e = TimingEngine::new(EngineMode::Sync, profile(), 2);
-        e.account(&[op(0, 100)], 0);
-        e.account(&[op(0, 100)], 0);
-        assert_eq!(e.latencies().count(), 2);
     }
 }

@@ -17,8 +17,8 @@
 //!   watermarks, index choice.
 //!
 //! Convenience constructors build a device around each index scheme:
-//! [`KvssdDevice::rhik`], [`KvssdDevice::multilevel`],
-//! [`KvssdDevice::simple_hash`], [`KvssdDevice::lsm`].
+//! [`KvssdDevice::rhik`], [`KvssdDevice::multilevel`] (with one level, the
+//! NVMKV-style fixed hash table), [`KvssdDevice::lsm`].
 //!
 //! [`KvssdDevice::execute_batch`] runs a compound command over
 //! [`BatchOp`]/[`BatchReply`] (Kim et al.'s coalescing, \[8\]).

@@ -7,6 +7,9 @@ use bytes::Bytes;
 use rhik_nand::Ppa;
 use rhik_sigs::KeySignature;
 
+/// Cache keys with this bit set identify §VI hyper-local overflow tables.
+pub(crate) const OVERFLOW_KEY: u64 = 1 << 62;
+
 /// One directory entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DirEntry {
@@ -127,6 +130,29 @@ impl Directory {
     #[inline]
     pub fn slot_of_key(key: u64) -> u32 {
         (key & 0xffff_ffff) as u32
+    }
+
+    /// The flash pointer of the table cached under `key` — a slot's
+    /// primary table, or with [`OVERFLOW_KEY`] its overflow table — if
+    /// `key` belongs to the current generation.
+    pub(crate) fn table_ppa_mut(&mut self, key: u64) -> Option<&mut Option<Ppa>> {
+        if !self.is_current_key(key & !OVERFLOW_KEY) {
+            return None;
+        }
+        let entry = &mut self.entries[Self::slot_of_key(key) as usize];
+        Some(if key & OVERFLOW_KEY != 0 { &mut entry.overflow_ppa } else { &mut entry.table_ppa })
+    }
+
+    /// Every slot's tables in slot order, primary then overflow, as
+    /// `(cache key, flash copy, record count)`.
+    pub(crate) fn tables(&self) -> impl Iterator<Item = (u64, Option<Ppa>, u32)> + '_ {
+        self.entries.iter().enumerate().flat_map(move |(slot, e)| {
+            let key = self.cache_key(slot as u32);
+            [
+                (key, e.table_ppa, e.records),
+                (OVERFLOW_KEY | key, e.overflow_ppa, e.overflow_records),
+            ]
+        })
     }
 
     /// Replace this directory by a doubled, empty successor and return the

@@ -9,16 +9,13 @@ use rhik_sigs::KeySignature;
 
 use crate::bucket::{TableInsert, TablePage};
 use crate::config::RhikConfig;
-use crate::directory::Directory;
+use crate::directory::{Directory, OVERFLOW_KEY};
 use crate::pages::{self, CachedTables, Table};
 
 /// Cache keys with this bit set identify directory snapshot pages rather
 /// than record-layer tables (they share the FTL's index-page namespace for
 /// GC relocation).
 const DIR_PAGE_KEY: u64 = 1 << 63;
-
-/// Cache keys with this bit set identify §VI hyper-local overflow tables.
-pub(crate) const OVERFLOW_KEY: u64 = 1 << 62;
 
 /// The Re-configurable Hash Index (§IV).
 pub struct RhikIndex {
@@ -350,10 +347,11 @@ impl RhikIndex {
                     }
                 }
                 Err(IndexError::NeedsGc) => {
-                    // Not enough free blocks right now. The record that
-                    // triggered this check is already safely inserted; defer
-                    // the doubling until the device has garbage-collected
-                    // (it polls `maintenance_due` after every command).
+                    // No free page to re-anchor the snapshot. The record
+                    // that triggered this check is already safely inserted;
+                    // defer the doubling until the device has
+                    // garbage-collected (it polls `maintenance_due` after
+                    // every command).
                     self.resize_deferred = true;
                 }
                 Err(e) => return Err(e),
@@ -383,10 +381,7 @@ impl RhikIndex {
         let pages = self.dir.snapshot_pages(page_size, self.snapshot_seq);
         let mut new_snapshot = Vec::with_capacity(pages.len());
         for page in pages {
-            let len = page.len() as u64;
-            let ppa = ftl.write_index_page(page, SpareMeta::directory_page())?;
-            let _ = len;
-            new_snapshot.push(ppa);
+            new_snapshot.push(ftl.write_index_page(page, SpareMeta::directory_page())?);
         }
         self.stats.metadata_flash_programs += new_snapshot.len() as u64;
         for old in std::mem::replace(&mut self.dir_snapshot, new_snapshot) {
@@ -399,6 +394,12 @@ impl RhikIndex {
     /// Flash pages of the current directory snapshot (diagnostics).
     pub fn dir_snapshot(&self) -> &[Ppa] {
         &self.dir_snapshot
+    }
+
+    /// The snapshot's pages as `(key, ppa)`, keyed in the index-page
+    /// namespace GC relocates by.
+    fn snapshot_pages(&self) -> impl Iterator<Item = (u64, Ppa)> + '_ {
+        self.dir_snapshot.iter().enumerate().map(|(i, &ppa)| (DIR_PAGE_KEY | i as u64, ppa))
     }
 
     /// Snapshot the index's cross-layer claims for the invariant auditor:
@@ -419,65 +420,41 @@ impl RhikIndex {
                 },
             }
         };
-        let mut owned_pages = Vec::new();
-        let mut own = |key: u64, ppa: Ppa, expected_kind: u8| {
-            owned_pages.push(OwnedPage {
-                key,
-                ppa: (ppa.block, ppa.page),
-                expected_kind,
-                observed: observe(ppa),
-            });
+        let owned = |key: u64, ppa: Ppa, expected_kind: u8| OwnedPage {
+            key,
+            ppa: (ppa.block, ppa.page),
+            expected_kind,
+            observed: observe(ppa),
         };
-
-        let mut entries = Vec::with_capacity(self.dir.len());
-        let mut directory_records = 0u64;
-        for slot in 0..self.dir.len() as u32 {
-            let e = self.dir.entry(slot);
-            entries.push(rhik_audit::EntryAudit {
-                slot,
-                records: e.records,
-                overflow_records: e.overflow_records,
-                has_overflow: e.has_overflow,
-            });
-            directory_records += e.total_records() as u64;
-            if let Some(ppa) = e.table_ppa {
-                own(self.dir.cache_key(slot), ppa, KIND_INDEX);
-            }
-            if let Some(ppa) = e.overflow_ppa {
-                own(OVERFLOW_KEY | self.dir.cache_key(slot), ppa, KIND_INDEX);
-            }
-        }
-
         // Mid-migration, un-split slots of the frozen old directory still
-        // own their pages and hold the authoritative copy of their records.
-        let migration = self.migration.as_ref().map(|m| {
-            let mut pending = 0u64;
-            for slot in 0..m.old.len() as u32 {
-                if m.is_split(slot) {
-                    continue;
-                }
-                let e = m.old.entry(slot);
-                pending += e.total_records() as u64;
-                if let Some(ppa) = e.table_ppa {
-                    own(m.old.cache_key(slot), ppa, KIND_INDEX);
-                }
-                if let Some(ppa) = e.overflow_ppa {
-                    own(OVERFLOW_KEY | m.old.cache_key(slot), ppa, KIND_INDEX);
-                }
-            }
-            directory_records += pending;
-            rhik_audit::MigrationAudit {
-                generation: self.dir.generation() as u64,
-                cursor: m.cursor(),
-                migrated: m.migrated(),
-                keys_before: m.keys_before(),
-                pending,
-            }
-        });
-
-        for (i, &ppa) in self.dir_snapshot.iter().enumerate() {
-            own(DIR_PAGE_KEY | i as u64, ppa, KIND_DIRECTORY);
+        // own their pages and hold the authoritative copy of their records:
+        // the table walk covers them after the current directory.
+        let mut owned_pages = Vec::new();
+        let mut directory_records = 0u64;
+        for (key, ppa, records) in self.tables() {
+            directory_records += records as u64;
+            owned_pages.extend(ppa.map(|ppa| owned(key, ppa, KIND_INDEX)));
         }
+        owned_pages.extend(self.snapshot_pages().map(|(key, ppa)| owned(key, ppa, KIND_DIRECTORY)));
+
+        let entries = (0..self.dir.len() as u32)
+            .map(|slot| {
+                let e = self.dir.entry(slot);
+                rhik_audit::EntryAudit {
+                    slot,
+                    records: e.records,
+                    overflow_records: e.overflow_records,
+                    has_overflow: e.has_overflow,
+                }
+            })
+            .collect();
+        let migration = self.migration.as_ref().map(|m| rhik_audit::MigrationAudit {
+            generation: self.dir.generation() as u64,
+            cursor: m.cursor(),
+            migrated: m.migrated(),
+            keys_before: m.keys_before(),
+            pending: directory_records - self.dir.total_records(),
+        });
 
         rhik_audit::IndexAuditSnapshot {
             shard,
@@ -500,47 +477,21 @@ impl CachedTables for RhikIndex {
         &mut self.stats
     }
 
-    /// Persist a dirty page that still belongs to the current
-    /// configuration (or to an un-split slot of a migration's frozen old
-    /// directory) and repoint its directory entry.
-    fn write_back(&mut self, ftl: &mut Ftl, key: u64, data: Bytes) -> Result<(), IndexError> {
-        if key & DIR_PAGE_KEY != 0 {
-            return Ok(()); // snapshots are written eagerly, never dirty
+    /// A current-generation table, or mid-migration an un-split slot's
+    /// table in the frozen old directory. Snapshot pages are written
+    /// eagerly and never cached, so no key of theirs reaches here.
+    fn table_ppa(&mut self, key: u64) -> Option<&mut Option<Ppa>> {
+        if self.dir.is_current_key(key & !OVERFLOW_KEY) {
+            self.dir.table_ppa_mut(key)
+        } else {
+            self.migration.as_mut()?.pending_table_ppa(key)
         }
-        let is_overflow = key & OVERFLOW_KEY != 0;
-        let key = key & !OVERFLOW_KEY;
-        if !self.dir.is_current_key(key) {
-            // Mid-migration, a dirty page of the frozen pre-doubling
-            // directory is still the authoritative copy of an un-split
-            // slot: persist it and repoint the old entry, or the split
-            // would read a stale flash image.
-            let old_pending = self.migration.as_ref().is_some_and(|m| {
-                m.old.is_current_key(key) && !m.is_split(Directory::slot_of_key(key))
-            });
-            if old_pending {
-                let slot = Directory::slot_of_key(key);
-                let page_bytes = data.len() as u64;
-                let new_ppa = ftl.write_index_page(data, SpareMeta::index_page())?;
-                self.stats.metadata_flash_programs += 1;
-                let entry = self.migration.as_mut().expect("checked above").old.entry_mut(slot);
-                let target =
-                    if is_overflow { &mut entry.overflow_ppa } else { &mut entry.table_ppa };
-                if let Some(old) = target.replace(new_ppa) {
-                    ftl.retire_index_page(old, page_bytes);
-                }
-            }
-            return Ok(()); // otherwise pre-resize generation: already retired
-        }
-        let slot = Directory::slot_of_key(key);
-        let page_bytes = data.len() as u64;
-        let new_ppa = ftl.write_index_page(data, SpareMeta::index_page())?;
-        self.stats.metadata_flash_programs += 1;
-        let entry = self.dir.entry_mut(slot);
-        let target = if is_overflow { &mut entry.overflow_ppa } else { &mut entry.table_ppa };
-        if let Some(old) = target.replace(new_ppa) {
-            ftl.retire_index_page(old, page_bytes);
-        }
-        Ok(())
+    }
+
+    /// Current slots ascending, primary then overflow; then the un-split
+    /// slots of a migration's frozen old directory.
+    fn tables(&self) -> impl Iterator<Item = (u64, Option<Ppa>, u32)> + '_ {
+        self.dir.tables().chain(self.migration.iter().flat_map(|m| m.pending_tables()))
     }
 }
 
@@ -730,46 +681,9 @@ impl IndexBackend for RhikIndex {
     }
 
     fn live_index_pages_in(&self, block: u32) -> Vec<(u64, Ppa)> {
-        let mut pages = Vec::new();
-        for slot in 0..self.dir.len() as u32 {
-            let e = self.dir.entry(slot);
-            if let Some(ppa) = e.table_ppa {
-                if ppa.block == block {
-                    pages.push((self.dir.cache_key(slot), ppa));
-                }
-            }
-            if let Some(ppa) = e.overflow_ppa {
-                if ppa.block == block {
-                    pages.push((OVERFLOW_KEY | self.dir.cache_key(slot), ppa));
-                }
-            }
-        }
-        // Old-generation tables of un-split slots are still live
-        // mid-migration; GC must relocate, not erase them.
-        if let Some(m) = &self.migration {
-            for slot in 0..m.old.len() as u32 {
-                if m.is_split(slot) {
-                    continue;
-                }
-                let e = m.old.entry(slot);
-                if let Some(ppa) = e.table_ppa {
-                    if ppa.block == block {
-                        pages.push((m.old.cache_key(slot), ppa));
-                    }
-                }
-                if let Some(ppa) = e.overflow_ppa {
-                    if ppa.block == block {
-                        pages.push((OVERFLOW_KEY | m.old.cache_key(slot), ppa));
-                    }
-                }
-            }
-        }
-        for (i, &ppa) in self.dir_snapshot.iter().enumerate() {
-            if ppa.block == block {
-                pages.push((DIR_PAGE_KEY | i as u64, ppa));
-            }
-        }
-        pages
+        let mut live = pages::live_pages_in(self, block);
+        live.extend(self.snapshot_pages().filter(|(_, ppa)| ppa.block == block));
+        live
     }
 
     fn maintenance_due(&self) -> bool {
@@ -847,38 +761,7 @@ impl IndexBackend for RhikIndex {
         ftl: &mut Ftl,
         visit: &mut dyn FnMut(KeySignature, Ppa),
     ) -> Result<(), IndexError> {
-        for slot in 0..self.dir.len() as u32 {
-            if self.dir.entry(slot).records > 0 {
-                let (table, _) = self.load_table(ftl, slot)?;
-                table.for_each(ftl, visit);
-            }
-            if self.dir.entry(slot).overflow_records > 0 {
-                let (overflow, _) = self.load_overflow(ftl, slot)?;
-                overflow.for_each(ftl, visit);
-            }
-        }
-        // Mid-migration, records of un-split slots still live in the
-        // frozen old tables (their new-directory entries are empty).
-        let mut pending: Vec<(u64, Option<Ppa>)> = Vec::new();
-        if let Some(m) = &self.migration {
-            for slot in 0..m.old.len() as u32 {
-                if m.is_split(slot) {
-                    continue;
-                }
-                let e = m.old.entry(slot);
-                if e.records > 0 {
-                    pending.push((m.old.cache_key(slot), e.table_ppa));
-                }
-                if e.overflow_records > 0 {
-                    pending.push((OVERFLOW_KEY | m.old.cache_key(slot), e.overflow_ppa));
-                }
-            }
-        }
-        for (key, ppa) in pending {
-            let (table, _) = pages::load(self, ftl, key, ppa)?;
-            table.for_each(ftl, visit);
-        }
-        Ok(())
+        pages::scan_records(self, ftl, visit)
     }
 
     fn relocate_index_page(
@@ -887,72 +770,16 @@ impl IndexBackend for RhikIndex {
         key: u64,
         old: Ppa,
     ) -> Result<Option<Ppa>, IndexError> {
-        let page_size = ftl.geometry().page_size as u64;
-        if key & DIR_PAGE_KEY != 0 {
-            // A directory snapshot fragment: rewrite the whole snapshot
-            // (it is small and this is rare).
-            if self.dir_snapshot.contains(&old) {
-                self.flush_directory(ftl)?;
-                return Ok(self.dir_snapshot.first().copied());
-            }
-            return Ok(None);
+        if key & DIR_PAGE_KEY == 0 {
+            return pages::relocate(self, ftl, key, old);
         }
-        let is_overflow = key & OVERFLOW_KEY != 0;
-        let key = key & !OVERFLOW_KEY;
-        if !self.dir.is_current_key(key) {
-            // A still-live old-generation page of an un-split slot must be
-            // moved and its frozen-directory entry repointed.
-            let old_current = match &self.migration {
-                Some(m) if m.old.is_current_key(key) => {
-                    let slot = Directory::slot_of_key(key);
-                    if m.is_split(slot) {
-                        None
-                    } else if is_overflow {
-                        m.old.entry(slot).overflow_ppa
-                    } else {
-                        m.old.entry(slot).table_ppa
-                    }
-                }
-                _ => None,
-            };
-            if old_current != Some(old) {
-                return Ok(None);
-            }
-            let bytes = ftl.read_index_page(old)?;
-            self.stats.metadata_flash_reads += 1;
-            let new_ppa = ftl.write_index_page(bytes, SpareMeta::index_page())?;
-            self.stats.metadata_flash_programs += 1;
-            let slot = Directory::slot_of_key(key);
-            let entry = self.migration.as_mut().expect("checked above").old.entry_mut(slot);
-            if is_overflow {
-                entry.overflow_ppa = Some(new_ppa);
-            } else {
-                entry.table_ppa = Some(new_ppa);
-            }
-            ftl.retire_index_page(old, page_size);
-            return Ok(Some(new_ppa));
+        // A directory snapshot fragment: rewrite the whole snapshot (it is
+        // small and this is rare).
+        if self.dir_snapshot.contains(&old) {
+            self.flush_directory(ftl)?;
+            return Ok(self.dir_snapshot.first().copied());
         }
-        let slot = Directory::slot_of_key(key);
-        let current = if is_overflow {
-            self.dir.entry(slot).overflow_ppa
-        } else {
-            self.dir.entry(slot).table_ppa
-        };
-        if current != Some(old) {
-            return Ok(None); // already moved elsewhere
-        }
-        let bytes = ftl.read_index_page(old)?;
-        self.stats.metadata_flash_reads += 1;
-        let new_ppa = ftl.write_index_page(bytes, SpareMeta::index_page())?;
-        self.stats.metadata_flash_programs += 1;
-        let entry = self.dir.entry_mut(slot);
-        if is_overflow {
-            entry.overflow_ppa = Some(new_ppa);
-        } else {
-            entry.table_ppa = Some(new_ppa);
-        }
-        ftl.retire_index_page(old, page_size);
-        Ok(Some(new_ppa))
+        Ok(None)
     }
 }
 

@@ -1,8 +1,10 @@
 //! Record-layer tables served from the FTL's DRAM page cache, probed and
-//! patched in their flash encoding.
+//! patched in their flash encoding, and moved on flash by one protocol.
 //!
-//! RHIK and the hash baselines keep every table as one flash page and
-//! share one protocol for reaching it:
+//! RHIK and the multi-level hash baseline keep every table as one flash
+//! page. An index states only what it alone knows ([`CachedTables`]):
+//! where the live table cached under a key has its flash copy, and which
+//! tables are live. Everything else is written once, here:
 //!
 //! * [`load`] counts a cache hit, or on a miss reads the table's flash
 //!   page (the ≤ 1 read) and installs it clean;
@@ -18,10 +20,17 @@
 //!   refused write-back puts that victim and every later dirty one back
 //!   in the cache, resident and dirty, before the error reaches the
 //!   caller — nothing is lost, and the caller can collect garbage and
-//!   retry.
+//!   retry;
+//! * [`program`] is the one way a table page reaches flash — write-back,
+//!   checkpoint, GC relocation and resize splits alike: program the page,
+//!   repoint the table, retire the copy it replaces. [`retire`] drops a
+//!   table for good;
+//! * [`live_pages_in`], [`relocate`] and [`scan_records`] walk the live
+//!   tables in the index's fixed order for GC and iterators.
 
 use bytes::Bytes;
 use rhik_ftl::cache::Evicted;
+use rhik_ftl::layout::SpareMeta;
 use rhik_ftl::{Ftl, IndexError, IndexStats};
 use rhik_nand::Ppa;
 use rhik_sigs::KeySignature;
@@ -33,13 +42,19 @@ pub trait CachedTables {
     /// Slots per table (Eq. 1) and hop width.
     fn table_shape(&self) -> (u32, u32);
 
-    /// The index's counters (cache fills charge `metadata_flash_reads`).
+    /// The index's counters (table reads charge `metadata_flash_reads`,
+    /// table programs `metadata_flash_programs`).
     fn stats_mut(&mut self) -> &mut IndexStats;
 
-    /// Persist the dirty page cached under `key` (evicted, or flushed by a
-    /// checkpoint) and repoint whatever owns it. An error means the page
-    /// was not persisted.
-    fn write_back(&mut self, ftl: &mut Ftl, key: u64, data: Bytes) -> Result<(), IndexError>;
+    /// The flash pointer of the live table cached under `key` — itself
+    /// `None` while that table was never persisted. `None` once the table
+    /// is retired or resized away: a cached copy left behind is dead, and
+    /// is neither written back nor relocated.
+    fn table_ppa(&mut self, key: u64) -> Option<&mut Option<Ppa>>;
+
+    /// Every live table as `(cache key, flash copy, record count)`, in a
+    /// fixed order — the order GC relocates in.
+    fn tables(&self) -> impl Iterator<Item = (u64, Option<Ppa>, u32)> + '_;
 }
 
 /// Where a loaded table's bytes are.
@@ -66,7 +81,7 @@ pub struct Table {
 /// Reach the table cached under `key` and persisted at `ppa`: a cache hit,
 /// a flash read installed clean, or — with no page anywhere — an empty
 /// table. Returns the table and the flash reads performed (0 or 1).
-pub fn load<I: CachedTables + ?Sized>(
+pub fn load<I: CachedTables>(
     index: &mut I,
     ftl: &mut Ftl,
     key: u64,
@@ -90,7 +105,7 @@ pub fn load<I: CachedTables + ?Sized>(
 /// Insert `data` into the cache under `key` and write back the dirty pages
 /// it evicts. If a write-back fails, that victim and every later dirty one
 /// go back into the cache, resident and dirty, and the error is returned.
-pub fn install<I: CachedTables + ?Sized>(
+pub fn install<I: CachedTables>(
     index: &mut I,
     ftl: &mut Ftl,
     key: u64,
@@ -99,7 +114,7 @@ pub fn install<I: CachedTables + ?Sized>(
 ) -> Result<(), IndexError> {
     let mut victims = ftl.cache().insert(key, data, dirty).into_iter().filter(|ev| ev.dirty);
     while let Some(ev) = victims.next() {
-        if let Err(e) = index.write_back(ftl, ev.key, ev.data.clone()) {
+        if let Err(e) = program(index, ftl, ev.key, ev.data.clone()) {
             let unwritten: Vec<Evicted> = std::iter::once(ev).chain(victims).collect();
             ftl.cache().restore(unwritten);
             return Err(e);
@@ -110,13 +125,86 @@ pub fn install<I: CachedTables + ?Sized>(
 
 /// Persist every dirty cached page (a checkpoint). Each page turns clean
 /// only once its write-back succeeded, so an error leaves the rest dirty.
-pub fn flush_dirty<I: CachedTables + ?Sized>(
+pub fn flush_dirty<I: CachedTables>(index: &mut I, ftl: &mut Ftl) -> Result<(), IndexError> {
+    for (key, data) in ftl.cache_ref().dirty_pages() {
+        program(index, ftl, key, data)?;
+        ftl.cache().mark_clean(key);
+    }
+    Ok(())
+}
+
+/// Program `data` as the new flash copy of the live table cached under
+/// `key`, repoint the table at it and retire the copy it replaces. A table
+/// no longer live is not written (`Ok(None)`): its page died with it. An
+/// error means nothing was persisted.
+pub fn program<I: CachedTables>(
     index: &mut I,
     ftl: &mut Ftl,
+    key: u64,
+    data: Bytes,
+) -> Result<Option<Ppa>, IndexError> {
+    if index.table_ppa(key).is_none() {
+        return Ok(None);
+    }
+    let page_bytes = data.len() as u64;
+    let ppa = ftl.write_index_page(data, SpareMeta::index_page())?;
+    index.stats_mut().metadata_flash_programs += 1;
+    if let Some(old) = index.table_ppa(key).and_then(|at| at.replace(ppa)) {
+        ftl.retire_index_page(old, page_bytes);
+    }
+    Ok(Some(ppa))
+}
+
+/// Retire the table cached under `key` for good: its flash copy `ppa`, if
+/// any, goes stale for the garbage collector and its cached copy is
+/// dropped. The caller stops reporting the table live.
+pub fn retire(ftl: &mut Ftl, key: u64, ppa: Option<Ppa>) {
+    if let Some(ppa) = ppa {
+        ftl.retire_index_page(ppa, ftl.geometry().page_size as u64);
+    }
+    ftl.cache().remove(key);
+}
+
+/// GC: move the live table cached under `key` off its flash copy `old`.
+/// `Ok(None)` when the table has moved since, or is no longer live.
+pub fn relocate<I: CachedTables>(
+    index: &mut I,
+    ftl: &mut Ftl,
+    key: u64,
+    old: Ppa,
+) -> Result<Option<Ppa>, IndexError> {
+    if index.table_ppa(key).map(|at| *at) != Some(Some(old)) {
+        return Ok(None);
+    }
+    let bytes = ftl.read_index_page(old)?;
+    index.stats_mut().metadata_flash_reads += 1;
+    program(index, ftl, key, bytes)
+}
+
+/// The live tables whose flash copy lies in `block`, as `(cache key,
+/// ppa)` in table order (what GC relocates before erasing the block).
+pub fn live_pages_in<I: CachedTables>(index: &I, block: u32) -> Vec<(u64, Ppa)> {
+    index
+        .tables()
+        .filter_map(|(key, ppa, _)| ppa.filter(|p| p.block == block).map(|p| (key, p)))
+        .collect()
+}
+
+/// Visit every stored `(signature, ppa)`, table by table in table order,
+/// loading each table that holds records through the cache.
+pub fn scan_records<I: CachedTables>(
+    index: &mut I,
+    ftl: &mut Ftl,
+    visit: &mut dyn FnMut(KeySignature, Ppa),
 ) -> Result<(), IndexError> {
-    for (key, data) in ftl.cache_ref().dirty_pages() {
-        index.write_back(ftl, key, data)?;
-        ftl.cache().mark_clean(key);
+    let keys: Vec<u64> =
+        index.tables().filter(|&(_, _, records)| records > 0).map(|(key, ..)| key).collect();
+    for key in keys {
+        // A load can write back an evicted table, so each flash copy is
+        // looked up only when its own turn comes.
+        let ppa = index.table_ppa(key).and_then(|at| *at);
+        let (table, _) = load(index, ftl, key, ppa)?;
+        table.for_each(ftl, visit);
     }
     Ok(())
 }
@@ -182,11 +270,7 @@ impl Table {
     /// Account a patch: a resident page is marked dirty and most recently
     /// used; an owned page is installed dirty (which may write back
     /// evicted pages — see [`install`]).
-    pub fn save<I: CachedTables + ?Sized>(
-        self,
-        index: &mut I,
-        ftl: &mut Ftl,
-    ) -> Result<(), IndexError> {
+    pub fn save<I: CachedTables>(self, index: &mut I, ftl: &mut Ftl) -> Result<(), IndexError> {
         match self.place {
             Place::Resident => {
                 ftl.cache().commit_patch(self.key);

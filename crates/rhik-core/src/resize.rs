@@ -31,21 +31,21 @@
 //!   directory entry tracks that.
 //! * **Lookups on un-split slots read the old table** — through the same
 //!   cache path as live tables, preserving the ≤ 1-flash-read bound.
-//! * **Never fail half-done.** [`begin`] keeps the monolithic pre-flight
-//!   free-space check; every slot split is internally retryable (successor
-//!   pages are replaced and the losers retired if a flash write fails
-//!   partway), and a mid-migration `NeedsGc` simply pauses the cursor
-//!   until the device garbage-collects.
+//! * **Never fail half-done.** There is no up-front budget for the whole
+//!   migration: each slot split first checks its own worst case (four
+//!   free pages) and is internally retryable (successor pages are
+//!   replaced and the losers retired if a flash write fails partway), and
+//!   a mid-migration `NeedsGc` simply pauses the cursor and flags
+//!   maintenance until the device garbage-collects.
 
 use bytes::Bytes;
-use rhik_ftl::layout::SpareMeta;
 use rhik_ftl::{Ftl, IndexBackend, IndexError, ResizeEvent};
-use rhik_nand::NandOp;
+use rhik_nand::{NandOp, Ppa};
 
 use crate::bucket::{empty_page, page_records, TableInsert, TablePage};
-use crate::directory::Directory;
-use crate::index::{RhikIndex, OVERFLOW_KEY};
-use crate::pages::CachedTables;
+use crate::directory::{Directory, OVERFLOW_KEY};
+use crate::index::RhikIndex;
+use crate::pages::{self, CachedTables};
 
 /// An in-flight incremental doubling.
 pub(crate) struct Migration {
@@ -83,6 +83,24 @@ impl Migration {
         let total = self.split_ahead.len() as u64;
         let done = (0..self.split_ahead.len() as u32).filter(|&s| self.is_split(s)).count() as u64;
         (done, total)
+    }
+
+    /// The flash pointer of the frozen old table cached under `key`, while
+    /// its slot has not split (it is then the authoritative copy of its
+    /// records); `None` once the slot split.
+    pub(crate) fn pending_table_ppa(&mut self, key: u64) -> Option<&mut Option<Ppa>> {
+        let old_key = self.old.is_current_key(key & !OVERFLOW_KEY);
+        if old_key && !self.is_split(Directory::slot_of_key(key)) {
+            self.old.table_ppa_mut(key)
+        } else {
+            None
+        }
+    }
+
+    /// The frozen old tables of un-split slots, in slot order, primary
+    /// then overflow.
+    pub(crate) fn pending_tables(&self) -> impl Iterator<Item = (u64, Option<Ppa>, u32)> + '_ {
+        self.old.tables().filter(|&(key, ..)| !self.is_split(Directory::slot_of_key(key)))
     }
 
     /// Position of the in-order migration cursor (audit).
@@ -126,27 +144,15 @@ fn media_ns(ftl: &Ftl, reads: u64, programs: u64) -> u64 {
 
 /// Install the doubled directory and the migration cursor (resize step 1).
 ///
-/// Keeps the monolithic pre-flight: the whole migration must fit the free
-/// pool up front, or the resize is deferred wholesale (`NeedsGc`) with the
-/// directory untouched. Also re-anchors the persistent snapshot to the
-/// pre-doubling directory — periodic snapshot flushes are suppressed while
-/// migrating (a snapshot cannot describe a half-split configuration), so
-/// this is what a mid-migration crash mounts.
+/// Needs no space budget beyond re-anchoring the persistent snapshot to
+/// the pre-doubling directory (`NeedsGc` if even that cannot be written,
+/// with the directory untouched): each split checks its own space. Periodic
+/// snapshot flushes are suppressed while migrating (a snapshot cannot
+/// describe a half-split configuration), so the re-anchored snapshot is
+/// what a mid-migration crash mounts.
 pub(crate) fn begin(idx: &mut RhikIndex, ftl: &mut Ftl) -> Result<(), IndexError> {
     debug_assert!(idx.migration.is_none(), "resize begun while one is in flight");
     let old_tables = idx.directory().len() as u64;
-    let page_size = ftl.geometry().page_size as usize;
-    let snapshot_pages = idx.directory().snapshot_pages(page_size, 0).len() as u64 * 2;
-    let overflow_tables = (0..idx.directory().len() as u32)
-        .filter(|&s| idx.directory().entry(s).has_overflow)
-        .count() as u64;
-    // Worst case each split target also needs a fresh overflow table.
-    let pages_needed = 4 * old_tables + overflow_tables + snapshot_pages + 1;
-    let ppb = ftl.geometry().pages_per_block as u64;
-    if (ftl.free_blocks() as u64) * ppb < pages_needed {
-        return Err(IndexError::NeedsGc);
-    }
-
     let t0 = std::time::Instant::now();
     let stats_before = ftl.stats();
     idx.flush_directory(ftl)?;
@@ -294,10 +300,8 @@ fn split_one(
     slot: u32,
 ) -> Result<(), IndexError> {
     let page_size = ftl.geometry().page_size as usize;
-    // The pre-flight budgeted the whole migration, but foreground writes
-    // interleave with it; re-check the single-slot worst case (two
-    // successors, each with a fresh overflow) so a split never starts it
-    // cannot finish.
+    // Check the single-slot worst case (two successors, each with a fresh
+    // overflow) so a split never starts what it cannot finish.
     let ppb = ftl.geometry().pages_per_block as u64;
     if (ftl.free_blocks() as u64) * ppb < 4 {
         return Err(IndexError::NeedsGc);
@@ -396,40 +400,27 @@ fn split_one(
     }
 
     // Persist the successors immediately (streamed migration). Replacing
-    // (and retiring) any existing successor pointer makes a retry after a
+    // (and retiring) any existing successor copy makes a retry after a
     // mid-slot flash failure clean: the losing attempt's pages go stale.
     for (new_slot, successor) in [(lo_slot, lo), (hi_slot, hi)] {
+        let key = idx.directory().cache_key(new_slot);
         if successor.records > 0 {
-            let ppa = ftl.write_index_page(successor.table.into(), SpareMeta::index_page())?;
-            idx.stats_mut().metadata_flash_programs += 1;
-            let entry = idx.dir_mut().entry_mut(new_slot);
-            entry.records = successor.records;
-            if let Some(prev) = entry.table_ppa.replace(ppa) {
-                ftl.retire_index_page(prev, page_size as u64);
-            }
+            pages::program(idx, ftl, key, successor.table.into())?;
+            idx.dir_mut().entry_mut(new_slot).records = successor.records;
         }
         if let Some((page, records)) = successor.overflow {
-            let ppa = ftl.write_index_page(page.into(), SpareMeta::index_page())?;
-            idx.stats_mut().metadata_flash_programs += 1;
+            pages::program(idx, ftl, OVERFLOW_KEY | key, page.into())?;
             let entry = idx.dir_mut().entry_mut(new_slot);
             entry.overflow_records = records;
             entry.has_overflow = true;
-            if let Some(prev) = entry.overflow_ppa.replace(ppa) {
-                ftl.retire_index_page(prev, page_size as u64);
-            }
         }
     }
 
     // Retire the old pages for the garbage collector ("the flash pages
     // containing the old index records are marked stale", §IV-A2), and
     // drop their now-dead cached copies.
-    for old_ppa in [entry.table_ppa, entry.overflow_ppa].into_iter().flatten() {
-        ftl.retire_index_page(old_ppa, page_size as u64);
-    }
-    ftl.cache().remove(old_key);
-    if entry.has_overflow {
-        ftl.cache().remove(OVERFLOW_KEY | old_key);
-    }
+    pages::retire(ftl, old_key, entry.table_ppa);
+    pages::retire(ftl, OVERFLOW_KEY | old_key, entry.overflow_ppa);
     m.migrated += moved;
     Ok(())
 }
@@ -567,9 +558,11 @@ mod tests {
     }
 
     #[test]
-    fn resize_precheck_defers_to_maintenance() {
-        // A device too small for the doubled index must defer the resize —
-        // directory untouched, record still inserted, maintenance flagged.
+    fn short_split_pauses_the_migration_for_maintenance() {
+        // On a nearly full device the doubling still begins; the first
+        // split short of free pages pauses the cursor and flags
+        // maintenance, and every record stays reachable through the frozen
+        // old table.
         let mut ftl = Ftl::new(FtlConfig::tiny()); // 8 blocks x 8 pages
         let mut idx = RhikIndex::new(
             RhikConfig {
@@ -586,24 +579,23 @@ mod tests {
         while ftl.store_pair(KeySignature(i), b"k", &[0u8; 400], 0).is_ok() {
             i += 1;
         }
-        let _ = i;
         let bits_before = idx.directory().bits();
-        // Insert past the threshold: records land, resize defers.
+        // Insert past the threshold: the records land and the doubling
+        // begins; a mutation whose own slot cannot split yet waits for GC.
         let mut inserted = 0u64;
         for k in 0..25u64 {
             match idx.insert(&mut ftl, sig(k), Ppa::new(0, 0)) {
                 Ok(_) => inserted += 1,
-                Err(IndexError::TableFull { .. }) => break,
-                Err(IndexError::NeedsGc) => break, // metadata write itself failed
+                Err(IndexError::NeedsGc) => break,
                 Err(e) => panic!("unexpected error: {e}"),
             }
         }
         assert!(inserted >= 18, "inserted {inserted}");
-        if idx.maintenance_due() {
-            // Deferred resize: directory untouched until maintain succeeds.
-            assert_eq!(idx.directory().bits(), bits_before);
-            assert_eq!(idx.maintain(&mut ftl).unwrap_err(), IndexError::NeedsGc);
-        }
+        assert_eq!(idx.directory().bits(), bits_before + 1, "the doubling began");
+        assert_eq!(idx.migration_progress(), Some((0, 1)), "the split paused");
+        assert!(idx.maintenance_due());
+        assert_eq!(idx.maintain(&mut ftl).unwrap_err(), IndexError::NeedsGc);
+        assert!(idx.resize_in_progress(), "a refused split keeps the migration");
         // Every inserted record is still reachable.
         for k in 0..inserted {
             assert!(idx.lookup(&mut ftl, sig(k)).unwrap().is_some(), "key {k} lost");

@@ -1,8 +1,9 @@
 //! Property tests: RHIK behaves exactly like a `HashMap<sig, ppa>` under
 //! arbitrary insert/update/remove/lookup interleavings — across resizes,
-//! cache evictions, and write-backs — and never needs more than one flash
-//! read per lookup. `resize_migration_batch: 1` stretches every doubling
-//! across as many operations as possible, so the interleavings routinely
+//! cache evictions, write-backs and GC relocation of index blocks — and
+//! never needs more than one flash read per lookup.
+//! `resize_migration_batch: 1` stretches every doubling across as many
+//! operations as possible, so the interleavings routinely
 //! land mid-migration (keys split between the frozen old directory and
 //! the half-populated new one). Tables patched in their page encoding
 //! match a `BTreeMap` slot for slot, and pinned digests of the pages an
@@ -56,6 +57,10 @@ enum Op {
     Remove(u16),
     Lookup(u16),
     Flush,
+    /// Relocate every live index page of one written block, as GC does
+    /// before erasing it — mid-migration too, where frozen old tables and
+    /// snapshot pages move alongside current ones.
+    Relocate(u16),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -64,6 +69,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => any::<u16>().prop_map(Op::Remove),
         3 => any::<u16>().prop_map(Op::Lookup),
         1 => Just(Op::Flush),
+        1 => any::<u16>().prop_map(Op::Relocate),
     ]
 }
 
@@ -104,6 +110,20 @@ proptest! {
                 }
                 Op::Flush => {
                     idx.flush(&mut ftl).unwrap();
+                }
+                Op::Relocate(n) => {
+                    // Nothing is erased here, so index pages fill blocks in
+                    // allocation order; `n` picks a written block that still
+                    // holds live pages.
+                    let written = ftl.stats().index_page_programs.div_ceil(8) as u32;
+                    let live: Vec<u32> = (0..written)
+                        .filter(|&b| !idx.live_index_pages_in(b).is_empty())
+                        .collect();
+                    if let Some(&block) = live.get(n as usize % live.len().max(1)) {
+                        for (key, old) in idx.live_index_pages_in(block) {
+                            idx.relocate_index_page(&mut ftl, key, old).unwrap();
+                        }
+                    }
                 }
             }
             prop_assert_eq!(idx.len(), model.len() as u64);

@@ -12,8 +12,8 @@
 //!   segmented LRU, version-based invalidation),
 //! * [`sigs`] — key signature hashing (MurmurHash2 et al.),
 //! * [`index`] — the RHIK two-level re-configurable hash index,
-//! * [`baseline`] — Samsung-style multi-level hash, NVMKV-style fixed hash,
-//!   and PinK-style LSM baselines,
+//! * [`baseline`] — Samsung-style multi-level hash (with one level, the
+//!   NVMKV-style fixed hash) and PinK-style LSM baselines,
 //! * [`kvssd`] — the KVSSD device emulator (SNIA-style command set,
 //!   sync/async engines, GC and resize integration),
 //! * [`workloads`] — key generators, trace synthesizers, and the
