@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use rhik_ftl::layout::SpareMeta;
-use rhik_ftl::{Ftl, IndexBackend, IndexError, IndexStats, InsertOutcome};
+use rhik_ftl::{Ftl, FtlError, IndexBackend, IndexStats, InsertOutcome};
 use rhik_nand::Ppa;
 use rhik_sigs::KeySignature;
 
@@ -45,7 +45,6 @@ struct Run {
     pages: Vec<Ppa>,
     /// First signature of each page (DRAM-pinned fence pointers).
     fences: Vec<u64>,
-    records: u64,
 }
 
 impl Run {
@@ -135,12 +134,6 @@ impl LsmIndex {
         self.levels.iter().map(Vec::len).sum()
     }
 
-    /// Records across all on-flash runs (duplicates included — compaction
-    /// debt).
-    pub fn run_records(&self) -> u64 {
-        self.levels.iter().flatten().map(|r| r.records).sum()
-    }
-
     fn cache_key(ppa: Ppa) -> u64 {
         (1u64 << 52) | ppa.pack()
     }
@@ -150,7 +143,7 @@ impl LsmIndex {
         &mut self,
         ftl: &mut Ftl,
         ppa: Ppa,
-    ) -> Result<(Vec<(u64, u64)>, u64), IndexError> {
+    ) -> Result<(Vec<(u64, u64)>, u64), FtlError> {
         let key = Self::cache_key(ppa);
         if let Some(bytes) = ftl.cache().get(key) {
             return Ok((decode_run_page(bytes), 0));
@@ -171,7 +164,7 @@ impl LsmIndex {
         level: usize,
         run: usize,
         sig: u64,
-    ) -> Result<(Option<Option<Ppa>>, u64), IndexError> {
+    ) -> Result<(Option<Option<Ppa>>, u64), FtlError> {
         let Some(page_idx) = self.levels[level][run].page_for(sig) else {
             return Ok((None, 0));
         };
@@ -192,7 +185,7 @@ impl LsmIndex {
 
     /// Full point query: memtable then runs newest-to-oldest. Returns
     /// `(outcome, flash reads)`; `Some(None)` means tombstoned.
-    fn query(&mut self, ftl: &mut Ftl, sig: u64) -> Result<(Option<Option<Ppa>>, u64), IndexError> {
+    fn query(&mut self, ftl: &mut Ftl, sig: u64) -> Result<(Option<Option<Ppa>>, u64), FtlError> {
         if let Some(v) = self.memtable.get(&sig) {
             return Ok((Some(*v), 0));
         }
@@ -210,7 +203,7 @@ impl LsmIndex {
     }
 
     /// Flush the memtable into a fresh level-0 run.
-    fn flush_memtable(&mut self, ftl: &mut Ftl) -> Result<(), IndexError> {
+    fn flush_memtable(&mut self, ftl: &mut Ftl) -> Result<(), FtlError> {
         if self.memtable.is_empty() {
             return Ok(());
         }
@@ -225,7 +218,7 @@ impl LsmIndex {
         self.maybe_compact(ftl)
     }
 
-    fn write_run(&mut self, ftl: &mut Ftl, records: &[(u64, u64)]) -> Result<Run, IndexError> {
+    fn write_run(&mut self, ftl: &mut Ftl, records: &[(u64, u64)]) -> Result<Run, FtlError> {
         let page_size = ftl.geometry().page_size as usize;
         let mut pages = Vec::new();
         let mut fences = Vec::new();
@@ -235,7 +228,7 @@ impl LsmIndex {
             pages.push(ppa);
             fences.push(first_sig);
         }
-        Ok(Run { pages, fences, records: records.len() as u64 })
+        Ok(Run { pages, fences })
     }
 
     fn retire_run(&mut self, ftl: &mut Ftl, run: &Run) {
@@ -248,7 +241,7 @@ impl LsmIndex {
 
     /// Tiered compaction: when a level exceeds its run budget, merge all of
     /// its runs into one run in the next level.
-    fn maybe_compact(&mut self, ftl: &mut Ftl) -> Result<(), IndexError> {
+    fn maybe_compact(&mut self, ftl: &mut Ftl) -> Result<(), FtlError> {
         for level in 0..self.levels.len() {
             if self.levels[level].len() <= self.cfg.max_runs_per_level {
                 continue;
@@ -293,7 +286,7 @@ impl IndexBackend for LsmIndex {
         ftl: &mut Ftl,
         sig: KeySignature,
         ppa: Ppa,
-    ) -> Result<InsertOutcome, IndexError> {
+    ) -> Result<InsertOutcome, FtlError> {
         self.stats.inserts += 1;
         // LSM must query to distinguish insert from update (the binary
         // search overhead §II-B complains about).
@@ -311,14 +304,14 @@ impl IndexBackend for LsmIndex {
         }
     }
 
-    fn lookup(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
+    fn lookup(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, FtlError> {
         self.stats.lookups += 1;
         let (hit, reads) = self.query(ftl, sig.0)?;
         self.stats.note_lookup_reads(reads);
         Ok(hit.flatten())
     }
 
-    fn remove(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
+    fn remove(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, FtlError> {
         self.stats.removes += 1;
         let (prev, _) = self.query(ftl, sig.0)?;
         match prev {
@@ -361,7 +354,7 @@ impl IndexBackend for LsmIndex {
         "lsm"
     }
 
-    fn flush(&mut self, ftl: &mut Ftl) -> Result<(), IndexError> {
+    fn flush(&mut self, ftl: &mut Ftl) -> Result<(), FtlError> {
         self.flush_memtable(ftl)
     }
 
@@ -369,7 +362,7 @@ impl IndexBackend for LsmIndex {
         &mut self,
         ftl: &mut Ftl,
         visit: &mut dyn FnMut(KeySignature, Ppa),
-    ) -> Result<(), IndexError> {
+    ) -> Result<(), FtlError> {
         // Newest-wins semantics: collect into a map, oldest runs first,
         // memtable last; tombstones suppress.
         let mut merged: BTreeMap<u64, Option<Ppa>> = BTreeMap::new();
@@ -411,7 +404,7 @@ impl IndexBackend for LsmIndex {
         ftl: &mut Ftl,
         key: u64,
         old: Ppa,
-    ) -> Result<Option<Ppa>, IndexError> {
+    ) -> Result<Option<Ppa>, FtlError> {
         if key != Self::cache_key(old) {
             return Ok(None);
         }

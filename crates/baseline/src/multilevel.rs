@@ -15,7 +15,7 @@
 
 use rhik_core::pages::{self, CachedTables};
 use rhik_core::TableInsert;
-use rhik_ftl::{Ftl, IndexBackend, IndexError, IndexStats, InsertOutcome};
+use rhik_ftl::{Ftl, FtlError, IndexBackend, IndexStats, InsertOutcome};
 use rhik_nand::Ppa;
 use rhik_sigs::KeySignature;
 
@@ -25,7 +25,7 @@ pub struct MultiLevelConfig {
     /// Table count of level 0 is `2^initial_bits`.
     pub initial_bits: u32,
     /// Hard cap on levels; inserting past it fails with
-    /// [`IndexError::CapacityExhausted`] — the bounded-key-count behaviour
+    /// [`FtlError::CapacityExhausted`] — the bounded-key-count behaviour
     /// observed on the real device (§III: ~3.1 B keys on a 3.84 TB PM983).
     /// One level is the NVMKV-style fixed table.
     pub max_levels: u32,
@@ -106,7 +106,7 @@ impl MultiLevelIndex {
         ftl: &mut Ftl,
         level: usize,
         slot: u32,
-    ) -> Result<(pages::Table, u64), IndexError> {
+    ) -> Result<(pages::Table, u64), FtlError> {
         let ppa = self.levels[level].tables[slot as usize];
         pages::load(self, ftl, Self::cache_key(level, slot), ppa)
     }
@@ -142,7 +142,7 @@ impl IndexBackend for MultiLevelIndex {
         ftl: &mut Ftl,
         sig: KeySignature,
         ppa: Ppa,
-    ) -> Result<InsertOutcome, IndexError> {
+    ) -> Result<InsertOutcome, FtlError> {
         self.stats.inserts += 1;
 
         // Pass 1: if the signature exists in any level, update in place.
@@ -183,7 +183,7 @@ impl IndexBackend for MultiLevelIndex {
             // No level had room: append one (the Fig. 2 growth cliff).
             if self.levels.len() as u32 >= self.cfg.max_levels {
                 self.stats.insert_aborts += 1;
-                return Err(IndexError::CapacityExhausted);
+                return Err(FtlError::CapacityExhausted);
             }
             let next_bits = self.levels.last().expect("nonempty").bits + 1;
             self.levels.push(Level::new(next_bits));
@@ -191,7 +191,7 @@ impl IndexBackend for MultiLevelIndex {
         }
     }
 
-    fn lookup(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
+    fn lookup(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, FtlError> {
         self.stats.lookups += 1;
         let mut reads = 0;
         let mut found = None;
@@ -211,7 +211,7 @@ impl IndexBackend for MultiLevelIndex {
         Ok(found)
     }
 
-    fn remove(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
+    fn remove(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, FtlError> {
         self.stats.removes += 1;
         for level in 0..self.levels.len() {
             let slot = self.levels[level].slot_of(sig);
@@ -256,7 +256,7 @@ impl IndexBackend for MultiLevelIndex {
         "multilevel"
     }
 
-    fn flush(&mut self, ftl: &mut Ftl) -> Result<(), IndexError> {
+    fn flush(&mut self, ftl: &mut Ftl) -> Result<(), FtlError> {
         pages::flush_dirty(self, ftl)
     }
 
@@ -264,7 +264,7 @@ impl IndexBackend for MultiLevelIndex {
         &mut self,
         ftl: &mut Ftl,
         visit: &mut dyn FnMut(KeySignature, Ppa),
-    ) -> Result<(), IndexError> {
+    ) -> Result<(), FtlError> {
         pages::scan_records(self, ftl, visit)
     }
 
@@ -277,7 +277,7 @@ impl IndexBackend for MultiLevelIndex {
         ftl: &mut Ftl,
         key: u64,
         old: Ppa,
-    ) -> Result<Option<Ppa>, IndexError> {
+    ) -> Result<Option<Ppa>, FtlError> {
         pages::relocate(self, ftl, key, old)
     }
 }
@@ -391,7 +391,7 @@ mod tests {
         for i in 0..200u64 {
             match idx_small.insert(&mut ftl, mix(i), Ppa::new(0, 0)) {
                 Ok(_) => stored += 1,
-                Err(IndexError::CapacityExhausted) => {
+                Err(FtlError::CapacityExhausted) => {
                     rejected = true;
                     break;
                 }
@@ -432,7 +432,7 @@ mod tests {
         for i in 0..500u64 {
             match idx.insert(&mut ftl, mix(i), Ppa::new(0, 0)) {
                 Ok(_) => stored += 1,
-                Err(IndexError::CapacityExhausted) => {
+                Err(FtlError::CapacityExhausted) => {
                     capped = true;
                     break;
                 }

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use rhik_baseline::{LsmConfig, LsmIndex, MultiLevelConfig, MultiLevelIndex};
-use rhik_ftl::{Ftl, FtlConfig, IndexBackend, IndexError};
+use rhik_ftl::{Ftl, FtlConfig, FtlError, IndexBackend};
 use rhik_nand::{NandGeometry, Ppa};
 use rhik_sigs::KeySignature;
 use std::collections::HashMap;
@@ -65,7 +65,7 @@ fn check_against_model<I: IndexBackend>(mut idx: I, ops: &[Op]) -> Result<(), Te
                     Ok(_) => {
                         model.insert(sig.0, ppa);
                     }
-                    Err(IndexError::TableFull { .. }) | Err(IndexError::CapacityExhausted) => {}
+                    Err(FtlError::TableFull { .. }) | Err(FtlError::CapacityExhausted) => {}
                     Err(e) => return Err(TestCaseError::fail(format!("insert: {e}"))),
                 }
             }
@@ -164,7 +164,7 @@ fn stream_digest(idx: &mut dyn IndexBackend, seed: u64, ops: u32) -> u64 {
         let ppa = Ppa::new((state >> 20) as u32 % 1000, (state >> 40) as u32 % 8);
         match (state >> 12) % 8 {
             0..=4 => match idx.insert(&mut ftl, sig, ppa) {
-                Ok(_) | Err(IndexError::CapacityExhausted) => {}
+                Ok(_) | Err(FtlError::CapacityExhausted) => {}
                 Err(e) => panic!("insert: {e}"),
             },
             5 | 6 => {

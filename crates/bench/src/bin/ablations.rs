@@ -16,7 +16,7 @@
 use rhik_baseline::MultiLevelConfig;
 use rhik_bench::{fmt_bytes, render_table, Scale};
 use rhik_core::{RecordTable, RhikConfig, RhikIndex, TableInsert};
-use rhik_ftl::{Ftl, FtlConfig, GcConfig, IndexBackend, IndexError};
+use rhik_ftl::{Ftl, FtlConfig, FtlError, GcConfig, IndexBackend};
 use rhik_kvssd::{DeviceConfig, EngineMode, KvssdDevice};
 use rhik_nand::{DeviceProfile, NandGeometry, Ppa};
 use rhik_sigs::{estimate, KeySignature, SigHasher};
@@ -239,7 +239,7 @@ fn ablate_resize_threshold(scale: Scale) {
                 let sig = hasher.sign(format!("abl4-{i:012}").as_bytes());
                 match idx.insert(&mut ftl, sig, Ppa::new(0, 0)) {
                     Ok(_) => {}
-                    Err(IndexError::TableFull { .. }) => aborts += 1,
+                    Err(FtlError::TableFull { .. }) => aborts += 1,
                     Err(e) => panic!("unexpected: {e}"),
                 }
                 if idx.maintenance_due() {

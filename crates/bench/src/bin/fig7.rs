@@ -70,13 +70,13 @@ fn main() {
             // millions of inserts a few tables hit their hop limit just
             // below the global trigger. The device rejects the key; the
             // harness counts and moves on.
-            Err(rhik_ftl::IndexError::TableFull { .. }) => aborts += 1,
+            Err(rhik_ftl::FtlError::TableFull { .. }) => aborts += 1,
             Err(e) => panic!("insert: {e}"),
         }
         if idx.maintenance_due() {
             match idx.maintain(&mut ftl) {
                 Ok(()) => {}
-                Err(rhik_ftl::IndexError::NeedsGc) => {
+                Err(rhik_ftl::FtlError::NeedsGc) => {
                     rhik_ftl::gc::run(&mut ftl, &mut idx, &gc_cfg).expect("gc");
                     let _ = idx.maintain(&mut ftl);
                 }

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use rhik_nand::{BlockId, NandGeometry};
 
+use crate::ftl::FtlError;
 use crate::sync::FlashPool;
 
 /// Which log a block belongs to. Separating index and data streams keeps GC
@@ -69,11 +70,6 @@ pub struct BlockAllocator {
     /// shares between its shards so no block is leased twice.
     pool: Arc<FlashPool>,
 }
-
-/// Raised when the free pool (minus reserve) is exhausted — the device must
-/// run GC and retry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NeedsGc;
 
 /// Privilege of a block acquisition against the GC reserve.
 ///
@@ -153,11 +149,6 @@ impl BlockAllocator {
         self.gc_mode = on;
     }
 
-    #[allow(dead_code)] // diagnostic accessor, exercised by integration users
-    pub fn gc_mode(&self) -> bool {
-        self.gc_mode
-    }
-
     /// The pool's GC reserve.
     pub fn gc_reserve(&self) -> u32 {
         self.pool.reserve()
@@ -168,7 +159,7 @@ impl BlockAllocator {
         &self.pool
     }
 
-    fn pop_free(&mut self, allow_reserve: bool) -> Result<BlockId, NeedsGc> {
+    fn pop_free(&mut self, allow_reserve: bool) -> Result<BlockId, FtlError> {
         let class = if self.gc_mode {
             AcquireClass::Gc
         } else if allow_reserve {
@@ -205,7 +196,7 @@ impl BlockAllocator {
         &mut self,
         stream: Stream,
         allow_reserve: bool,
-    ) -> Result<rhik_nand::Ppa, NeedsGc> {
+    ) -> Result<rhik_nand::Ppa, FtlError> {
         let ppb = self.geometry.pages_per_block;
         loop {
             let open = *self.open_slot(stream);
@@ -230,15 +221,6 @@ impl BlockAllocator {
         }
     }
 
-    /// Pages remaining in `stream`'s open block (0 when none is open).
-    #[allow(dead_code)] // diagnostic accessor (tests, future policies)
-    pub fn open_pages_left(&self, stream: Stream) -> u32 {
-        match self.open_block(stream) {
-            Some(b) => self.geometry.pages_per_block - self.meta[b as usize].pages_used,
-            None => 0,
-        }
-    }
-
     /// Make sure the extent stream's open block has at least `pages_needed`
     /// unprogrammed pages: reuse the current block if it qualifies, else
     /// park it and reopen the roomiest parked block that fits, else pull a
@@ -247,7 +229,7 @@ impl BlockAllocator {
         &mut self,
         pages_needed: u32,
         allow_reserve: bool,
-    ) -> Result<(), NeedsGc> {
+    ) -> Result<(), FtlError> {
         let ppb = self.geometry.pages_per_block;
         debug_assert!(pages_needed <= ppb, "extent larger than an erase block");
         if let Some(b) = self.open_extent {
@@ -280,16 +262,19 @@ impl BlockAllocator {
         }
     }
 
-    /// Blocks currently parked (diagnostics).
-    #[allow(dead_code)] // diagnostic accessor (tests, future policies)
-    pub fn parked_blocks(&self) -> usize {
-        self.parked_extent.len()
-    }
-
     /// Remove `block` from the parked list so GC can collect it without the
     /// allocator re-opening it as a relocation target.
     pub fn quarantine(&mut self, block: BlockId) {
         self.parked_extent.retain(|&b| b != block);
+    }
+
+    /// Move `bytes` of `block`'s payload from live to stale (a pair
+    /// superseded, deleted or lost with the write buffer; a retired index
+    /// page).
+    pub fn mark_stale(&mut self, block: BlockId, bytes: u64) {
+        let m = &mut self.meta[block as usize];
+        m.stale_bytes += bytes;
+        m.live_bytes = m.live_bytes.saturating_sub(bytes);
     }
 
     /// Seal `stream`'s open block early (an extent needed a fresh block).
@@ -350,6 +335,21 @@ mod tests {
     use super::*;
     use rhik_nand::Ppa;
 
+    impl BlockAllocator {
+        /// Pages remaining in `stream`'s open block (0 when none is open).
+        fn open_pages_left(&self, stream: Stream) -> u32 {
+            match self.open_block(stream) {
+                Some(b) => self.geometry.pages_per_block - self.meta[b as usize].pages_used,
+                None => 0,
+            }
+        }
+
+        /// Blocks currently parked.
+        fn parked_blocks(&self) -> usize {
+            self.parked_extent.len()
+        }
+    }
+
     fn alloc() -> BlockAllocator {
         let pool = Arc::new(FlashPool::new(NandGeometry::tiny(), 2));
         BlockAllocator::with_pool(NandGeometry::tiny(), pool)
@@ -396,7 +396,7 @@ mod tests {
             a.next_page(Stream::Data, false).unwrap();
         }
         assert_eq!(a.free_blocks(), 0);
-        assert_eq!(a.next_page(Stream::Data, false), Err(NeedsGc));
+        assert_eq!(a.next_page(Stream::Data, false), Err(FtlError::NeedsGc));
         a.set_gc_mode(true);
         assert!(a.next_page(Stream::Data, false).is_ok());
         a.set_gc_mode(false);
@@ -507,7 +507,7 @@ mod tests {
             a.next_page(Stream::Data, false).unwrap();
         }
         a.close_open_block(Stream::Data);
-        assert_eq!(a.next_page(Stream::Data, false), Err(NeedsGc));
+        assert_eq!(a.next_page(Stream::Data, false), Err(FtlError::NeedsGc));
         assert_eq!(b.next_page(Stream::Data, false).unwrap().block, pb.block);
         // b's GC mode may dip into the shared reserve.
         b.close_open_block(Stream::Data);

@@ -8,23 +8,35 @@ use rhik_nand::{DeviceProfile, NandArray, NandGeometry, NandOp, Ppa};
 use rhik_sigs::KeySignature;
 use rhik_telemetry::{Stage, StageEvent, TelemetrySink};
 
-use crate::alloc::{BlockAllocator, NeedsGc, Stream};
+use crate::alloc::{BlockAllocator, Stream};
 use crate::cache::IndexPageCache;
 use crate::layout::{PageBuilder, SpareMeta, RECORD_PREFIX_LEN, SIG_ENTRY_LEN};
 use crate::sync::{FlashPool, Mutex, MutexGuard};
 use crate::traits::TimedOp;
 
-/// Errors surfaced by FTL services.
+/// The one firmware error type, from the block allocator up through the
+/// index. `NeedsGc` is the out-of-space signal every layer raises alike;
+/// the device answers it by collecting and retrying.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FtlError {
-    /// Free pool exhausted; the device must run garbage collection.
+    /// The free pool cannot take the write (data, metadata, or an
+    /// imminent resize); the device must garbage-collect and retry.
     NeedsGc,
+    /// Hopscotch displacement could not find a slot within the hop range —
+    /// the paper's "uncorrectable error is returned and the operation is
+    /// aborted" (§IV-A1). The application must pick a new key.
+    TableFull { table: u64 },
+    /// The index's fixed capacity is exhausted (NVMKV-style baseline; RHIK
+    /// resizes instead and never returns this).
+    CapacityExhausted,
     /// Value cannot fit one erase block's extent (physical packing limit;
     /// the index-induced limit of NVMKV is gone, §IV-A5, but extents stay
     /// within an erase block).
     ValueTooLarge { len: usize, max: usize },
     /// Key alone cannot fit a page.
     KeyTooLarge { len: usize },
+    /// The installed index does not implement this optional operation.
+    Unsupported(&'static str),
     /// Media error.
     Flash(rhik_nand::NandError),
     /// A cross-layer invariant broke mid-operation (e.g. GC met a record
@@ -38,10 +50,15 @@ impl std::fmt::Display for FtlError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FtlError::NeedsGc => write!(f, "free pool exhausted; GC required"),
+            FtlError::TableFull { table } => {
+                write!(f, "record-layer table {table} full within hop range")
+            }
+            FtlError::CapacityExhausted => write!(f, "index capacity exhausted"),
             FtlError::ValueTooLarge { len, max } => {
                 write!(f, "value of {len} B exceeds extent limit of {max} B")
             }
             FtlError::KeyTooLarge { len } => write!(f, "key of {len} B cannot fit a flash page"),
+            FtlError::Unsupported(op) => write!(f, "operation {op} not supported by this index"),
             FtlError::Flash(e) => write!(f, "flash error: {e}"),
             FtlError::Corrupt(detail) => write!(f, "cross-layer invariant broken: {detail}"),
         }
@@ -53,12 +70,6 @@ impl std::error::Error for FtlError {}
 impl From<rhik_nand::NandError> for FtlError {
     fn from(e: rhik_nand::NandError) -> Self {
         FtlError::Flash(e)
-    }
-}
-
-impl From<NeedsGc> for FtlError {
-    fn from(_: NeedsGc) -> Self {
-        FtlError::NeedsGc
     }
 }
 
@@ -433,13 +444,11 @@ impl Ftl {
         // ordering never conflicts with the buffered head page.
         let mut cont_start = None;
         if cont_pages > 0 {
-            self.alloc
-                .open_extent_block_with_room(cont_pages as u32, false)
-                .map_err(FtlError::from)?;
+            self.alloc.open_extent_block_with_room(cont_pages as u32, false)?;
             let mut body = &value[frag..];
             for i in 0..cont_pages {
                 let take = body.len().min(page);
-                let ppa = self.alloc.next_page(Stream::Extent, false).map_err(FtlError::from)?;
+                let ppa = self.alloc.next_page(Stream::Extent, false)?;
                 if i == 0 {
                     cont_start = Some(ppa);
                 } else {
@@ -469,9 +478,7 @@ impl Ftl {
         // can reclaim them before propagating the error.
         if let Err(e) = self.ensure_head_room(key.len(), frag) {
             if let Some(cont) = cont_start {
-                let m = self.alloc.meta_mut(cont.block);
-                m.stale_bytes += body_bytes as u64;
-                m.live_bytes = m.live_bytes.saturating_sub(body_bytes as u64);
+                self.alloc.mark_stale(cont.block, body_bytes as u64);
             }
             return Err(e);
         }
@@ -510,7 +517,7 @@ impl Ftl {
             self.flush_data_builder()?;
         }
         if self.data_builder.is_none() {
-            let ppa = self.alloc.next_page(Stream::Data, false).map_err(FtlError::from)?;
+            let ppa = self.alloc.next_page(Stream::Data, false)?;
             self.data_builder = Some((ppa, PageBuilder::new(page)));
         }
         Ok(())
@@ -546,16 +553,12 @@ impl Ftl {
             // (and the reserved head page) are dead weight until the block
             // is erased.
             let lost: u64 = self.pending.values().map(|(_, _, e)| e.head_bytes).sum();
-            let m = self.alloc.meta_mut(head.block);
-            m.stale_bytes += lost;
-            m.live_bytes = m.live_bytes.saturating_sub(lost);
+            self.alloc.mark_stale(head.block, lost);
         }
         // Orphaned bodies of lost pairs become stale garbage.
         for (_, _, extent) in self.pending.values() {
             if let Some(cont) = extent.cont_start {
-                let m = self.alloc.meta_mut(cont.block);
-                m.stale_bytes += extent.cont_bytes;
-                m.live_bytes = m.live_bytes.saturating_sub(extent.cont_bytes);
+                self.alloc.mark_stale(cont.block, extent.cont_bytes);
             }
         }
         self.pending.clear();
@@ -634,13 +637,9 @@ impl Ftl {
     /// Mark a stored extent stale (pair deleted or superseded). Head and
     /// body live in different partitions; both sides are charged.
     pub fn mark_stale(&mut self, extent: &WrittenExtent) {
-        let m = self.alloc.meta_mut(extent.head.block);
-        m.stale_bytes += extent.head_bytes;
-        m.live_bytes = m.live_bytes.saturating_sub(extent.head_bytes);
+        self.alloc.mark_stale(extent.head.block, extent.head_bytes);
         if let Some(cont) = extent.cont_start {
-            let m = self.alloc.meta_mut(cont.block);
-            m.stale_bytes += extent.cont_bytes;
-            m.live_bytes = m.live_bytes.saturating_sub(extent.cont_bytes);
+            self.alloc.mark_stale(cont.block, extent.cont_bytes);
         }
         // Pending write-buffer copies are removed by signature via
         // `drop_pending`.
@@ -658,7 +657,7 @@ impl Ftl {
     /// resize's per-split space check and the device's proactive GC keep
     /// the pool healthy.
     pub fn write_index_page(&mut self, data: Bytes, meta: SpareMeta) -> Result<Ppa, FtlError> {
-        let ppa = self.alloc.next_page(Stream::Index, true).map_err(FtlError::from)?;
+        let ppa = self.alloc.next_page(Stream::Index, true)?;
         let len = data.len() as u64;
         self.program(ppa, data, meta, true)?;
         self.alloc.meta_mut(ppa.block).live_bytes += len;
@@ -675,9 +674,7 @@ impl Ftl {
 
     /// Mark an index page superseded (table rewritten or resized away).
     pub fn retire_index_page(&mut self, ppa: Ppa, bytes: u64) {
-        let m = self.alloc.meta_mut(ppa.block);
-        m.stale_bytes += bytes;
-        m.live_bytes = m.live_bytes.saturating_sub(bytes);
+        self.alloc.mark_stale(ppa.block, bytes);
     }
 
     // ----------------------------------------------------------------- gc
@@ -942,6 +939,12 @@ mod tests {
         assert!(matches!(err, FtlError::ValueTooLarge { .. }));
         // At the limit it works.
         assert!(f.store_pair(sig(2), b"k", &vec![0u8; max], 0).is_ok());
+    }
+
+    #[test]
+    fn ftl_error_display() {
+        assert!(FtlError::TableFull { table: 3 }.to_string().contains("table 3"));
+        assert!(FtlError::CapacityExhausted.to_string().contains("capacity"));
     }
 
     #[test]

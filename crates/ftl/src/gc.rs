@@ -19,7 +19,7 @@ use std::sync::Arc;
 use crate::alloc::Stream;
 use crate::ftl::{Ftl, FtlError};
 use crate::layout::{self, PageKind, SpareMeta};
-use crate::traits::{IndexBackend, IndexError, InsertOutcome};
+use crate::traits::IndexBackend;
 use rhik_nand::Ppa;
 
 /// Victim-selection policy.
@@ -248,16 +248,9 @@ fn clean_head_block<I: IndexBackend>(
         let Some(head) = layout::HeadPage::parse(&data, page_size) else { continue };
         for i in head.newest() {
             let sig = head.sig(i);
-            let valid = match index.lookup(ftl, sig) {
-                Ok(Some(current)) => current == ppa,
-                Ok(None) => false,
-                Err(IndexError::Flash(e)) => return Err(FtlError::Flash(e)),
-                // A refused index write-back: the pair's liveness is
-                // unknown, so leave the victim uncollected.
-                Err(IndexError::NeedsGc) => return Err(FtlError::NeedsGc),
-                Err(_) => false,
-            };
-            if valid {
+            // A refused index write-back (`NeedsGc`) leaves the pair's
+            // liveness unknown: the error leaves the victim uncollected.
+            if index.lookup(ftl, sig)? == Some(ppa) {
                 live.push((sig, head.entry(i)));
             } else {
                 report.pairs_discarded += 1;
@@ -324,15 +317,9 @@ fn clean_extent_block<I: IndexBackend>(
             report.pairs_discarded += 1;
             continue;
         }
-        let head = match index.lookup(ftl, sig) {
-            Ok(Some(h)) => h,
-            Ok(None) => {
-                report.pairs_discarded += 1;
-                continue;
-            }
-            Err(IndexError::Flash(e)) => return Err(FtlError::Flash(e)),
-            Err(IndexError::NeedsGc) => return Err(FtlError::NeedsGc),
-            Err(_) => continue,
+        let Some(head) = index.lookup(ftl, sig)? else {
+            report.pairs_discarded += 1;
+            continue;
         };
         let (data, _) = ftl.read_data_page(head)?;
         let Some(entry) = layout::find_in_head(&data, page_size, sig) else {
@@ -380,26 +367,14 @@ fn relocate_pair<I: IndexBackend>(
     })?;
 
     let extent = ftl.store_pair(sig, &entry.key, &value, entry.flags)?;
-    match index.insert(ftl, sig, extent.head) {
-        Ok(InsertOutcome::Inserted) | Ok(InsertOutcome::Updated { .. }) => {}
-        Err(IndexError::Flash(e)) => return Err(FtlError::Flash(e)),
-        Err(IndexError::NeedsGc) => {
-            // The pool is exhausted even for metadata. Abandon the new
-            // copy (it becomes stale garbage) and abort before the
-            // victim is erased — the index still points at the old,
-            // intact copy, so no data is lost.
-            ftl.mark_stale(&extent);
-            ftl.drop_pending(sig);
-            return Err(FtlError::NeedsGc);
-        }
-        Err(e) => {
-            // Same recovery as NeedsGc: abandon the new copy before the
-            // victim is erased, so the index keeps pointing at intact
-            // data while the error propagates.
-            ftl.mark_stale(&extent);
-            ftl.drop_pending(sig);
-            return Err(FtlError::Corrupt(format!("GC relocation lost index record: {e}")));
-        }
+    if let Err(e) = index.insert(ftl, sig, extent.head) {
+        // The index could not repoint (`NeedsGc`: the pool is exhausted
+        // even for metadata). Abandon the new copy (it becomes stale
+        // garbage) and abort before the victim is erased — the index
+        // still points at the old, intact copy, so no data is lost.
+        ftl.mark_stale(&extent);
+        ftl.drop_pending(sig);
+        return Err(e);
     }
     report.pairs_relocated += 1;
     ftl.note_gc_relocation(1);
@@ -420,18 +395,12 @@ fn clean_index_block<I: IndexBackend>(
         return Ok(false);
     }
     for (key, old) in live_pages {
-        match index.relocate_index_page(ftl, key, old) {
-            Ok(Some(_new)) => report.index_pages_relocated += 1,
-            Ok(None) => {} // page turned out to be stale after all
-            Err(IndexError::Flash(e)) => return Err(FtlError::Flash(e)),
-            // Pool exhausted mid-relocation: abort before the erase.
-            // Pages already moved are re-pointed; the rest stay live in
-            // this (uncollected) block.
-            Err(IndexError::NeedsGc) => return Err(FtlError::NeedsGc),
-            // Any other index failure aborts before the erase, like
-            // NeedsGc above: pages already moved are re-pointed, the
-            // rest stay live in this (uncollected) block.
-            Err(e) => return Err(FtlError::Corrupt(format!("index page relocation failed: {e}"))),
+        // An error (`NeedsGc`: pool exhausted mid-relocation) aborts
+        // before the erase: pages already moved are re-pointed, the rest
+        // stay live in this (uncollected) block. `None`: the page turned
+        // out to be stale after all.
+        if index.relocate_index_page(ftl, key, old)?.is_some() {
+            report.index_pages_relocated += 1;
         }
     }
     ftl.erase_block(block)?;
@@ -463,19 +432,19 @@ mod tests {
             _f: &mut Ftl,
             sig: KeySignature,
             ppa: Ppa,
-        ) -> Result<InsertOutcome, IndexError> {
+        ) -> Result<InsertOutcome, FtlError> {
             match self.map.insert(sig.0, ppa) {
                 Some(old) => Ok(InsertOutcome::Updated { old }),
                 None => Ok(InsertOutcome::Inserted),
             }
         }
-        fn lookup(&mut self, _f: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
+        fn lookup(&mut self, _f: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, FtlError> {
             if self.refuse_lookups {
-                return Err(IndexError::NeedsGc);
+                return Err(FtlError::NeedsGc);
             }
             Ok(self.map.get(&sig.0).copied())
         }
-        fn remove(&mut self, _f: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
+        fn remove(&mut self, _f: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, FtlError> {
             Ok(self.map.remove(&sig.0))
         }
         fn len(&self) -> u64 {
@@ -493,7 +462,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "map"
         }
-        fn flush(&mut self, _f: &mut Ftl) -> Result<(), IndexError> {
+        fn flush(&mut self, _f: &mut Ftl) -> Result<(), FtlError> {
             Ok(())
         }
     }

@@ -29,10 +29,10 @@ mod alloc;
 mod ftl;
 mod traits;
 
-pub use alloc::{AcquireClass, BlockMeta, NeedsGc, Stream};
+pub use alloc::{AcquireClass, BlockMeta, Stream};
 pub use cache::IndexPageCache;
 pub use ftl::{Ftl, FtlConfig, FtlError, FtlStats, MediaReader, WrittenExtent};
 pub use gc::{GcConfig, GcPolicy, GcReport};
 pub use readview::{GenSnapshot, Lookup, ReadHit, ReadView};
 pub use sync::{FlashPool, VersionTable};
-pub use traits::{IndexBackend, IndexError, IndexStats, InsertOutcome, ResizeEvent, TimedOp};
+pub use traits::{IndexBackend, IndexStats, InsertOutcome, ResizeEvent, TimedOp};

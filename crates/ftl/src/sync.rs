@@ -66,7 +66,8 @@ use atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use rhik_nand::{BlockId, NandGeometry};
 
-use crate::alloc::{AcquireClass, NeedsGc};
+use crate::alloc::AcquireClass;
+use crate::ftl::FtlError;
 
 // ---------------------------------------------------------------- epochs
 
@@ -491,11 +492,11 @@ impl FlashPool {
     /// Lease one erased block. The caller's [`AcquireClass`] decides how
     /// deep into the tiered reserve it may reach: host data stops at the
     /// full reserve, metadata write-backs at half, GC at zero.
-    pub fn acquire(&self, class: AcquireClass) -> Result<BlockId, NeedsGc> {
+    pub fn acquire(&self, class: AcquireClass) -> Result<BlockId, FtlError> {
         let floor = class.floor(self.reserve);
         let mut q = self.queue();
         if q.len() <= floor {
-            return Err(NeedsGc);
+            return Err(FtlError::NeedsGc);
         }
         let block = q.pop_front().expect("checked non-empty");
         self.free_count.store(q.len() as u32, Ordering::Release);
@@ -599,14 +600,14 @@ mod tests {
             p.acquire(AcquireClass::Normal).unwrap();
         }
         assert_eq!(p.free_blocks(), 0);
-        assert_eq!(p.acquire(AcquireClass::Normal), Err(NeedsGc));
+        assert_eq!(p.acquire(AcquireClass::Normal), Err(FtlError::NeedsGc));
         assert_eq!(p.free_blocks_raw(), 2);
         // Metadata may take one more; the last block belongs to GC alone.
         assert!(p.acquire(AcquireClass::Metadata).is_ok());
-        assert_eq!(p.acquire(AcquireClass::Metadata), Err(NeedsGc));
+        assert_eq!(p.acquire(AcquireClass::Metadata), Err(FtlError::NeedsGc));
         assert_eq!(p.free_blocks_raw(), 1);
         assert!(p.acquire(AcquireClass::Gc).is_ok());
-        assert_eq!(p.acquire(AcquireClass::Gc), Err(NeedsGc));
+        assert_eq!(p.acquire(AcquireClass::Gc), Err(FtlError::NeedsGc));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use rhik_nand::Ppa;
 use rhik_sigs::KeySignature;
 
-use crate::ftl::Ftl;
+use crate::ftl::{Ftl, FtlError};
 
 /// A flash operation tagged with the channel it occupies and its media
 /// duration — the unit the async engine schedules.
@@ -11,58 +11,6 @@ use crate::ftl::Ftl;
 pub struct TimedOp {
     pub channel: u32,
     pub duration_ns: u64,
-}
-
-/// Errors an index can raise.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum IndexError {
-    /// Hopscotch displacement could not find a slot within the hop range —
-    /// the paper's "uncorrectable error is returned and the operation is
-    /// aborted" (§IV-A1). The application must pick a new key.
-    TableFull { table: u64 },
-    /// The index's fixed capacity is exhausted (NVMKV-style baseline; RHIK
-    /// resizes instead and never returns this).
-    CapacityExhausted,
-    /// The flash free pool cannot accommodate the metadata write (or an
-    /// imminent resize); the device must garbage-collect and retry.
-    NeedsGc,
-    /// The scheme does not implement this optional operation.
-    Unsupported(&'static str),
-    /// A flash error bubbled up from the media.
-    Flash(rhik_nand::NandError),
-}
-
-impl std::fmt::Display for IndexError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IndexError::TableFull { table } => {
-                write!(f, "record-layer table {table} full within hop range")
-            }
-            IndexError::CapacityExhausted => write!(f, "index capacity exhausted"),
-            IndexError::NeedsGc => write!(f, "metadata write needs garbage collection"),
-            IndexError::Unsupported(op) => write!(f, "operation {op} not supported by this index"),
-            IndexError::Flash(e) => write!(f, "flash error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for IndexError {}
-
-impl From<rhik_nand::NandError> for IndexError {
-    fn from(e: rhik_nand::NandError) -> Self {
-        IndexError::Flash(e)
-    }
-}
-
-impl From<crate::ftl::FtlError> for IndexError {
-    fn from(e: crate::ftl::FtlError) -> Self {
-        match e {
-            crate::ftl::FtlError::NeedsGc => IndexError::NeedsGc,
-            crate::ftl::FtlError::Flash(f) => IndexError::Flash(f),
-            // Index traffic is whole pages; size errors cannot arise.
-            other => unreachable!("index metadata write hit {other}"),
-        }
-    }
 }
 
 /// Result of an insert.
@@ -116,7 +64,7 @@ pub struct IndexStats {
     /// Distribution of flash reads needed per lookup: index i counts
     /// lookups that needed exactly i reads; the last bucket is "≥ len-1".
     pub reads_per_lookup_histo: [u64; 16],
-    /// Insert aborts due to [`IndexError::TableFull`].
+    /// Insert aborts due to [`FtlError::TableFull`].
     pub insert_aborts: u64,
     /// Completed resize events (RHIK only).
     pub resizes: Vec<ResizeEvent>,
@@ -150,7 +98,12 @@ impl IndexStats {
 /// fixed table) / `LsmIndex`.
 ///
 /// All flash traffic goes through the supplied [`Ftl`], so the firmware's
-/// statistics see exactly what the index does.
+/// statistics see exactly what the index does. Errors are the FTL's own
+/// [`FtlError`]: an index adds [`FtlError::TableFull`],
+/// [`FtlError::CapacityExhausted`] and [`FtlError::Unsupported`], and
+/// raises [`FtlError::NeedsGc`] whenever a metadata write (a table
+/// write-back, even one a lookup's cache eviction forces) or an imminent
+/// resize finds the pool dry — the device then collects and retries.
 pub trait IndexBackend {
     /// Insert or update the record for `sig`.
     fn insert(
@@ -158,18 +111,18 @@ pub trait IndexBackend {
         ftl: &mut Ftl,
         sig: KeySignature,
         ppa: Ppa,
-    ) -> Result<InsertOutcome, IndexError>;
+    ) -> Result<InsertOutcome, FtlError>;
 
     /// Find the KV-pair head page for `sig` (at most the scheme's bounded
     /// number of flash reads).
-    fn lookup(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError>;
+    fn lookup(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, FtlError>;
 
     /// Remove the record for `sig`, returning its PPA if present.
-    fn remove(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError>;
+    fn remove(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, FtlError>;
 
     /// Probabilistic membership check (§IV-A3): answered from signatures
     /// only; false positives possible at the signature collision rate.
-    fn contains(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<bool, IndexError> {
+    fn contains(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<bool, FtlError> {
         Ok(self.lookup(ftl, sig)?.is_some())
     }
 
@@ -197,7 +150,7 @@ pub trait IndexBackend {
     fn name(&self) -> &'static str;
 
     /// Flush every dirty metadata page to flash (shutdown / checkpoint).
-    fn flush(&mut self, ftl: &mut Ftl) -> Result<(), IndexError>;
+    fn flush(&mut self, ftl: &mut Ftl) -> Result<(), FtlError>;
 
     /// Live index pages residing in `block`, as `(cache key, ppa)` pairs —
     /// used by GC when an index-stream block must be relocated. The default
@@ -212,7 +165,7 @@ pub trait IndexBackend {
         _ftl: &mut Ftl,
         _key: u64,
         _old: Ppa,
-    ) -> Result<Option<Ppa>, IndexError> {
+    ) -> Result<Option<Ppa>, FtlError> {
         Ok(None)
     }
 
@@ -224,8 +177,8 @@ pub trait IndexBackend {
     }
 
     /// Perform deferred maintenance (RHIK: the pending resize). May return
-    /// [`IndexError::NeedsGc`] if space is still insufficient.
-    fn maintain(&mut self, _ftl: &mut Ftl) -> Result<(), IndexError> {
+    /// [`FtlError::NeedsGc`] if space is still insufficient.
+    fn maintain(&mut self, _ftl: &mut Ftl) -> Result<(), FtlError> {
         Ok(())
     }
 
@@ -233,7 +186,7 @@ pub trait IndexBackend {
     /// one batch of an in-flight incremental resize). Meant for idle device
     /// time; returns `true` if any work was done (more may remain). The
     /// default (no incremental maintenance) reports no work.
-    fn maintain_step(&mut self, _ftl: &mut Ftl) -> Result<bool, IndexError> {
+    fn maintain_step(&mut self, _ftl: &mut Ftl) -> Result<bool, FtlError> {
         Ok(false)
     }
 
@@ -257,8 +210,8 @@ pub trait IndexBackend {
         &mut self,
         _ftl: &mut Ftl,
         _visit: &mut dyn FnMut(KeySignature, Ppa),
-    ) -> Result<(), IndexError> {
-        Err(IndexError::Unsupported("scan_records"))
+    ) -> Result<(), FtlError> {
+        Err(FtlError::Unsupported("scan_records"))
     }
 
     /// Attach a generation-published [`ReadView`](crate::readview::ReadView)
@@ -341,11 +294,5 @@ mod tests {
     fn empty_histogram_is_vacuously_within() {
         let s = IndexStats::default();
         assert_eq!(s.pct_lookups_within(0), 100.0);
-    }
-
-    #[test]
-    fn index_error_display() {
-        assert!(IndexError::TableFull { table: 3 }.to_string().contains("table 3"));
-        assert!(IndexError::CapacityExhausted.to_string().contains("capacity"));
     }
 }

@@ -4,9 +4,7 @@
 
 use proptest::prelude::*;
 use rhik_ftl::layout::{self, PageBuilder};
-use rhik_ftl::{
-    gc, Ftl, FtlConfig, FtlError, GcConfig, IndexBackend, IndexError, IndexStats, InsertOutcome,
-};
+use rhik_ftl::{gc, Ftl, FtlConfig, FtlError, GcConfig, IndexBackend, IndexStats, InsertOutcome};
 use rhik_nand::{NandGeometry, Ppa};
 use rhik_sigs::KeySignature;
 use std::collections::HashMap;
@@ -31,16 +29,16 @@ impl IndexBackend for MapIndex {
         _f: &mut Ftl,
         sig: KeySignature,
         ppa: Ppa,
-    ) -> Result<InsertOutcome, IndexError> {
+    ) -> Result<InsertOutcome, FtlError> {
         match self.map.insert(sig.0, ppa) {
             Some(old) => Ok(InsertOutcome::Updated { old }),
             None => Ok(InsertOutcome::Inserted),
         }
     }
-    fn lookup(&mut self, _f: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
+    fn lookup(&mut self, _f: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, FtlError> {
         Ok(self.map.get(&sig.0).copied())
     }
-    fn remove(&mut self, _f: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
+    fn remove(&mut self, _f: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, FtlError> {
         Ok(self.map.remove(&sig.0))
     }
     fn len(&self) -> u64 {
@@ -58,7 +56,7 @@ impl IndexBackend for MapIndex {
     fn name(&self) -> &'static str {
         "map"
     }
-    fn flush(&mut self, _f: &mut Ftl) -> Result<(), IndexError> {
+    fn flush(&mut self, _f: &mut Ftl) -> Result<(), FtlError> {
         Ok(())
     }
 }

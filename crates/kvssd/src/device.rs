@@ -4,8 +4,8 @@ use bytes::Bytes;
 use rhik_baseline::{LsmConfig, LsmIndex, MultiLevelConfig, MultiLevelIndex};
 use rhik_core::RhikIndex;
 use rhik_ftl::layout;
-use rhik_ftl::{gc, Ftl, FtlError, GcConfig, IndexBackend, IndexError, WrittenExtent};
-use rhik_nand::{NandError, Ppa};
+use rhik_ftl::{gc, Ftl, FtlError, GcConfig, IndexBackend, WrittenExtent};
+use rhik_nand::Ppa;
 use rhik_sigs::{KeySignature, SigHasher};
 use rhik_telemetry::{OpKind, OpSpan, Stage, StageEvent, TelemetrySink};
 
@@ -79,6 +79,16 @@ pub struct ExistReport {
     pub flash_reads: u64,
 }
 
+/// What the §IV exist-check found under a key's signature.
+enum Stored {
+    /// No pair is indexed under the signature.
+    Absent,
+    /// The indexed pair belongs to a different key (signature collision).
+    OtherKey,
+    /// The key's own pair: its value and on-flash extent.
+    Pair(Bytes, WrittenExtent),
+}
+
 /// Per-shard gauge names, formatted once when a sink is installed so the
 /// per-command gauge refresh never allocates.
 struct GaugeNames {
@@ -122,33 +132,15 @@ impl KvssdDevice<RhikIndex> {
         let index = RhikIndex::new(cfg.rhik, cfg.geometry.page_size);
         Self::with_index(cfg, index)
     }
-}
 
-impl KvssdDevice<RhikIndex> {
     /// Re-mount a device from surviving flash state after a power loss
     /// (pair with [`rhik_ftl::Ftl::simulate_power_loss`] +
     /// [`KvssdDevice::into_parts`]). The RHIK index is rebuilt from its
     /// on-flash directory snapshot; anything indexed after the last
     /// metadata flush is lost.
     pub fn recover_rhik(cfg: DeviceConfig, mut ftl: Ftl) -> Result<Self> {
-        let index = RhikIndex::recover(cfg.rhik, &mut ftl).map_err(Self::map_index_err)?;
-        let engine = TimingEngine::new(cfg.engine, cfg.profile, cfg.geometry.channels);
-        Ok(KvssdDevice {
-            ftl,
-            index,
-            hasher: cfg.hasher,
-            engine,
-            gc_cfg: cfg.gc,
-            stats: DeviceStats::default(),
-            // bounded-by: one slot per concurrently open iterator
-            // session; closed slots are reused before the vec grows.
-            iter_sessions: Vec::new(),
-            put_latencies: crate::LatencyHistogram::new(),
-            get_latencies: crate::LatencyHistogram::new(),
-            telemetry: TelemetrySink::disabled(),
-            shard_id: 0,
-            gauge_names: None,
-        })
+        let index = RhikIndex::recover(cfg.rhik, &mut ftl)?;
+        Ok(Self::with_index_and_ftl(cfg, ftl, index))
     }
 
     /// Raw material for the cross-layer invariant auditor: the FTL's flash
@@ -340,28 +332,6 @@ impl<I: IndexBackend> KvssdDevice<I> {
         self.hasher.sign(key)
     }
 
-    fn map_index_err(e: IndexError) -> KvError {
-        match e {
-            IndexError::TableFull { .. } => KvError::KeyRejected,
-            IndexError::CapacityExhausted => KvError::IndexFull,
-            IndexError::NeedsGc => KvError::DeviceFull,
-            IndexError::Unsupported(op) => KvError::Unsupported(op),
-            IndexError::Flash(NandError::ReadFailed(ppa)) => KvError::ReadFault { ppa },
-            IndexError::Flash(f) => KvError::Media(f.to_string()),
-        }
-    }
-
-    fn map_ftl_err(e: FtlError) -> KvError {
-        match e {
-            FtlError::NeedsGc => KvError::DeviceFull,
-            FtlError::ValueTooLarge { len, max } => KvError::ValueTooLarge { len, max },
-            FtlError::KeyTooLarge { len } => KvError::KeyTooLarge { len },
-            FtlError::Flash(NandError::ReadFailed(ppa)) => KvError::ReadFault { ppa },
-            FtlError::Flash(f) => KvError::Media(f.to_string()),
-            FtlError::Corrupt(detail) => KvError::Corrupt(detail),
-        }
-    }
-
     /// Drain media ops to the timing engine, charging `host_bytes` of host
     /// transfer to this command.
     pub(crate) fn settle(&mut self, host_bytes: u64) -> crate::CommandTiming {
@@ -480,78 +450,70 @@ impl<I: IndexBackend> KvssdDevice<I> {
         &self.get_latencies
     }
 
-    /// Run GC; returns whether anything was reclaimed.
-    fn run_gc(&mut self) -> Result<bool> {
+    /// Run one garbage-collection pass now. Returns whether any block was
+    /// reclaimed. Besides the device's own out-of-space handling, the
+    /// sharded router's device-wide sweep calls this: a shard only
+    /// collects its own leased blocks, so when one shard exhausts the
+    /// shared pool, garbage held by *other* shards is reachable only
+    /// through their collectors.
+    pub fn collect_garbage(&mut self) -> Result<bool> {
         self.stats.gc_invocations += 1;
-        let raw_before = self.ftl.free_blocks_raw();
-        let r = gc::run(&mut self.ftl, &mut self.index, &self.gc_cfg);
-        if std::env::var_os("RHIK_GC_TRACE").is_some() {
-            eprintln!("[gc] raw {} -> {} result {:?}", raw_before, self.ftl.free_blocks_raw(), r);
-        }
-        match r {
+        match gc::run(&mut self.ftl, &mut self.index, &self.gc_cfg) {
             Ok(report) => Ok(report.data_blocks_erased + report.index_blocks_erased > 0),
             // Collection itself ran out of scratch blocks mid-relocation
             // and aborted (consistently — the victim was not erased).
             // That is "nothing reclaimed", not a command failure.
             Err(FtlError::NeedsGc) => Ok(false),
-            Err(e) => Err(Self::map_ftl_err(e)),
+            Err(e) => Err(e.into()),
         }
     }
 
-    /// Run one garbage-collection pass now. Returns whether any block was
-    /// reclaimed. Used by the sharded router's device-wide sweep: a shard
-    /// only collects its own leased blocks, so when one shard exhausts
-    /// the shared pool, garbage held by *other* shards is reachable only
-    /// through their collectors.
-    pub fn collect_garbage(&mut self) -> Result<bool> {
-        self.run_gc()
-    }
-
-    /// After an allocation failed with `NeedsGc`: collect, and say whether
-    /// retrying the allocation is worthwhile — either our own collection
-    /// reclaimed blocks, or (sharded mode) another shard refilled the
-    /// shared pool while we waited on the GC permit.
-    fn gc_retry(&mut self) -> Result<bool> {
-        Ok(self.run_gc()? || self.ftl.free_blocks() > 0)
-    }
-
-    /// Index lookup that garbage-collects if a cache-eviction write-back
-    /// needs blocks (a *read* can allocate when it displaces a dirty
-    /// cached index page).
-    fn lookup_with_gc(&mut self, sig: rhik_sigs::KeySignature) -> Result<Option<Ppa>> {
+    /// Run `op` against the FTL and index; while it reports `NeedsGc`,
+    /// collect and retry as long as that is worthwhile — either our own
+    /// collection reclaimed blocks, or (sharded mode) another shard
+    /// refilled the shared pool while we waited on the GC permit. Then
+    /// the command fails `DeviceFull`. Index reads are covered too: a
+    /// lookup can allocate when it displaces a dirty cached index page.
+    fn with_gc<T>(
+        &mut self,
+        mut op: impl FnMut(&mut Ftl, &mut I) -> std::result::Result<T, FtlError>,
+    ) -> Result<T> {
         loop {
-            match self.index.lookup(&mut self.ftl, sig) {
-                Ok(v) => return Ok(v),
-                Err(IndexError::NeedsGc) if self.gc_retry()? => continue,
-                Err(e) => return Err(Self::map_index_err(e)),
+            let result = op(&mut self.ftl, &mut self.index);
+            let retry = matches!(result, Err(FtlError::NeedsGc))
+                && (self.collect_garbage()? || self.ftl.free_blocks() > 0);
+            if !retry {
+                return Ok(result?);
             }
         }
+    }
+
+    /// Hold the submission queue for the media time the FTL ran since the
+    /// last drain (background work no command's own timing covers).
+    fn stall_queue(&mut self) {
+        let stall: u64 = self.ftl.drain_timed_ops().iter().map(|o| o.duration_ns).sum();
+        self.engine.stall_until(self.engine.now_ns() + stall);
     }
 
     /// Post-command housekeeping: proactive GC + deferred index maintenance
-    /// (the RHIK resize, which stalls the submission queue).
+    /// (the RHIK resize, which stalls the submission queue). Best effort:
+    /// a resize still short of space after one collection and one retry
+    /// stays deferred for a later command.
     fn housekeeping(&mut self) -> Result<()> {
         if gc::should_run(&self.ftl, &self.gc_cfg) {
-            let _ = self.run_gc()?;
+            self.collect_garbage()?;
         }
         if self.index.maintenance_due() {
-            match self.index.maintain(&mut self.ftl) {
-                Ok(()) => {}
-                Err(IndexError::NeedsGc) => {
-                    if self.run_gc()? {
-                        match self.index.maintain(&mut self.ftl) {
-                            Ok(()) | Err(IndexError::NeedsGc) => {}
-                            Err(e) => return Err(Self::map_index_err(e)),
-                        }
-                    }
-                }
-                Err(e) => return Err(Self::map_index_err(e)),
+            let mut maintained = self.index.maintain(&mut self.ftl);
+            if maintained == Err(FtlError::NeedsGc) && self.collect_garbage()? {
+                maintained = self.index.maintain(&mut self.ftl);
             }
-            // The resize held the submission queue (§IV-A2): charge its
-            // media time as a stall.
-            let ops = self.ftl.drain_timed_ops();
-            let stall: u64 = ops.iter().map(|o| o.duration_ns).sum();
-            self.engine.stall_until(self.engine.now_ns() + stall);
+            match maintained {
+                Ok(()) | Err(FtlError::NeedsGc) => {}
+                Err(e) => return Err(e.into()),
+            }
+            // The resize held the submission queue (§IV-A2).
+            self.stall_queue();
         }
         Ok(())
     }
@@ -576,16 +538,12 @@ impl<I: IndexBackend> KvssdDevice<I> {
         let submitted_ns = self.engine.now_ns();
         let progressed = match self.index.maintain_step(&mut self.ftl) {
             Ok(p) => p,
-            Err(IndexError::NeedsGc) => {
-                // Migration paused on free space; reclaim and report "still
-                // working" so drain loops retry after the collection.
-                self.run_gc()?
-            }
-            Err(e) => return Err(Self::map_index_err(e)),
+            // Migration paused on free space; reclaim and report "still
+            // working" so drain loops retry after the collection.
+            Err(FtlError::NeedsGc) => self.collect_garbage()?,
+            Err(e) => return Err(e.into()),
         };
-        let ops = self.ftl.drain_timed_ops();
-        let stall: u64 = ops.iter().map(|o| o.duration_ns).sum();
-        self.engine.stall_until(self.engine.now_ns() + stall);
+        self.stall_queue();
         if progressed {
             let timing = crate::CommandTiming { submitted_ns, completed_ns: self.engine.now_ns() };
             self.span_finish(snap, OpKind::Maintenance, timing, 0);
@@ -611,7 +569,7 @@ impl<I: IndexBackend> KvssdDevice<I> {
             };
             (key, frag, extent)
         } else {
-            let (data, _) = self.ftl.read_data_page(head).map_err(Self::map_ftl_err)?;
+            let (data, _) = self.ftl.read_data_page(head)?;
             let page_size = self.ftl.geometry().page_size;
             let Some(entry) = layout::find_in_head(&data, page_size as usize, sig) else {
                 return Ok(None);
@@ -623,8 +581,7 @@ impl<I: IndexBackend> KvssdDevice<I> {
         let value =
             layout::assemble_value(&frag, extent.cont_bytes as usize, extent.cont_start, |ppa| {
                 ftl.read_data_page(ppa).map(|(page, _)| page)
-            })
-            .map_err(Self::map_ftl_err)?
+            })?
             .ok_or_else(|| {
                 KvError::Corrupt(
                     "stored pair overflows its head page but has no continuation extent".into(),
@@ -633,187 +590,149 @@ impl<I: IndexBackend> KvssdDevice<I> {
         Ok(Some((key, Bytes::from(value), extent)))
     }
 
+    /// §IV's exist-check with full-key verification: look `sig` up,
+    /// garbage-collecting if the lookup needs blocks, and compare the
+    /// stored pair's key with `key`.
+    fn stored(&mut self, sig: KeySignature, key: &[u8]) -> Result<Stored> {
+        let Some(head) = self.with_gc(|ftl, index| index.lookup(ftl, sig))? else {
+            return Ok(Stored::Absent);
+        };
+        Ok(match self.read_pair(sig, head)? {
+            None => Stored::Absent,
+            Some((stored_key, _, _)) if stored_key != key => Stored::OtherKey,
+            Some((_, value, extent)) => Stored::Pair(value, extent),
+        })
+    }
+
     // ------------------------------------------------------------ commands
+
+    /// The frame every single-key command runs in: reject an empty key,
+    /// count the command, open its span, sign the key and run `body`,
+    /// which returns its reply and the payload bytes it moved besides the
+    /// key. The command's media time settles once, whether `body`
+    /// succeeded or not. A successful mutation then runs housekeeping,
+    /// whose queue stall is charged to its latency.
+    fn command<T>(
+        &mut self,
+        kind: OpKind,
+        key: &[u8],
+        body: impl FnOnce(&mut Self, KeySignature) -> Result<(T, u64)>,
+    ) -> Result<T> {
+        if key.is_empty() {
+            return Err(KvError::EmptyKey);
+        }
+        match kind {
+            OpKind::Put => self.stats.puts += 1,
+            OpKind::Get => self.stats.gets += 1,
+            OpKind::Delete => self.stats.deletes += 1,
+            OpKind::Exist => self.stats.exists += 1,
+            // Background maintenance runs outside the frame.
+            OpKind::Maintenance => {}
+        }
+        let snap = self.span_begin();
+        let sig = self.sign(key);
+        let result = body(self, sig);
+        let payload = result.as_ref().map_or(0, |&(_, bytes)| bytes);
+        let timing = self.settle(key.len() as u64 + payload);
+        let (reply, _) = result?;
+        let mut stall = 0;
+        if matches!(kind, OpKind::Put | OpKind::Delete) {
+            let before_hk = self.engine.now_ns();
+            self.housekeeping()?;
+            stall = self.engine.now_ns() - before_hk;
+        }
+        match kind {
+            OpKind::Put => self.put_latencies.record(timing.latency_ns() + stall),
+            OpKind::Get => self.get_latencies.record(timing.latency_ns()),
+            _ => {}
+        }
+        self.span_finish(snap, kind, timing, stall);
+        Ok(reply)
+    }
 
     /// `put`: store a KV pair (§IV "store" flow: sign, exist-check with
     /// full-key verification, write data, update index).
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        if key.is_empty() {
-            return Err(KvError::EmptyKey);
-        }
-        self.stats.puts += 1;
-        let snap = self.span_begin();
-        let sig = self.sign(key);
-
-        // Exist check: if the signature is present, fetch and verify the
-        // stored key (collision detection + update staleness accounting).
-        let old = match self.lookup_with_gc(sig)? {
-            Some(head) => match self.read_pair(sig, head)? {
-                Some((stored_key, _v, extent)) => {
-                    if stored_key != key {
-                        self.stats.collisions += 1;
-                        self.settle(key.len() as u64);
-                        return Err(KvError::KeyCollision);
-                    }
-                    Some(extent)
+        self.command(OpKind::Put, key, |dev, sig| {
+            let old = match dev.stored(sig, key)? {
+                Stored::Absent => None,
+                Stored::OtherKey => {
+                    dev.stats.collisions += 1;
+                    return Err(KvError::KeyCollision);
                 }
-                None => None,
-            },
-            None => None,
-        };
-
-        // Write the new pair, garbage-collecting on demand.
-        let extent = loop {
-            match self.ftl.store_pair(sig, key, value, 0) {
-                Ok(e) => break e,
-                Err(FtlError::NeedsGc) => {
-                    if !self.gc_retry()? {
-                        self.settle(key.len() as u64);
-                        return Err(KvError::DeviceFull);
-                    }
+                Stored::Pair(_, extent) => Some(extent),
+            };
+            let extent = dev.with_gc(|ftl, _| ftl.store_pair(sig, key, value, 0))?;
+            // Repoint the index. On failure the freshly-written extent is
+            // stale garbage (harmless; GC reclaims it).
+            if let Err(e) = dev.with_gc(|ftl, index| index.insert(ftl, sig, extent.head)) {
+                dev.ftl.mark_stale(&extent);
+                dev.ftl.drop_pending(sig);
+                if e == KvError::KeyRejected {
+                    dev.stats.rejected += 1;
                 }
-                Err(e) => {
-                    self.settle(key.len() as u64);
-                    return Err(Self::map_ftl_err(e));
-                }
+                return Err(e);
             }
-        };
-
-        // Repoint the index, garbage-collecting if the metadata write
-        // itself needs blocks. On terminal failure, the freshly-written
-        // extent is stale garbage (harmless; GC reclaims it).
-        loop {
-            match self.index.insert(&mut self.ftl, sig, extent.head) {
-                Ok(_) => break,
-                Err(IndexError::NeedsGc) if self.gc_retry()? => continue,
-                Err(e) => {
-                    self.ftl.mark_stale(&extent);
-                    self.ftl.drop_pending(sig);
-                    self.settle(key.len() as u64);
-                    if matches!(e, IndexError::TableFull { .. }) {
-                        self.stats.rejected += 1;
-                    }
-                    return Err(Self::map_index_err(e));
-                }
+            // Retire the superseded pair (update path). Even when the old
+            // copy sits in the same open page (in-page update), its bytes
+            // are dead weight and must count as stale.
+            if let Some(old) = old {
+                dev.ftl.mark_stale(&old);
             }
-        }
-
-        // Retire the superseded pair (update path). Even when the old copy
-        // sits in the same open page (in-page update), its bytes are dead
-        // weight and must count as stale.
-        if let Some(old_extent) = old {
-            self.ftl.mark_stale(&old_extent);
-        }
-
-        self.stats.bytes_written += (key.len() + value.len()) as u64;
-        let timing = self.settle((key.len() + value.len()) as u64);
-        let before_hk = self.engine.now_ns();
-        self.housekeeping()?;
-        // A resize/GC triggered by this command stalls the queue (§IV-A2);
-        // charge that stall to this put's observed latency.
-        let stall = self.engine.now_ns() - before_hk;
-        self.put_latencies.record(timing.latency_ns() + stall);
-        self.span_finish(snap, OpKind::Put, timing, stall);
-        Ok(())
+            dev.stats.bytes_written += (key.len() + value.len()) as u64;
+            Ok(((), value.len() as u64))
+        })
     }
 
     /// `get`: retrieve the value for `key` (full-key verification before
     /// returning, §IV-A3).
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Bytes>> {
-        if key.is_empty() {
-            return Err(KvError::EmptyKey);
-        }
-        self.stats.gets += 1;
-        let snap = self.span_begin();
-        let sig = self.sign(key);
-        let result = match self.lookup_with_gc(sig)? {
-            Some(head) => match self.read_pair(sig, head)? {
-                Some((stored_key, value, _)) => {
-                    if stored_key == key {
-                        self.stats.bytes_read += value.len() as u64;
-                        Some(value)
-                    } else {
-                        // Signature collision: the stored pair is a
-                        // different key.
-                        self.stats.not_found += 1;
-                        None
-                    }
-                }
-                None => {
-                    self.stats.not_found += 1;
-                    None
-                }
-            },
-            None => {
-                self.stats.not_found += 1;
-                None
+        self.command(OpKind::Get, key, |dev, sig| match dev.stored(sig, key)? {
+            Stored::Pair(value, _) => {
+                let len = value.len() as u64;
+                dev.stats.bytes_read += len;
+                Ok((Some(value), len))
             }
-        };
-        let host = key.len() as u64 + result.as_ref().map_or(0, |v| v.len() as u64);
-        let timing = self.settle(host);
-        self.get_latencies.record(timing.latency_ns());
-        self.span_finish(snap, OpKind::Get, timing, 0);
-        Ok(result)
+            // A collision reads as absent: the stored pair is another key.
+            Stored::Absent | Stored::OtherKey => {
+                dev.stats.not_found += 1;
+                Ok((None, 0))
+            }
+        })
     }
 
     /// `delete`: remove a pair ("the record is then fetched from flash to
     /// match the request key", §IV).
     pub fn delete(&mut self, key: &[u8]) -> Result<()> {
-        if key.is_empty() {
-            return Err(KvError::EmptyKey);
-        }
-        self.stats.deletes += 1;
-        let snap = self.span_begin();
-        let sig = self.sign(key);
-        let Some(head) = self.lookup_with_gc(sig)? else {
-            self.stats.not_found += 1;
-            self.settle(key.len() as u64);
-            return Err(KvError::KeyNotFound);
-        };
-        let Some((stored_key, _v, extent)) = self.read_pair(sig, head)? else {
-            self.stats.not_found += 1;
-            self.settle(key.len() as u64);
-            return Err(KvError::KeyNotFound);
-        };
-        if stored_key != key {
-            self.stats.collisions += 1;
-            self.settle(key.len() as u64);
-            return Err(KvError::KeyNotFound);
-        }
-        // Unlink, garbage-collecting if the metadata write needs blocks.
-        loop {
-            match self.index.remove(&mut self.ftl, sig) {
-                Ok(_) => break,
-                Err(IndexError::NeedsGc) if self.gc_retry()? => continue,
-                Err(e) => return Err(Self::map_index_err(e)),
-            }
-        }
-        self.ftl.mark_stale(&extent);
-        self.ftl.drop_pending(sig);
-        let timing = self.settle(key.len() as u64);
-        let before_hk = self.engine.now_ns();
-        self.housekeeping()?;
-        let stall = self.engine.now_ns() - before_hk;
-        self.span_finish(snap, OpKind::Delete, timing, stall);
-        Ok(())
+        self.command(OpKind::Delete, key, |dev, sig| {
+            let extent = match dev.stored(sig, key)? {
+                Stored::Absent => {
+                    dev.stats.not_found += 1;
+                    return Err(KvError::KeyNotFound);
+                }
+                Stored::OtherKey => {
+                    dev.stats.collisions += 1;
+                    return Err(KvError::KeyNotFound);
+                }
+                Stored::Pair(_, extent) => extent,
+            };
+            dev.with_gc(|ftl, index| index.remove(ftl, sig))?;
+            dev.ftl.mark_stale(&extent);
+            dev.ftl.drop_pending(sig);
+            Ok(((), 0))
+        })
     }
 
     /// `exist`: probabilistic membership from signatures only (§IV-A3) —
     /// no KV data is read, so a false positive is possible at the
     /// signature-collision rate.
     pub fn exist(&mut self, key: &[u8]) -> Result<ExistReport> {
-        if key.is_empty() {
-            return Err(KvError::EmptyKey);
-        }
-        self.stats.exists += 1;
-        let snap = self.span_begin();
-        let sig = self.sign(key);
-        let reads_before = self.ftl.stats().index_page_reads;
-        let hit = self.index.contains(&mut self.ftl, sig).map_err(Self::map_index_err)?;
-        let flash_reads = self.ftl.stats().index_page_reads - reads_before;
-        let timing = self.settle(key.len() as u64);
-        self.span_finish(snap, OpKind::Exist, timing, 0);
-        Ok(ExistReport { probably_exists: hit, flash_reads })
+        self.command(OpKind::Exist, key, |dev, sig| {
+            let reads_before = dev.ftl.stats().index_page_reads;
+            let probably_exists = dev.with_gc(|ftl, index| index.contains(ftl, sig))?;
+            let flash_reads = dev.ftl.stats().index_page_reads - reads_before;
+            Ok((ExistReport { probably_exists, flash_reads }, 0))
+        })
     }
 
     /// Tear the device apart, keeping the flash (crash simulation,
@@ -826,7 +745,7 @@ impl<I: IndexBackend> KvssdDevice<I> {
     /// `key` (tests and benches use this to target fault injection).
     pub fn locate(&mut self, key: &[u8]) -> Result<Option<Ppa>> {
         let sig = self.sign(key);
-        self.index.lookup(&mut self.ftl, sig).map_err(Self::map_index_err)
+        Ok(self.index.lookup(&mut self.ftl, sig)?)
     }
 
     // -------------------------------------------------- cmd.rs plumbing
@@ -847,9 +766,7 @@ impl<I: IndexBackend> KvssdDevice<I> {
     pub(crate) fn iterate_candidates(&mut self, prefix: &[u8]) -> Result<Vec<(KeySignature, Ppa)>> {
         self.stats.iterates += 1;
         let mut candidates = Vec::new();
-        self.index
-            .scan_records(&mut self.ftl, &mut |sig, ppa| candidates.push((sig, ppa)))
-            .map_err(Self::map_index_err)?;
+        self.index.scan_records(&mut self.ftl, &mut |sig, ppa| candidates.push((sig, ppa)))?;
         if prefix.len() >= 4 {
             if let Some(bucket) = self.hasher.prefix_bucket(prefix) {
                 candidates.retain(|(sig, _)| (sig.0 >> 32) as u32 == bucket);
@@ -860,8 +777,8 @@ impl<I: IndexBackend> KvssdDevice<I> {
 
     /// Flush all buffered state (shutdown / checkpoint).
     pub fn flush(&mut self) -> Result<()> {
-        self.ftl.flush_data_builder().map_err(Self::map_ftl_err)?;
-        self.index.flush(&mut self.ftl).map_err(Self::map_index_err)?;
+        self.ftl.flush_data_builder()?;
+        self.index.flush(&mut self.ftl)?;
         self.settle(0);
         Ok(())
     }
@@ -882,9 +799,71 @@ impl<I: IndexBackend> std::fmt::Debug for KvssdDevice<I> {
 mod tests {
     use super::*;
     use crate::config::DeviceConfig;
+    use rhik_ftl::{IndexStats, InsertOutcome};
+    use std::cell::Cell;
+    use std::collections::HashMap;
 
     fn device() -> KvssdDevice<RhikIndex> {
         KvssdDevice::rhik(DeviceConfig::small())
+    }
+
+    /// A DRAM-only index that can refuse its next lookup with `NeedsGc`,
+    /// as a lookup does when it must write back a dirty cached page and
+    /// the pool is dry.
+    #[derive(Default)]
+    struct RefusingIndex {
+        map: HashMap<u64, Ppa>,
+        refuse_next_lookup: Cell<bool>,
+        stats: IndexStats,
+    }
+
+    impl IndexBackend for RefusingIndex {
+        fn insert(
+            &mut self,
+            _f: &mut Ftl,
+            sig: KeySignature,
+            ppa: Ppa,
+        ) -> std::result::Result<InsertOutcome, FtlError> {
+            Ok(match self.map.insert(sig.0, ppa) {
+                Some(old) => InsertOutcome::Updated { old },
+                None => InsertOutcome::Inserted,
+            })
+        }
+        fn lookup(
+            &mut self,
+            _f: &mut Ftl,
+            sig: KeySignature,
+        ) -> std::result::Result<Option<Ppa>, FtlError> {
+            if self.refuse_next_lookup.replace(false) {
+                return Err(FtlError::NeedsGc);
+            }
+            Ok(self.map.get(&sig.0).copied())
+        }
+        fn remove(
+            &mut self,
+            _f: &mut Ftl,
+            sig: KeySignature,
+        ) -> std::result::Result<Option<Ppa>, FtlError> {
+            Ok(self.map.remove(&sig.0))
+        }
+        fn len(&self) -> u64 {
+            self.map.len() as u64
+        }
+        fn capacity(&self) -> Option<u64> {
+            None
+        }
+        fn dram_bytes(&self) -> u64 {
+            0
+        }
+        fn stats(&self) -> &IndexStats {
+            &self.stats
+        }
+        fn name(&self) -> &'static str {
+            "refusing"
+        }
+        fn flush(&mut self, _f: &mut Ftl) -> std::result::Result<(), FtlError> {
+            Ok(())
+        }
     }
 
     #[test]
@@ -1227,6 +1206,40 @@ mod tests {
         }
         assert!(dev.elapsed_secs() > 0.0);
         assert_eq!(dev.put_latencies().count(), 50);
+    }
+
+    #[test]
+    fn exist_collects_and_retries_like_get() {
+        let mut dev = KvssdDevice::with_index(DeviceConfig::small(), RefusingIndex::default());
+        dev.put(b"k", b"v").unwrap();
+        let collections = dev.stats().gc_invocations;
+        dev.index().refuse_next_lookup.set(true);
+        assert_eq!(dev.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
+        dev.index().refuse_next_lookup.set(true);
+        assert!(dev.exist(b"k").unwrap().probably_exists);
+        assert_eq!(dev.stats().gc_invocations, collections + 2, "each refusal collected once");
+    }
+
+    #[test]
+    fn a_failed_command_settles_its_own_media_time() {
+        let mut dev = device();
+        dev.put(b"victim", b"payload").unwrap();
+        dev.flush().unwrap();
+        let head = dev.locate(b"victim").unwrap().expect("pair indexed");
+        // Drop the clean cached tables: the get's lookup must read one.
+        let cache = dev.ftl_mut().cache();
+        for key in cache.keys_mru() {
+            assert!(!cache.is_dirty(key), "flush left table {key} dirty");
+            cache.remove(key);
+        }
+        dev.ftl_mut().faults_mut().fail_read(head);
+        let index_reads = dev.ftl().stats().index_page_reads;
+        assert_eq!(dev.get(b"victim").unwrap_err(), KvError::ReadFault { ppa: head });
+        assert_eq!(dev.ftl().stats().index_page_reads, index_reads + 1);
+        assert!(
+            dev.ftl_mut().drain_timed_ops().is_empty(),
+            "the failed get left its reads to the next command"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Device-level error taxonomy (SNIA KV API-flavoured status codes).
 
-use rhik_nand::Ppa;
+use rhik_ftl::FtlError;
+use rhik_nand::{NandError, Ppa};
 
 /// Errors a KV command can return to the host.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,6 +61,23 @@ impl std::fmt::Display for KvError {
 
 impl std::error::Error for KvError {}
 
+/// The status a firmware error reaches the host as.
+impl From<FtlError> for KvError {
+    fn from(e: FtlError) -> Self {
+        match e {
+            FtlError::NeedsGc => KvError::DeviceFull,
+            FtlError::TableFull { .. } => KvError::KeyRejected,
+            FtlError::CapacityExhausted => KvError::IndexFull,
+            FtlError::ValueTooLarge { len, max } => KvError::ValueTooLarge { len, max },
+            FtlError::KeyTooLarge { len } => KvError::KeyTooLarge { len },
+            FtlError::Unsupported(op) => KvError::Unsupported(op),
+            FtlError::Flash(NandError::ReadFailed(ppa)) => KvError::ReadFault { ppa },
+            FtlError::Flash(f) => KvError::Media(f.to_string()),
+            FtlError::Corrupt(detail) => KvError::Corrupt(detail),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,5 +87,28 @@ mod tests {
         assert!(KvError::KeyCollision.to_string().contains("collision"));
         assert!(KvError::ValueTooLarge { len: 10, max: 5 }.to_string().contains("10"));
         assert!(KvError::ReadFault { ppa: Ppa::new(3, 7) }.to_string().contains("read failure"));
+    }
+
+    #[test]
+    fn every_ftl_error_maps_to_its_host_status() {
+        let ppa = Ppa::new(3, 7);
+        let program = NandError::ProgramFailed(ppa);
+        let rows = [
+            (FtlError::NeedsGc, KvError::DeviceFull),
+            (FtlError::TableFull { table: 5 }, KvError::KeyRejected),
+            (FtlError::CapacityExhausted, KvError::IndexFull),
+            (
+                FtlError::ValueTooLarge { len: 10, max: 5 },
+                KvError::ValueTooLarge { len: 10, max: 5 },
+            ),
+            (FtlError::KeyTooLarge { len: 600 }, KvError::KeyTooLarge { len: 600 }),
+            (FtlError::Unsupported("scan_records"), KvError::Unsupported("scan_records")),
+            (FtlError::Flash(NandError::ReadFailed(ppa)), KvError::ReadFault { ppa }),
+            (FtlError::Flash(program.clone()), KvError::Media(program.to_string())),
+            (FtlError::Corrupt("lost record".into()), KvError::Corrupt("lost record".into())),
+        ];
+        for (ftl, host) in rows {
+            assert_eq!(KvError::from(ftl.clone()), host, "{ftl:?}");
+        }
     }
 }

@@ -8,7 +8,13 @@
 //! * [`KvssdDevice`] — the five vendor commands of the Samsung KVSSD
 //!   interface (§II-A): `put`, `get`, `delete`, `exist`, `iterate` — with
 //!   full-key verification against signature collisions, GC triggering,
-//!   and the resize submission-queue stall.
+//!   and the resize submission-queue stall. The four single-key commands
+//!   share one command frame (counting, span, signing, one settle of
+//!   media time even on failure, housekeeping after mutations) and one
+//!   out-of-space rule: on [`rhik_ftl::FtlError::NeedsGc`], collect and
+//!   retry while that frees blocks, else fail [`KvError::DeviceFull`].
+//! * [`KvError`] — the host-visible status codes; every firmware
+//!   [`rhik_ftl::FtlError`] maps to one through `From`.
 //! * [`TimingEngine`] — sync and async command timing on the simulated
 //!   clock: sync serializes each command's media ops; async overlaps them
 //!   across flash channels under a queue-depth bound (the emulator's IOPS

@@ -1,15 +1,11 @@
 //! RHIK configuration and the paper's sizing equations.
 
-use rhik_sigs::SigHasher;
-
 use crate::record::IndexRecord;
 
 /// Tunables of the RHIK index (§IV-A: "can be configured at
 /// initialization").
 #[derive(Clone, Copy, Debug)]
 pub struct RhikConfig {
-    /// Signature hash function (paper default: MurmurHash2).
-    pub hasher: SigHasher,
     /// Hopscotch neighborhood width H, 1..=32 (paper default: 32).
     pub hop_width: u32,
     /// Resize trigger: fraction of total record capacity occupied
@@ -43,7 +39,6 @@ pub struct RhikConfig {
 impl Default for RhikConfig {
     fn default() -> Self {
         RhikConfig {
-            hasher: SigHasher::default(),
             hop_width: 32,
             occupancy_threshold: 0.80,
             initial_dir_bits: 2,

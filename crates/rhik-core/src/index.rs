@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use rhik_ftl::layout::SpareMeta;
-use rhik_ftl::{Ftl, IndexBackend, IndexError, IndexStats, InsertOutcome};
+use rhik_ftl::{Ftl, FtlError, IndexBackend, IndexStats, InsertOutcome};
 use rhik_nand::Ppa;
 use rhik_sigs::KeySignature;
 
@@ -86,7 +86,7 @@ impl RhikIndex {
     /// counts by loading every referenced table (the mount-time cost).
     /// Pairs indexed after the last snapshot flush are lost — the bounded
     /// loss window the paper's design accepts.
-    pub fn recover(cfg: RhikConfig, ftl: &mut Ftl) -> Result<Self, IndexError> {
+    pub fn recover(cfg: RhikConfig, ftl: &mut Ftl) -> Result<Self, FtlError> {
         let cfg = cfg.validated();
         let page_size = ftl.geometry().page_size;
         let records_per_table = RhikConfig::records_per_table(page_size);
@@ -250,20 +250,20 @@ impl RhikIndex {
         &mut self,
         ftl: &mut Ftl,
         mutates: Option<KeySignature>,
-    ) -> Result<(), IndexError> {
+    ) -> Result<(), FtlError> {
         let Some(m) = self.migration.as_ref() else { return Ok(()) };
         let target = mutates.map(|sig| m.old.slot_of(sig));
         let batch = self.cfg.resize_migration_batch;
         match crate::resize::step(self, ftl, batch, target) {
             Ok(_) => Ok(()),
-            Err(IndexError::NeedsGc) => {
+            Err(FtlError::NeedsGc) => {
                 // Out of space mid-migration: pause the cursor and flag the
                 // device for GC. Background slots can wait, but a mutation
                 // whose own slot is still pending cannot proceed (the old
                 // tables are frozen).
                 self.resize_deferred = true;
                 match (target, self.migration.as_ref()) {
-                    (Some(t), Some(m)) if !m.is_split(t) => Err(IndexError::NeedsGc),
+                    (Some(t), Some(m)) if !m.is_split(t) => Err(FtlError::NeedsGc),
                     _ => Ok(()),
                 }
             }
@@ -276,7 +276,7 @@ impl RhikIndex {
     /// Returns the table and the number of flash reads performed (0 on a
     /// cache hit or a never-persisted empty table, 1 otherwise — the
     /// paper's bound).
-    fn load_table(&mut self, ftl: &mut Ftl, slot: u32) -> Result<(Table, u64), IndexError> {
+    fn load_table(&mut self, ftl: &mut Ftl, slot: u32) -> Result<(Table, u64), FtlError> {
         let key = self.dir.cache_key(slot);
         let ppa = self.dir.entry(slot).table_ppa;
         pages::load(self, ftl, key, ppa)
@@ -284,7 +284,7 @@ impl RhikIndex {
 
     /// Load `slot`'s hyper-local overflow table (an empty one if it has
     /// none yet).
-    fn load_overflow(&mut self, ftl: &mut Ftl, slot: u32) -> Result<(Table, u64), IndexError> {
+    fn load_overflow(&mut self, ftl: &mut Ftl, slot: u32) -> Result<(Table, u64), FtlError> {
         let key = OVERFLOW_KEY | self.dir.cache_key(slot);
         let ppa = self.dir.entry(slot).overflow_ppa;
         pages::load(self, ftl, key, ppa)
@@ -328,7 +328,7 @@ impl RhikIndex {
     /// Resize check: called after each insert (§IV-A2 "once the total
     /// occupancy of RHIK reaches a pre-defined threshold, its resizing
     /// function is triggered").
-    fn maybe_resize(&mut self, ftl: &mut Ftl) -> Result<(), IndexError> {
+    fn maybe_resize(&mut self, ftl: &mut Ftl) -> Result<(), FtlError> {
         if self.migration.is_some() {
             return Ok(()); // one doubling at a time
         }
@@ -341,12 +341,12 @@ impl RhikIndex {
                         // in one stall (§IV-A2 / Fig. 7).
                         match crate::resize::step(self, ftl, u32::MAX, None) {
                             Ok(_) => {}
-                            Err(IndexError::NeedsGc) => self.resize_deferred = true,
+                            Err(FtlError::NeedsGc) => self.resize_deferred = true,
                             Err(e) => return Err(e),
                         }
                     }
                 }
-                Err(IndexError::NeedsGc) => {
+                Err(FtlError::NeedsGc) => {
                     // No free page to re-anchor the snapshot. The record
                     // that triggered this check is already safely inserted;
                     // defer the doubling until the device has
@@ -365,7 +365,7 @@ impl RhikIndex {
     /// describe a half-split configuration, so the pre-doubling snapshot
     /// (re-anchored by `resize::begin`) stays the crash recovery point
     /// until the migration completes and flushes the doubled directory.
-    fn maybe_flush_directory(&mut self, ftl: &mut Ftl) -> Result<(), IndexError> {
+    fn maybe_flush_directory(&mut self, ftl: &mut Ftl) -> Result<(), FtlError> {
         self.dirty_mutations += 1;
         if self.dirty_mutations >= self.cfg.dir_flush_interval && self.migration.is_none() {
             self.flush_directory(ftl)?;
@@ -375,7 +375,7 @@ impl RhikIndex {
 
     /// Write the directory's persistent copy (§IV-A) and retire the old
     /// snapshot pages.
-    pub fn flush_directory(&mut self, ftl: &mut Ftl) -> Result<(), IndexError> {
+    pub fn flush_directory(&mut self, ftl: &mut Ftl) -> Result<(), FtlError> {
         let page_size = ftl.geometry().page_size as usize;
         self.snapshot_seq += 1;
         let pages = self.dir.snapshot_pages(page_size, self.snapshot_seq);
@@ -501,7 +501,7 @@ impl IndexBackend for RhikIndex {
         ftl: &mut Ftl,
         sig: KeySignature,
         ppa: Ppa,
-    ) -> Result<InsertOutcome, IndexError> {
+    ) -> Result<InsertOutcome, FtlError> {
         self.stats.inserts += 1;
         ftl.note_stage(rhik_telemetry::Stage::DirLookup, 0);
         self.migration_work(ftl, Some(sig))?;
@@ -558,7 +558,7 @@ impl IndexBackend for RhikIndex {
                     TableInsert::Updated { old } => InsertOutcome::Updated { old },
                     TableInsert::Full => {
                         self.stats.insert_aborts += 1;
-                        return Err(IndexError::TableFull { table: slot as u64 });
+                        return Err(FtlError::TableFull { table: slot as u64 });
                     }
                 };
                 self.note_view_upsert(sig, ppa);
@@ -567,7 +567,7 @@ impl IndexBackend for RhikIndex {
             }
             TableInsert::Full => {
                 self.stats.insert_aborts += 1;
-                return Err(IndexError::TableFull { table: slot as u64 });
+                return Err(FtlError::TableFull { table: slot as u64 });
             }
         };
         if displacements > 0 {
@@ -578,7 +578,7 @@ impl IndexBackend for RhikIndex {
         Ok(outcome)
     }
 
-    fn lookup(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
+    fn lookup(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, FtlError> {
         self.stats.lookups += 1;
         ftl.note_stage(rhik_telemetry::Stage::DirLookup, 0);
         self.migration_work(ftl, None)?;
@@ -621,7 +621,7 @@ impl IndexBackend for RhikIndex {
         Ok(hit)
     }
 
-    fn remove(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, IndexError> {
+    fn remove(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, FtlError> {
         self.stats.removes += 1;
         ftl.note_stage(rhik_telemetry::Stage::DirLookup, 0);
         self.migration_work(ftl, Some(sig))?;
@@ -669,7 +669,7 @@ impl IndexBackend for RhikIndex {
         "rhik"
     }
 
-    fn flush(&mut self, ftl: &mut Ftl) -> Result<(), IndexError> {
+    fn flush(&mut self, ftl: &mut Ftl) -> Result<(), FtlError> {
         // A snapshot cannot describe a half-migrated configuration: drive
         // any in-flight migration to completion first.
         while self.migration.is_some() {
@@ -694,33 +694,33 @@ impl IndexBackend for RhikIndex {
             || (self.migration.is_none() && self.occupancy() >= self.cfg.occupancy_threshold)
     }
 
-    fn maintain(&mut self, ftl: &mut Ftl) -> Result<(), IndexError> {
+    fn maintain(&mut self, ftl: &mut Ftl) -> Result<(), FtlError> {
         if self.migration.is_some() {
             // Deferred mid-migration (out of space): after GC, drive the
             // remainder to completion.
             match crate::resize::step(self, ftl, u32::MAX, None) {
                 Ok(_) => return Ok(()),
-                Err(IndexError::NeedsGc) => {
+                Err(FtlError::NeedsGc) => {
                     self.resize_deferred = true;
-                    return Err(IndexError::NeedsGc);
+                    return Err(FtlError::NeedsGc);
                 }
                 Err(e) => return Err(e),
             }
         }
         self.maybe_resize(ftl)?;
         if self.resize_deferred {
-            return Err(IndexError::NeedsGc);
+            return Err(FtlError::NeedsGc);
         }
         Ok(())
     }
 
-    fn maintain_step(&mut self, ftl: &mut Ftl) -> Result<bool, IndexError> {
+    fn maintain_step(&mut self, ftl: &mut Ftl) -> Result<bool, FtlError> {
         if self.migration.is_none() {
             return Ok(false);
         }
         match crate::resize::step(self, ftl, self.cfg.resize_migration_batch, None) {
             Ok(n) => Ok(n > 0 || self.migration.is_none()),
-            Err(IndexError::NeedsGc) => {
+            Err(FtlError::NeedsGc) => {
                 self.resize_deferred = true;
                 Ok(false)
             }
@@ -760,7 +760,7 @@ impl IndexBackend for RhikIndex {
         &mut self,
         ftl: &mut Ftl,
         visit: &mut dyn FnMut(KeySignature, Ppa),
-    ) -> Result<(), IndexError> {
+    ) -> Result<(), FtlError> {
         pages::scan_records(self, ftl, visit)
     }
 
@@ -769,7 +769,7 @@ impl IndexBackend for RhikIndex {
         ftl: &mut Ftl,
         key: u64,
         old: Ppa,
-    ) -> Result<Option<Ppa>, IndexError> {
+    ) -> Result<Option<Ppa>, FtlError> {
         if key & DIR_PAGE_KEY == 0 {
             return pages::relocate(self, ftl, key, old);
         }
@@ -1317,7 +1317,7 @@ mod tests {
                 (t.insert(sig(i), Ppa::new(0, 0)), t.displacements())
             });
             if let Err(e) = idx.insert(&mut ftl, sig(i), Ppa::new(0, 0)) {
-                assert_eq!(e, IndexError::TableFull { table: slot as u64 });
+                assert_eq!(e, FtlError::TableFull { table: slot as u64 });
                 assert_eq!(ftl.cache_ref().peek(key), before.as_ref(), "page changed");
                 assert!(!ftl.cache_ref().is_dirty(key), "a failed insert dirtied the page");
                 if let Some((TableInsert::Full, moves)) = rehearsal {
@@ -1351,7 +1351,7 @@ mod tests {
             match idx.insert(&mut ftl, s, p) {
                 Ok(_) => {}
                 // Retry once, as `KvssdDevice::put` does after collecting.
-                Err(IndexError::NeedsGc) => {
+                Err(FtlError::NeedsGc) => {
                     refused = true;
                     if idx.insert(&mut ftl, s, p).is_err() {
                         break;
@@ -1373,7 +1373,7 @@ mod tests {
             let found = loop {
                 match idx.lookup(&mut ftl, *s) {
                     Ok(found) => break found,
-                    Err(IndexError::NeedsGc) => {
+                    Err(FtlError::NeedsGc) => {
                         let report = rhik_ftl::gc::run(&mut ftl, &mut idx, &gc).unwrap();
                         assert!(report.index_blocks_erased > 0, "GC reclaimed nothing");
                     }

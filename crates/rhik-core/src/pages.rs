@@ -31,7 +31,7 @@
 use bytes::Bytes;
 use rhik_ftl::cache::Evicted;
 use rhik_ftl::layout::SpareMeta;
-use rhik_ftl::{Ftl, IndexError, IndexStats};
+use rhik_ftl::{Ftl, FtlError, IndexStats};
 use rhik_nand::Ppa;
 use rhik_sigs::KeySignature;
 
@@ -86,7 +86,7 @@ pub fn load<I: CachedTables>(
     ftl: &mut Ftl,
     key: u64,
     ppa: Option<Ppa>,
-) -> Result<(Table, u64), IndexError> {
+) -> Result<(Table, u64), FtlError> {
     let (records, hop_width) = index.table_shape();
     let table = |place| Table { key, records, hop_width, place };
     if ftl.cache().get(key).is_some() {
@@ -111,7 +111,7 @@ pub fn install<I: CachedTables>(
     key: u64,
     data: Bytes,
     dirty: bool,
-) -> Result<(), IndexError> {
+) -> Result<(), FtlError> {
     let mut victims = ftl.cache().insert(key, data, dirty).into_iter().filter(|ev| ev.dirty);
     while let Some(ev) = victims.next() {
         if let Err(e) = program(index, ftl, ev.key, ev.data.clone()) {
@@ -125,7 +125,7 @@ pub fn install<I: CachedTables>(
 
 /// Persist every dirty cached page (a checkpoint). Each page turns clean
 /// only once its write-back succeeded, so an error leaves the rest dirty.
-pub fn flush_dirty<I: CachedTables>(index: &mut I, ftl: &mut Ftl) -> Result<(), IndexError> {
+pub fn flush_dirty<I: CachedTables>(index: &mut I, ftl: &mut Ftl) -> Result<(), FtlError> {
     for (key, data) in ftl.cache_ref().dirty_pages() {
         program(index, ftl, key, data)?;
         ftl.cache().mark_clean(key);
@@ -142,7 +142,7 @@ pub fn program<I: CachedTables>(
     ftl: &mut Ftl,
     key: u64,
     data: Bytes,
-) -> Result<Option<Ppa>, IndexError> {
+) -> Result<Option<Ppa>, FtlError> {
     if index.table_ppa(key).is_none() {
         return Ok(None);
     }
@@ -172,7 +172,7 @@ pub fn relocate<I: CachedTables>(
     ftl: &mut Ftl,
     key: u64,
     old: Ppa,
-) -> Result<Option<Ppa>, IndexError> {
+) -> Result<Option<Ppa>, FtlError> {
     if index.table_ppa(key).map(|at| *at) != Some(Some(old)) {
         return Ok(None);
     }
@@ -196,7 +196,7 @@ pub fn scan_records<I: CachedTables>(
     index: &mut I,
     ftl: &mut Ftl,
     visit: &mut dyn FnMut(KeySignature, Ppa),
-) -> Result<(), IndexError> {
+) -> Result<(), FtlError> {
     let keys: Vec<u64> =
         index.tables().filter(|&(_, _, records)| records > 0).map(|(key, ..)| key).collect();
     for key in keys {
@@ -270,7 +270,7 @@ impl Table {
     /// Account a patch: a resident page is marked dirty and most recently
     /// used; an owned page is installed dirty (which may write back
     /// evicted pages — see [`install`]).
-    pub fn save<I: CachedTables>(self, index: &mut I, ftl: &mut Ftl) -> Result<(), IndexError> {
+    pub fn save<I: CachedTables>(self, index: &mut I, ftl: &mut Ftl) -> Result<(), FtlError> {
         match self.place {
             Place::Resident => {
                 ftl.cache().commit_patch(self.key);

@@ -39,7 +39,7 @@
 //!   maintenance until the device garbage-collects.
 
 use bytes::Bytes;
-use rhik_ftl::{Ftl, IndexBackend, IndexError, ResizeEvent};
+use rhik_ftl::{Ftl, FtlError, IndexBackend, ResizeEvent};
 use rhik_nand::{NandOp, Ppa};
 
 use crate::bucket::{empty_page, page_records, TableInsert, TablePage};
@@ -150,7 +150,7 @@ fn media_ns(ftl: &Ftl, reads: u64, programs: u64) -> u64 {
 /// snapshot flushes are suppressed while migrating (a snapshot cannot
 /// describe a half-split configuration), so the re-anchored snapshot is
 /// what a mid-migration crash mounts.
-pub(crate) fn begin(idx: &mut RhikIndex, ftl: &mut Ftl) -> Result<(), IndexError> {
+pub(crate) fn begin(idx: &mut RhikIndex, ftl: &mut Ftl) -> Result<(), FtlError> {
     debug_assert!(idx.migration.is_none(), "resize begun while one is in flight");
     let old_tables = idx.directory().len() as u64;
     let t0 = std::time::Instant::now();
@@ -199,7 +199,7 @@ pub(crate) fn step(
     ftl: &mut Ftl,
     max_slots: u32,
     target: Option<u32>,
-) -> Result<u32, IndexError> {
+) -> Result<u32, FtlError> {
     let Some(mut m) = idx.migration.take() else { return Ok(0) };
     let t0 = std::time::Instant::now();
     let before = ftl.stats();
@@ -244,7 +244,7 @@ fn advance(
     m: &mut Migration,
     max_slots: u32,
     target: Option<u32>,
-) -> Result<u32, IndexError> {
+) -> Result<u32, FtlError> {
     let mut split = 0u32;
     if let Some(slot) = target {
         if !m.is_split(slot) {
@@ -298,13 +298,13 @@ fn split_one(
     ftl: &mut Ftl,
     m: &mut Migration,
     slot: u32,
-) -> Result<(), IndexError> {
+) -> Result<(), FtlError> {
     let page_size = ftl.geometry().page_size as usize;
     // Check the single-slot worst case (two successors, each with a fresh
     // overflow) so a split never starts what it cannot finish.
     let ppb = ftl.geometry().pages_per_block as u64;
     if (ftl.free_blocks() as u64) * ppb < 4 {
-        return Err(IndexError::NeedsGc);
+        return Err(FtlError::NeedsGc);
     }
 
     let records_per_table = idx.records_per_table();
@@ -321,7 +321,7 @@ fn split_one(
                  idx: &mut RhikIndex,
                  cache_key: u64,
                  ppa: Option<rhik_nand::Ppa>|
-     -> Result<Option<Bytes>, IndexError> {
+     -> Result<Option<Bytes>, FtlError> {
         if let Some(bytes) = ftl.cache().get(cache_key) {
             return Ok(Some(bytes.clone()));
         }
@@ -586,7 +586,7 @@ mod tests {
         for k in 0..25u64 {
             match idx.insert(&mut ftl, sig(k), Ppa::new(0, 0)) {
                 Ok(_) => inserted += 1,
-                Err(IndexError::NeedsGc) => break,
+                Err(FtlError::NeedsGc) => break,
                 Err(e) => panic!("unexpected error: {e}"),
             }
         }
@@ -594,7 +594,7 @@ mod tests {
         assert_eq!(idx.directory().bits(), bits_before + 1, "the doubling began");
         assert_eq!(idx.migration_progress(), Some((0, 1)), "the split paused");
         assert!(idx.maintenance_due());
-        assert_eq!(idx.maintain(&mut ftl).unwrap_err(), IndexError::NeedsGc);
+        assert_eq!(idx.maintain(&mut ftl).unwrap_err(), FtlError::NeedsGc);
         assert!(idx.resize_in_progress(), "a refused split keeps the migration");
         // Every inserted record is still reachable.
         for k in 0..inserted {

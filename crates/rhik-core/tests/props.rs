@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use rhik_core::{RecordTable, RhikConfig, RhikIndex, TableInsert, TablePage};
-use rhik_ftl::{Ftl, FtlConfig, IndexBackend, IndexError};
+use rhik_ftl::{Ftl, FtlConfig, FtlError, IndexBackend};
 use rhik_nand::{NandGeometry, Ppa};
 use rhik_sigs::KeySignature;
 use std::collections::{BTreeMap, HashMap};
@@ -94,7 +94,7 @@ proptest! {
                         // The paper's legitimate abort: hop-range full. The
                         // index must stay consistent, the key is just not
                         // stored.
-                        Err(rhik_ftl::IndexError::TableFull { .. }) => {}
+                        Err(rhik_ftl::FtlError::TableFull { .. }) => {}
                         Err(e) => prop_assert!(false, "insert failed: {e}"),
                     }
                 }
@@ -291,7 +291,7 @@ fn index_stream_digest(cfg: RhikConfig, cache_bytes: usize, seed: u64, ops: u32)
         let ppa = Ppa::new((state >> 20) as u32 % 1000, (state >> 40) as u32 % 8);
         match (state >> 12) % 8 {
             0..=4 => match idx.insert(&mut ftl, sig, ppa) {
-                Ok(_) | Err(IndexError::TableFull { .. }) => {}
+                Ok(_) | Err(FtlError::TableFull { .. }) => {}
                 Err(e) => panic!("insert: {e}"),
             },
             5 | 6 => {
