@@ -18,6 +18,10 @@
 //!   generic over the installed index.
 //! * [`IndexBackend`] — the trait RHIK (`rhik-core`) and the baselines
 //!   (`rhik-baseline`) implement; the device emulator is generic over it.
+//! * [`ReadView`] — the per-shard `sig → head PPA` mirror behind the
+//!   sharded device's lock-free gets.
+
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod gc;
@@ -33,6 +37,6 @@ pub use alloc::{AcquireClass, BlockMeta, Stream};
 pub use cache::IndexPageCache;
 pub use ftl::{Ftl, FtlConfig, FtlError, FtlStats, MediaReader, WrittenExtent};
 pub use gc::{GcConfig, GcPolicy, GcReport};
-pub use readview::{GenSnapshot, Lookup, ReadHit, ReadView};
+pub use readview::{ReadHit, ReadView};
 pub use sync::{FlashPool, VersionTable};
 pub use traits::{IndexBackend, IndexStats, InsertOutcome, ResizeEvent, TimedOp};

@@ -1,322 +1,179 @@
-//! Generation-published read view: the lock-free get path's index mirror.
+//! The lock-free get path's index mirror: one shard's `sig → head PPA`.
 //!
-//! The RHIK directory and its hopscotch bucket headers live behind the
-//! shard writer lock. To let gets walk directory → bucket → record page
-//! with *zero* locks, the index publishes its sig → head-page mapping as
-//! immutable generation snapshots behind an atomic pointer
-//! ([`sync::GenCell`]): a [`GenSnapshot`] is a power-of-two directory of
-//! bucket cells, each pairing a [`sync::SeqLock`] version with a
-//! copy-on-write entry list. Readers pin the epoch domain for the few
-//! instructions of the pointer walk, take the head PPA, perform the
-//! record-page flash read through the narrow media lock, and then
-//! *validate* the bucket version; a failed validation (concurrent split,
-//! in-place update, GC relocation) sends the caller to the classic
+//! The RHIK directory and its record tables live behind the shard lock.
+//! So that gets never take that lock, the index mirrors every change of
+//! where a pair lives into a [`ReadView`]: one hash map behind its own
+//! short-hold mutex, plus a fixed [`VersionTable`] of validation stripes.
+//! A reader holds the map mutex for one hash probe, reads the head page
+//! through the narrow media lock, and then [validates](ReadHit::validate)
+//! that the signature's stripe has not moved; a failed validation
+//! (concurrent update, delete or GC relocation) sends the caller to the
 //! locked path. Writers — already serialized by the shard lock — mutate
-//! bucket cells by publishing replacement entry lists, and the
-//! incremental-resize state machine doubles the whole directory by
-//! building the next generation and publishing it with a single atomic
-//! swap; old generations are retired through epoch-based reclamation.
+//! the map, release its mutex, and only then bump the stripe: the
+//! bump-after-mutate protocol of the hot cache's versions. A reader that
+//! took the old head therefore fails validation once the change is
+//! visible, and so does one that read a page erased after the change.
 //!
-//! The view stores only `(signature, head PPA)` pairs — the durable form
-//! of every bucket stays on flash in the record-table pages. A snapshot
-//! is therefore a DRAM cache of the bucket *headers*, and the ≤1-flash-
-//! read lookup bound is preserved: a validated hit costs exactly the
-//! head-page read (plus the value's own continuation pages), and a
-//! validated miss costs zero flash reads.
+//! The map is keyed by signature, not shaped by the directory, so
+//! directory doublings never touch it. It stores only `(signature, head
+//! PPA)` pairs — the durable form of every bucket stays on flash — and the
+//! ≤1-flash-read lookup bound is preserved: a validated hit costs exactly
+//! the record pages it reads, and a miss costs zero flash reads.
 
-use std::sync::Arc;
+use std::collections::HashMap;
 
 use rhik_nand::Ppa;
 
-use crate::sync::{EpochDomain, GenCell, SeqLock};
+use crate::sync::{Mutex, MutexGuard, VersionTable};
 
-/// One published generation: an immutable directory of bucket cells.
-pub struct GenSnapshot {
-    generation: u64,
-    bits: u32,
-    buckets: Box<[BucketCell]>,
-}
-
-impl GenSnapshot {
-    fn empty(generation: u64, bits: u32) -> Self {
-        let size = 1usize << bits;
-        let buckets = (0..size).map(|_| BucketCell::empty()).collect::<Vec<_>>().into();
-        GenSnapshot { generation, bits, buckets }
-    }
-
-    #[inline]
-    fn slot(&self, sig: u64) -> usize {
-        (sig & ((1u64 << self.bits) - 1)) as usize
-    }
-
-    /// Generation number of this snapshot (monotonic per view).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Directory bits of this snapshot.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-}
-
-/// A bucket header: seqlock version + copy-on-write entry list.
-struct BucketCell {
-    seq: SeqLock,
-    entries: GenCell<Vec<(u64, Ppa)>>,
-}
-
-impl BucketCell {
-    fn empty() -> Self {
-        BucketCell { seq: SeqLock::new(), entries: GenCell::new(Arc::new(Vec::new())) }
-    }
-
-    fn with_entries(entries: Vec<(u64, Ppa)>) -> Self {
-        BucketCell { seq: SeqLock::new(), entries: GenCell::new(Arc::new(entries)) }
-    }
-}
-
-/// Outcome of a lock-free bucket walk.
-pub enum Lookup {
-    /// The signature maps to a head page; the hit must be
-    /// [`validated`](ReadHit::validate) after the flash read.
-    Hit(ReadHit),
-    /// The bucket provably held no entry for the signature (validated;
-    /// zero flash reads spent).
-    Miss,
-    /// A concurrent writer overlapped the walk — take the locked path.
-    Contended,
-}
-
-/// A successful bucket-walk hit, carrying what the reader needs to
-/// re-validate after its optimistic flash read.
-pub struct ReadHit {
-    snapshot: Arc<GenSnapshot>,
-    slot: usize,
-    begin: u64,
-    /// Head page holding the pair record (the address the index stores).
-    pub head: Ppa,
-}
-
-impl ReadHit {
-    /// True iff no writer touched the bucket since the walk began — the
-    /// flash read observed a stable record and its value can be returned.
-    pub fn validate(&self) -> bool {
-        self.snapshot.buckets[self.slot].seq.read_validate(self.begin)
-    }
-}
+/// Validation stripes per view, as bits. Stripe collisions only add
+/// spurious fallbacks to the locked path, never a wrong answer.
+const STRIPE_BITS: u32 = 10;
 
 /// The shared read view: one per shard, attached to the index backend
 /// (writer side) and to the device's lock-free read path (reader side).
+#[derive(Debug)]
 pub struct ReadView {
-    domain: EpochDomain,
-    snapshot: GenCell<GenSnapshot>,
+    // bounded-by: one entry per key the attached index holds; every
+    // insert, update, relocation and delete of the index funnels here.
+    heads: Mutex<HashMap<u64, Ppa>>,
+    stripes: VersionTable,
+}
+
+/// A lookup hit, carrying what the reader needs to re-validate after its
+/// optimistic flash read.
+pub struct ReadHit<'a> {
+    /// Head page holding the pair record (the address the index stores).
+    pub head: Ppa,
+    sig: u64,
+    version: u64,
+    stripes: &'a VersionTable,
+}
+
+impl ReadHit<'_> {
+    /// True iff no writer changed the signature's stripe since the probe —
+    /// the flash read observed the published head page and its value can
+    /// be returned.
+    pub fn validate(&self) -> bool {
+        self.stripes.load(self.sig) == self.version
+    }
+}
+
+impl Default for ReadView {
+    fn default() -> Self {
+        ReadView { heads: Mutex::new(HashMap::new()), stripes: VersionTable::new(STRIPE_BITS) }
+    }
 }
 
 impl ReadView {
-    /// An empty view with `1 << bits` buckets (matched to the index's
-    /// initial directory bits).
-    pub fn new(bits: u32) -> Self {
-        ReadView {
-            domain: EpochDomain::new(),
-            snapshot: GenCell::new(Arc::new(GenSnapshot::empty(0, bits))),
-        }
+    fn heads(&self) -> MutexGuard<'_, HashMap<u64, Ppa>> {
+        // Every map mutation is a single call, so a panic cannot leave a
+        // poisoned map half-updated.
+        self.heads.lock().unwrap_or_else(|poison| poison.into_inner())
     }
 
-    /// The currently published snapshot.
-    pub fn snapshot(&self) -> Arc<GenSnapshot> {
-        self.snapshot.load(&self.domain)
+    /// Probe the mirror for `sig`: `None` is a miss (zero flash reads),
+    /// a hit must be [validated](ReadHit::validate) after the page read.
+    /// The stripe version is read under the map mutex, so a hit tagged
+    /// with a version that already includes a change's bump carries that
+    /// change's head.
+    pub fn lookup(&self, sig: u64) -> Option<ReadHit<'_>> {
+        let heads = self.heads();
+        let version = self.stripes.load(sig);
+        let head = *heads.get(&sig)?;
+        Some(ReadHit { head, sig, version, stripes: &self.stripes })
     }
 
-    /// Epoch domain backing this view (diagnostics/tests).
-    pub fn domain(&self) -> &EpochDomain {
-        &self.domain
-    }
-
-    // -------------------------------------------------------- reader side
-
-    /// Lock-free bucket walk: pin, load the snapshot, read the bucket
-    /// header optimistically. Never touches flash.
-    pub fn lookup(&self, sig: u64) -> Lookup {
-        let snapshot = self.snapshot.load(&self.domain);
-        let slot = snapshot.slot(sig);
-        let cell = &snapshot.buckets[slot];
-        let Some(begin) = cell.seq.read_begin() else {
-            return Lookup::Contended;
-        };
-        let entries = cell.entries.load(&self.domain);
-        let head = entries.iter().find(|(s, _)| *s == sig).map(|&(_, ppa)| ppa);
-        if !cell.seq.read_validate(begin) {
-            return Lookup::Contended;
-        }
-        match head {
-            Some(head) => Lookup::Hit(ReadHit { snapshot, slot, begin, head }),
-            None => Lookup::Miss,
-        }
-    }
-
-    // -------------------------------------------------------- writer side
-    //
-    // All writer-side methods are serialized externally by the shard
-    // writer lock; concurrent *readers* are the case they defend against.
+    // Writer side: serialized externally by the shard lock; concurrent
+    // readers are the case it defends against.
 
     /// Map `sig` to `head`, replacing any previous mapping (insert,
     /// in-place update, GC relocation — every sig → PPA change funnels
     /// through here).
     pub fn upsert(&self, sig: u64, head: Ppa) {
-        let snapshot = self.snapshot.load(&self.domain);
-        let cell = &snapshot.buckets[snapshot.slot(sig)];
-        let current = cell.entries.load(&self.domain);
-        let mut next = Vec::with_capacity(current.len() + 1);
-        next.extend(current.iter().copied().filter(|(s, _)| *s != sig));
-        next.push((sig, head));
-        cell.seq.write_begin();
-        cell.entries.publish(&self.domain, Arc::new(next));
-        cell.seq.write_end();
+        self.heads().insert(sig, head);
+        self.stripes.bump(sig);
     }
 
     /// Drop the mapping for `sig` (delete). No-op if absent.
     pub fn remove(&self, sig: u64) {
-        let snapshot = self.snapshot.load(&self.domain);
-        let cell = &snapshot.buckets[snapshot.slot(sig)];
-        let current = cell.entries.load(&self.domain);
-        if !current.iter().any(|(s, _)| *s == sig) {
-            return;
+        let removed = self.heads().remove(&sig).is_some();
+        if removed {
+            self.stripes.bump(sig);
         }
-        let next = current.iter().copied().filter(|(s, _)| *s != sig).collect::<Vec<_>>();
-        cell.seq.write_begin();
-        cell.entries.publish(&self.domain, Arc::new(next));
-        cell.seq.write_end();
     }
 
-    /// Build and publish the next generation with `new_bits` directory
-    /// bits, redistributing every entry — the read-side half of an
-    /// incremental directory doubling. One atomic swap makes the new
-    /// generation visible; the old one is retired into the epoch domain.
-    ///
-    /// The old generation's buckets are first *poisoned* (their seqlocks
-    /// left permanently odd): later writes bump only the new generation's
-    /// cells, so a reader still holding the old snapshot must never be
-    /// able to validate against it again. Poisoned buckets turn such
-    /// readers into `Contended` fallbacks until they reload the pointer.
-    pub fn publish_generation(&self, new_bits: u32) {
-        let old = self.snapshot.load(&self.domain);
-        for cell in old.buckets.iter() {
-            cell.seq.write_begin();
-        }
-        let size = 1usize << new_bits;
-        let mask = (1u64 << new_bits) - 1;
-        let mut redistributed: Vec<Vec<(u64, Ppa)>> = (0..size).map(|_| Vec::new()).collect();
-        for cell in old.buckets.iter() {
-            for &(sig, ppa) in cell.entries.load(&self.domain).iter() {
-                redistributed[(sig & mask) as usize].push((sig, ppa));
-            }
-        }
-        let buckets =
-            redistributed.into_iter().map(BucketCell::with_entries).collect::<Vec<_>>().into();
-        let next = GenSnapshot { generation: old.generation + 1, bits: new_bits, buckets };
-        self.snapshot.publish(&self.domain, Arc::new(next));
-    }
-
-    /// Total entries across the published snapshot (tests/diagnostics).
+    /// Mappings held (tests/diagnostics).
     pub fn entry_count(&self) -> usize {
-        let snapshot = self.snapshot.load(&self.domain);
-        snapshot.buckets.iter().map(|c| c.entries.load(&self.domain).len()).sum()
-    }
-}
-
-impl std::fmt::Debug for ReadView {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let snapshot = self.snapshot();
-        f.debug_struct("ReadView")
-            .field("generation", &snapshot.generation)
-            .field("bits", &snapshot.bits)
-            .field("domain", &self.domain)
-            .finish()
+        self.heads().len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ppa(block: u32, page: u32) -> Ppa {
-        Ppa::new(block, page)
-    }
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn head_of(view: &ReadView, sig: u64) -> Option<Ppa> {
-        match view.lookup(sig) {
-            Lookup::Hit(h) => {
-                assert!(h.validate(), "quiet lookup must validate");
-                Some(h.head)
-            }
-            Lookup::Miss => None,
-            Lookup::Contended => panic!("no writer active"),
-        }
+        view.lookup(sig).map(|hit| {
+            assert!(hit.validate(), "quiet lookup must validate");
+            hit.head
+        })
     }
 
     #[test]
     fn upsert_lookup_remove_roundtrip() {
-        let view = ReadView::new(2);
+        let view = ReadView::default();
         assert!(head_of(&view, 7).is_none());
-        view.upsert(7, ppa(1, 2));
-        assert_eq!(head_of(&view, 7), Some(ppa(1, 2)));
-        view.upsert(7, ppa(3, 4)); // in-place update / relocation
-        assert_eq!(head_of(&view, 7), Some(ppa(3, 4)));
+        view.upsert(7, Ppa::new(1, 2));
+        assert_eq!(head_of(&view, 7), Some(Ppa::new(1, 2)));
+        let stale = view.lookup(7).expect("mapped");
+        view.upsert(7, Ppa::new(3, 4)); // in-place update / relocation
+        assert!(!stale.validate(), "a hit taken before the update must not validate");
+        assert_eq!(head_of(&view, 7), Some(Ppa::new(3, 4)));
         view.remove(7);
         assert!(head_of(&view, 7).is_none());
         assert_eq!(view.entry_count(), 0);
     }
 
     #[test]
-    fn doubling_preserves_every_mapping() {
-        let view = ReadView::new(1);
-        for sig in 0..64u64 {
-            view.upsert(sig, ppa(sig as u32, 0));
-        }
-        let before = view.snapshot().generation();
-        view.publish_generation(4);
-        let snap = view.snapshot();
-        assert_eq!(snap.bits(), 4);
-        assert_eq!(snap.generation(), before + 1);
-        assert_eq!(view.entry_count(), 64);
-        for sig in 0..64u64 {
-            assert_eq!(head_of(&view, sig), Some(ppa(sig as u32, 0)));
-        }
-    }
-
-    #[test]
-    fn concurrent_reads_during_doubling_never_miss_or_tear() {
-        let view = Arc::new(ReadView::new(1));
-        for sig in 0..128u64 {
-            view.upsert(sig, ppa(sig as u32, sig as u32));
-        }
+    fn readers_racing_upserts_validate_only_published_heads() {
+        // Key `sig` moves through heads (sig, 1), (sig, 2), … ; the writer
+        // publishes each new page in `published` before mapping it, as a
+        // device programs a pair before indexing it.
+        const SIGS: u64 = 8;
+        const ROUNDS: u32 = 400;
+        let view = ReadView::default();
+        let published: Vec<AtomicU32> = (0..SIGS).map(|_| AtomicU32::new(0)).collect();
         std::thread::scope(|scope| {
-            for _ in 0..3 {
-                let view = Arc::clone(&view);
+            for t in 0..3u64 {
+                let (view, published) = (&view, &published);
                 scope.spawn(move || {
-                    for round in 0..400 {
-                        let sig = (round * 31) % 128;
-                        match view.lookup(sig) {
-                            Lookup::Hit(h) => {
-                                // The mapping never changes, so even a
-                                // non-validating hit must carry it.
-                                assert_eq!(h.head, ppa(sig as u32, sig as u32));
-                            }
-                            Lookup::Miss => panic!("key {sig} vanished during doubling"),
-                            Lookup::Contended => {} // locked-path fallback
+                    for round in 0..ROUNDS as u64 {
+                        let sig = (t + round) % SIGS;
+                        let Some(hit) = view.lookup(sig) else { continue };
+                        let page = hit.head.page;
+                        assert_eq!(hit.head.block, sig as u32, "head of another key");
+                        assert!(
+                            page <= published[sig as usize].load(Ordering::SeqCst),
+                            "unpublished head {page} for key {sig}"
+                        );
+                        let newest = published[sig as usize].load(Ordering::SeqCst);
+                        if hit.validate() {
+                            // Validated ⇒ the stripe never moved, so the
+                            // key's head was still `page` at validation.
+                            assert!(page + 1 >= newest, "validated a superseded head");
                         }
                     }
                 });
             }
-            let view = Arc::clone(&view);
-            scope.spawn(move || {
-                for bits in [2u32, 3, 4, 5, 6, 7] {
-                    view.publish_generation(bits);
+            for page in 1..=ROUNDS {
+                for sig in 0..SIGS {
+                    published[sig as usize].store(page, Ordering::SeqCst);
+                    view.upsert(sig, Ppa::new(sig as u32, page));
                 }
-            });
+            }
         });
-        view.domain().quiesce();
-        assert_eq!(view.entry_count(), 128);
+        assert_eq!(view.entry_count(), SIGS as usize);
     }
 }

@@ -214,11 +214,11 @@ pub trait IndexBackend {
         Err(FtlError::Unsupported("scan_records"))
     }
 
-    /// Attach a generation-published [`ReadView`](crate::readview::ReadView)
-    /// for this index to mirror: every `sig → head PPA` change (insert,
-    /// update, delete, GC relocation) must be reflected into the view,
-    /// and a directory doubling must publish a new view generation, so
-    /// the device's lock-free get path stays coherent.
+    /// Attach a [`ReadView`](crate::readview::ReadView) for this index to
+    /// mirror: every `sig → head PPA` change (insert, update, delete, GC
+    /// relocation) must be reflected into the view, so the device's
+    /// lock-free get path stays coherent. Directory doublings move no
+    /// pair, so they need no view work.
     ///
     /// Returns `true` iff the backend accepted the view and will keep it
     /// coherent from now on — a backend may only accept while it is

@@ -270,7 +270,7 @@ impl<I: IndexBackend> KvssdDevice<I> {
         self.ftl.media_reader()
     }
 
-    /// Offer a generation-published read view to the index backend.
+    /// Offer a lock-free read view to the index backend.
     /// Returns `true` iff the backend accepted it and will keep it
     /// coherent (backends may only accept while empty); `false` leaves
     /// every get on the locked path.

@@ -45,7 +45,7 @@ use rhik_ftl::layout;
 // Per-shard locks via ftl::sync so `cfg(loom)` builds model them (and
 // wslint's `std-mutex-outside-sync` rule holds workspace-wide).
 use rhik_ftl::sync::{Condvar, Counter, Mutex, MutexGuard};
-use rhik_ftl::{FlashPool, Ftl, IndexBackend, Lookup, MediaReader, ReadView};
+use rhik_ftl::{FlashPool, Ftl, IndexBackend, MediaReader, ReadView};
 use rhik_sigs::{KeySignature, SigHasher};
 use rhik_telemetry::{OpKind, OpSpan, TelemetrySink};
 
@@ -59,12 +59,13 @@ use crate::Result;
 
 // ------------------------------------------------------ lock-free reads
 
-/// Per-shard lock-free get machinery: the generation-published index
-/// mirror ([`ReadView`]) plus a [`MediaReader`] that reads record pages
-/// through the narrow media lock — never the shard's command mutex.
-/// All counters are relaxed [`Counter`]s; the latency histogram and
-/// telemetry sink sit behind their own short-hold mutexes, touched only
-/// *after* the lock-free walk and flash read complete.
+/// Per-shard lock-free get machinery: the index mirror ([`ReadView`],
+/// whose map mutex a get holds for one hash probe) plus a
+/// [`MediaReader`] that reads record pages through the narrow media
+/// lock — never the shard's command mutex. All counters are relaxed
+/// [`Counter`]s; the latency histogram and telemetry sink sit behind
+/// their own short-hold mutexes, touched only *after* the lock-free walk
+/// and flash read complete.
 struct ReadPath {
     view: Arc<ReadView>,
     media: MediaReader,
@@ -133,21 +134,17 @@ impl ReadPath {
         }
     }
 
-    /// Walk the published chain for `sig` — directory snapshot → head
-    /// page → continuation pages — and re-validate the bucket after the
-    /// reads. Returns the pages read and `Some(answer)`: the value, or
-    /// `None` for a validated absence. No answer means only the locked
-    /// path can decide (contended bucket, head still in the write buffer,
-    /// failed validation). Touches no counter, so the audit's coherence
-    /// join walks the chain through it too.
+    /// Walk the mirrored chain for `sig` — view probe → head page →
+    /// continuation pages — and re-validate the signature's stripe after
+    /// the reads. Returns the pages read and `Some(answer)`: the value, or
+    /// `None` for an absence. No answer means only the locked path can
+    /// decide (head still in the write buffer, failed validation).
+    /// Touches no counter, so the audit's coherence join walks the chain
+    /// through it too.
     fn walk(&self, sig: KeySignature, key: &[u8]) -> (u64, Option<Option<Vec<u8>>>) {
-        let hit = match self.view.lookup(sig.0) {
-            // A validated miss costs zero flash reads — the §IV-A3
-            // signature-only answer, straight from DRAM.
-            Lookup::Miss => return (0, Some(None)),
-            Lookup::Contended => return (0, None),
-            Lookup::Hit(hit) => hit,
-        };
+        // A miss costs zero flash reads — the §IV-A3 signature-only
+        // answer, straight from DRAM.
+        let Some(hit) = self.view.lookup(sig.0) else { return (0, Some(None)) };
         // Optimistic flash read: the head may be stale (concurrent
         // update/GC) or still in the DRAM write buffer (unprogrammed
         // page ⇒ the media read errors). Validation decides.
@@ -199,7 +196,7 @@ impl ReadPath {
 }
 
 /// Aggregated lock-free read-path counters (diagnostics, benches, the
-/// adversarial snapshot-read test).
+/// adversarial lock-free read test).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LockfreeReadStats {
     /// Gets completed entirely on the lock-free path.
@@ -397,10 +394,9 @@ impl ShardedKvssd<RhikIndex> {
             let ftl = Ftl::with_pool(shard_cfg.ftl_config(), Arc::clone(&pool));
             let index = RhikIndex::new(shard_cfg.rhik, shard_cfg.geometry.page_size);
             let mut dev = KvssdDevice::with_index_and_ftl(shard_cfg, ftl, index);
-            // Offer the index a generation-published mirror; gets go
-            // lock-free only if the backend accepted it (it publishes
-            // the right directory bits itself).
-            let view = Arc::new(ReadView::new(0));
+            // Offer the index a read mirror; gets go lock-free only if
+            // the backend accepted it.
+            let view = Arc::new(ReadView::default());
             let read = dev
                 .attach_read_view(Arc::clone(&view))
                 .then(|| ReadPath::new(view, dev.media_reader()));
@@ -567,11 +563,11 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
 
     /// `get`: the hot-object cache answers first (a validated DRAM hit
     /// costs zero directory work and zero flash reads), then the
-    /// lock-free path when the shard has a read view — walk the
-    /// published snapshot, read record pages through the media lock,
-    /// validate, and return without ever touching the shard's command
-    /// mutex. Any ambiguity (contended bucket, pending write buffer,
-    /// failed validation) falls back to the locked pass. Values read
+    /// lock-free path when the shard has a read view — probe the view
+    /// (one hash probe under its map mutex), read record pages through
+    /// the media lock, validate, and return without ever touching the
+    /// shard's command mutex. Any ambiguity (pending write buffer, failed
+    /// validation) falls back to the locked pass. Values read
     /// from the index are offered back to the cache under the
     /// version-re-check fill protocol (see `cache_tier`).
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {

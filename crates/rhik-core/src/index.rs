@@ -40,17 +40,17 @@ pub struct RhikIndex {
     /// Buckets lost at mount time because GC had reclaimed their
     /// snapshot-referenced pages (see [`RhikIndex::recover`]).
     recovery_lost_tables: u64,
-    /// Generation-published mirror of the `sig → head PPA` mapping for
-    /// the device's lock-free read path (attached by the sharded device;
-    /// `None` on single-owner devices). Every mutation that changes where
-    /// a pair lives funnels through the `note_view_*` helpers.
+    /// Mirror of the `sig → head PPA` mapping for the device's lock-free
+    /// read path (attached by the sharded device; `None` on single-owner
+    /// devices). Every mutation that changes where a pair lives funnels
+    /// through the `note_view_*` helpers; directory doublings move no
+    /// pair, so they leave the view alone.
     view: Option<std::sync::Arc<rhik_ftl::ReadView>>,
     /// Invalidation versions for the hot-object cache tier (attached by
     /// the device when the cache is enabled; `None` otherwise). Bumped in
     /// the same `note_view_*` funnel as the read view: every value
     /// mutation — insert, update, delete, GC relocation — invalidates
-    /// the signature's stripe. Directory doublings move mappings without
-    /// changing values, so `note_view_doubled` does not bump.
+    /// the signature's stripe.
     versions: Option<std::sync::Arc<rhik_ftl::VersionTable>>,
 }
 
@@ -313,15 +313,6 @@ impl RhikIndex {
         }
         if let Some(versions) = &self.versions {
             versions.bump(sig.0);
-        }
-    }
-
-    /// Publish the read view's next generation after the directory
-    /// doubled (`resize::begin`): readers re-walk under the new bits and
-    /// stale-snapshot holders are poisoned into the locked path.
-    pub(crate) fn note_view_doubled(&self) {
-        if let Some(view) = &self.view {
-            view.publish_generation(self.dir.bits());
         }
     }
 
@@ -739,11 +730,8 @@ impl IndexBackend for RhikIndex {
     fn attach_read_view(&mut self, view: std::sync::Arc<rhik_ftl::ReadView>) -> bool {
         if self.len != 0 {
             // The view starts empty; adopting it now would make every
-            // pre-existing key a (validated) lock-free miss.
+            // pre-existing key a lock-free miss.
             return false;
-        }
-        if view.snapshot().bits() != self.dir.bits() {
-            view.publish_generation(self.dir.bits());
         }
         self.view = Some(view);
         true

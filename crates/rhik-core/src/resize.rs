@@ -178,11 +178,6 @@ pub(crate) fn begin(idx: &mut RhikIndex, ftl: &mut Ftl) -> Result<(), FtlError> 
         max_step_media_ns: 0,
     });
     ftl.telemetry().counter_add("rhik_resizes_started", 1);
-    // The DRAM directory just doubled; publish the read view's next
-    // generation so lock-free readers re-walk under the new bits (record
-    // head PPAs are untouched by the table splits that follow, so the
-    // view needs no per-split work).
-    idx.note_view_doubled();
     Ok(())
 }
 

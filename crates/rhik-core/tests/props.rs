@@ -1,7 +1,8 @@
 //! Property tests: RHIK behaves exactly like a `HashMap<sig, ppa>` under
 //! arbitrary insert/update/remove/lookup interleavings — across resizes,
 //! cache evictions, write-backs and GC relocation of index blocks — and
-//! never needs more than one flash read per lookup.
+//! never needs more than one flash read per lookup, while the lock-free
+//! read mirror ([`ReadView`]) it feeds holds exactly the same mapping.
 //! `resize_migration_batch: 1` stretches every doubling across as many
 //! operations as possible, so the interleavings routinely
 //! land mid-migration (keys split between the frozen old directory and
@@ -12,7 +13,7 @@
 
 use proptest::prelude::*;
 use rhik_core::{RecordTable, RhikConfig, RhikIndex, TableInsert, TablePage};
-use rhik_ftl::{Ftl, FtlConfig, FtlError, IndexBackend};
+use rhik_ftl::{Ftl, FtlConfig, FtlError, IndexBackend, ReadView};
 use rhik_nand::{NandGeometry, Ppa};
 use rhik_sigs::KeySignature;
 use std::collections::{BTreeMap, HashMap};
@@ -63,11 +64,15 @@ enum Op {
     Relocate(u16),
 }
 
+/// Key space of the ops: small enough that updates and removes of live
+/// keys are common, large enough to grow through several doublings.
+const KEYS: u16 = 1024;
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (any::<u16>(), any::<u8>()).prop_map(|(k, p)| Op::Insert(k, p)),
-        2 => any::<u16>().prop_map(Op::Remove),
-        3 => any::<u16>().prop_map(Op::Lookup),
+        4 => (0..KEYS, any::<u8>()).prop_map(|(k, p)| Op::Insert(k, p)),
+        2 => (0..KEYS).prop_map(Op::Remove),
+        3 => (0..KEYS).prop_map(Op::Lookup),
         1 => Just(Op::Flush),
         1 => any::<u16>().prop_map(Op::Relocate),
     ]
@@ -81,6 +86,8 @@ proptest! {
         let mut ftl = big_ftl();
         let mut idx = index();
         let mut model: HashMap<u64, Ppa> = HashMap::new();
+        let view = std::sync::Arc::new(ReadView::default());
+        prop_assert!(idx.attach_read_view(std::sync::Arc::clone(&view)));
 
         for op in ops {
             match op {
@@ -127,6 +134,12 @@ proptest! {
                 }
             }
             prop_assert_eq!(idx.len(), model.len() as u64);
+            // The lock-free read mirror follows the index through
+            // doublings, relocation, removes and `TableFull` aborts.
+            prop_assert_eq!(view.entry_count(), model.len());
+            for (&raw, &ppa) in &model {
+                prop_assert_eq!(view.lookup(raw).map(|hit| hit.head), Some(ppa));
+            }
         }
 
         // Final sweep: every model key is present with the right value, and
