@@ -222,7 +222,6 @@ fn cache_stats_json(c: &rhik_kvssd::CacheStats) -> Value {
         "admits": c.admits,
         "rejects": c.rejects,
         "evictions": c.evictions,
-        "replica_admits": c.replica_admits,
         "bytes": c.bytes,
         "entries": c.entries,
     })

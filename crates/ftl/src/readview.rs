@@ -3,16 +3,19 @@
 //! The RHIK directory and its record tables live behind the shard lock.
 //! So that gets never take that lock, the index mirrors every change of
 //! where a pair lives into a [`ReadView`]: one hash map behind its own
-//! short-hold mutex, plus a fixed [`VersionTable`] of validation stripes.
+//! short-hold mutex, validated against the device's one [`VersionTable`].
 //! A reader holds the map mutex for one hash probe, reads the head page
 //! through the narrow media lock, and then [validates](ReadHit::validate)
 //! that the signature's stripe has not moved; a failed validation
 //! (concurrent update, delete or GC relocation) sends the caller to the
 //! locked path. Writers — already serialized by the shard lock — mutate
-//! the map, release its mutex, and only then bump the stripe: the
-//! bump-after-mutate protocol of the hot cache's versions. A reader that
-//! took the old head therefore fails validation once the change is
+//! the map, release its mutex, and only then bump the stripe. A reader
+//! that took the old head therefore fails validation once the change is
 //! visible, and so does one that read a page erased after the change.
+//!
+//! That bump is the device's only one: the same table is every shard
+//! view's validation stripes and the hot cache's invalidation tags, so a
+//! cached value is dropped by the same bump that fails a racing reader.
 //!
 //! The map is keyed by signature, not shaped by the directory, so
 //! directory doublings never touch it. It stores only `(signature, head
@@ -21,14 +24,11 @@
 //! the record pages it reads, and a miss costs zero flash reads.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rhik_nand::Ppa;
 
 use crate::sync::{Mutex, MutexGuard, VersionTable};
-
-/// Validation stripes per view, as bits. Stripe collisions only add
-/// spurious fallbacks to the locked path, never a wrong answer.
-const STRIPE_BITS: u32 = 10;
 
 /// The shared read view: one per shard, attached to the index backend
 /// (writer side) and to the device's lock-free read path (reader side).
@@ -37,7 +37,7 @@ pub struct ReadView {
     // bounded-by: one entry per key the attached index holds; every
     // insert, update, relocation and delete of the index funnels here.
     heads: Mutex<HashMap<u64, Ppa>>,
-    stripes: VersionTable,
+    stripes: Arc<VersionTable>,
 }
 
 /// A lookup hit, carrying what the reader needs to re-validate after its
@@ -59,13 +59,13 @@ impl ReadHit<'_> {
     }
 }
 
-impl Default for ReadView {
-    fn default() -> Self {
-        ReadView { heads: Mutex::new(HashMap::new()), stripes: VersionTable::new(STRIPE_BITS) }
-    }
-}
-
 impl ReadView {
+    /// An empty view whose changes bump `stripes`, the device's one
+    /// version table.
+    pub fn new(stripes: Arc<VersionTable>) -> Self {
+        ReadView { heads: Mutex::new(HashMap::new()), stripes }
+    }
+
     fn heads(&self) -> MutexGuard<'_, HashMap<u64, Ppa>> {
         // Every map mutation is a single call, so a panic cannot leave a
         // poisoned map half-updated.
@@ -85,7 +85,8 @@ impl ReadView {
     }
 
     // Writer side: serialized externally by the shard lock; concurrent
-    // readers are the case it defends against.
+    // readers are the case it defends against. Each change bumps the
+    // signature's stripe after the map mutex is released.
 
     /// Map `sig` to `head`, replacing any previous mapping (insert,
     /// in-place update, GC relocation — every sig → PPA change funnels
@@ -95,12 +96,10 @@ impl ReadView {
         self.stripes.bump(sig);
     }
 
-    /// Drop the mapping for `sig` (delete). No-op if absent.
+    /// Drop the mapping for `sig` (delete).
     pub fn remove(&self, sig: u64) {
-        let removed = self.heads().remove(&sig).is_some();
-        if removed {
-            self.stripes.bump(sig);
-        }
+        self.heads().remove(&sig);
+        self.stripes.bump(sig);
     }
 
     /// Mappings held (tests/diagnostics).
@@ -114,6 +113,10 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
 
+    fn view() -> ReadView {
+        ReadView::new(Arc::new(VersionTable::new(10)))
+    }
+
     fn head_of(view: &ReadView, sig: u64) -> Option<Ppa> {
         view.lookup(sig).map(|hit| {
             assert!(hit.validate(), "quiet lookup must validate");
@@ -123,7 +126,7 @@ mod tests {
 
     #[test]
     fn upsert_lookup_remove_roundtrip() {
-        let view = ReadView::default();
+        let view = view();
         assert!(head_of(&view, 7).is_none());
         view.upsert(7, Ppa::new(1, 2));
         assert_eq!(head_of(&view, 7), Some(Ppa::new(1, 2)));
@@ -143,7 +146,7 @@ mod tests {
         // device programs a pair before indexing it.
         const SIGS: u64 = 8;
         const ROUNDS: u32 = 400;
-        let view = ReadView::default();
+        let view = view();
         let published: Vec<AtomicU32> = (0..SIGS).map(|_| AtomicU32::new(0)).collect();
         std::thread::scope(|scope| {
             for t in 0..3u64 {

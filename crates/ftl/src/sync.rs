@@ -10,8 +10,9 @@
 //!   physical flash array, so erase blocks must come from a single
 //!   device-wide pool or shards could over-commit the same capacity.
 //! * [`VersionTable`] — striped versions bumped after every index
-//!   mutation: the hot cache's invalidation tags and the validation
-//!   stripes of the lock-free read view ([`crate::ReadView`]).
+//!   mutation: one per device, shared by the hot cache (invalidation
+//!   tags) and every shard's lock-free read view ([`crate::ReadView`],
+//!   validation stripes).
 //! * [`Counter`] — a relaxed statistics counter, so hot paths outside
 //!   this module never touch a raw atomic directly.
 //!
@@ -33,11 +34,7 @@ use std::fmt;
 // implementation. The rest of the workspace imports its primitives from
 // here (not `std::sync`) for the same reason.
 #[cfg(loom)]
-pub use loom::sync::Condvar;
-#[cfg(loom)]
 pub use loom::sync::{Mutex, MutexGuard};
-#[cfg(not(loom))]
-pub use std::sync::Condvar;
 #[cfg(not(loom))]
 pub use std::sync::{Mutex, MutexGuard};
 
@@ -61,27 +58,30 @@ use crate::ftl::FtlError;
 
 // -------------------------------------------------------- version table
 
-/// Striped per-signature versions, bumped after every mutation: the
-/// DRAM hot-object cache tier's invalidation tags, and the validation
-/// stripes each [`crate::ReadView`] owns (same protocol, own table).
+/// Striped per-signature versions, bumped after every mutation. A device
+/// keeps one table: it is the validation stripes of every shard's
+/// [`crate::ReadView`] and the DRAM hot-object cache's invalidation tags.
 ///
 /// Every value mutation reaching the index — put, in-place update,
-/// delete, GC relocation — bumps the version of the signature's stripe
-/// *after* the mutation is applied (the index calls it from the same
-/// funnel points that keep the [`crate::ReadView`] coherent). A cache
-/// fill reads the stripe version *before* fetching the value and stores
-/// the entry tagged with that version; a cached entry is served only
-/// while its fill version still equals the stripe's current version.
+/// delete, GC relocation — changes the index's read view, and
+/// [`ReadView::upsert`](crate::ReadView::upsert) /
+/// [`ReadView::remove`](crate::ReadView::remove) bump the signature's
+/// stripe *after* the map change: the table's only writers. A lock-free
+/// reader validates its hit against the stripe version it probed with. A
+/// cache fill reads the stripe version *before* fetching the value and
+/// stores the entry tagged with that version; a cached entry is served
+/// only while its fill version still equals the stripe's current version.
 ///
-/// Safety argument (the loom model in `rhik-hotcache` pins this down):
-/// a wrong-value serve would need a mutation whose bump was already
-/// counted in the fill version but whose value effect the fill's read
-/// missed. Bumps are SeqCst and happen after the mutation, and the
-/// fill's value read synchronizes with the mutator (shard lock or
-/// validated read-view hit), so "bump visible, mutation invisible" cannot
-/// happen. Mutations that land *after* the fill's version read make the
-/// entry fail validation — a spurious miss, never a stale hit. Stripe
-/// collisions only ever add spurious invalidations (fail-open).
+/// Safety argument (the loom models in `rhik-ftl` and `rhik-hotcache`
+/// pin this down): a wrong-value serve would need a mutation whose bump
+/// was already counted in the version a reader holds but whose value
+/// effect the reader missed. Bumps are SeqCst and happen after the
+/// mutation, and the reader's value read synchronizes with the mutator
+/// (shard lock, or the view's map mutex), so "bump visible, mutation
+/// invisible" cannot happen. Mutations that land *after* the version read
+/// fail validation — a spurious fallback or miss, never a stale answer.
+/// Stripe collisions, across keys and across shards, only ever add
+/// spurious invalidations (fail-open).
 pub struct VersionTable {
     slots: Box<[AtomicU64]>,
     bits: u32,

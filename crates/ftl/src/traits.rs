@@ -213,43 +213,6 @@ pub trait IndexBackend {
     ) -> Result<(), FtlError> {
         Err(FtlError::Unsupported("scan_records"))
     }
-
-    /// Attach a [`ReadView`](crate::readview::ReadView) for this index to
-    /// mirror: every `sig → head PPA` change (insert, update, delete, GC
-    /// relocation) must be reflected into the view, so the device's
-    /// lock-free get path stays coherent. Directory doublings move no
-    /// pair, so they need no view work.
-    ///
-    /// Returns `true` iff the backend accepted the view and will keep it
-    /// coherent from now on — a backend may only accept while it is
-    /// empty (the view starts empty, so attaching to a populated index
-    /// would let lock-free lookups miss live keys). The default (no
-    /// mirroring, `false`) is correct for backends without lock-free
-    /// read support: the device keeps every get on the locked path.
-    fn attach_read_view(&mut self, view: std::sync::Arc<crate::readview::ReadView>) -> bool {
-        let _ = view;
-        false
-    }
-
-    /// Attach a [`VersionTable`](crate::sync::VersionTable) for the hot
-    /// object cache tier's invalidation protocol: the backend must bump
-    /// the signature's stripe after *every* value mutation it applies —
-    /// insert, in-place update, delete, GC relocation. Directory
-    /// doublings move mappings without changing values, so they need no
-    /// bump.
-    ///
-    /// Returns `true` iff the backend accepted the table and will bump
-    /// it from now on. Unlike [`attach_read_view`](Self::attach_read_view)
-    /// this is safe at any point in the index's life: versions are
-    /// compared only for equality against a fill-time read, so starting
-    /// from zero mid-stream merely means pre-attach history is invisible
-    /// — and there are no cache entries from before the attach. The
-    /// default (`false`) is correct for backends without cache support:
-    /// the device then refuses to enable the cache tier.
-    fn attach_versions(&mut self, versions: std::sync::Arc<crate::sync::VersionTable>) -> bool {
-        let _ = versions;
-        false
-    }
 }
 
 #[cfg(test)]

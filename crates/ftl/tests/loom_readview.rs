@@ -1,7 +1,8 @@
 #![cfg(loom)]
 //! Loom models of the lock-free read view ([`ReadView`]): the protocol the
 //! sharded device's lock-free get relies on. Writers mutate the view's map
-//! under its mutex and bump the signature's validation stripe afterwards;
+//! under its mutex and bump the signature's stripe in the device's
+//! version table (the one the hot cache validates against) afterwards;
 //! a reader probes the map, reads the head page, then validates. These
 //! models pin down that a reader only ever sees heads a writer published,
 //! that its validation fails whenever a mutation of its key landed between
@@ -14,10 +15,16 @@ use loom::sync::Arc;
 use loom::thread;
 use rhik_ftl::sync::atomic::{AtomicU32, Ordering};
 use rhik_ftl::sync::Mutex;
-use rhik_ftl::ReadView;
+use rhik_ftl::{ReadView, VersionTable};
 use rhik_nand::Ppa;
 
 const SIG: u64 = 9;
+
+/// A view over its own version table, as one shard's view sits over the
+/// device's.
+fn view() -> ReadView {
+    ReadView::new(std::sync::Arc::new(VersionTable::new(10)))
+}
 
 /// A reader racing upserts and a remove returns only published heads,
 /// misses only while the key is removed, and fails validation whenever a
@@ -25,7 +32,7 @@ const SIG: u64 = 9;
 #[test]
 fn loom_readview_reader_sees_published_heads_and_moved_stripes() {
     loom::model(|| {
-        let view = Arc::new(ReadView::default());
+        let view = Arc::new(view());
         view.upsert(SIG, Ppa::new(1, 1));
         // Mutations of SIG in order: 1 upsert (1, 2), 2 remove, 3 upsert
         // (1, 3). `started` counts mutations begun, `completed` those
@@ -99,7 +106,7 @@ fn loom_readview_validated_read_never_returns_an_erased_page() {
         // Flash pages 0..3 of block 0, behind one media lock; `None` is
         // an erased page.
         let flash = Arc::new(Mutex::new(vec![Some(VALUE), None, None]));
-        let view = Arc::new(ReadView::default());
+        let view = Arc::new(view());
         view.upsert(SIG, Ppa::new(0, 0));
 
         let gc = {

@@ -12,21 +12,17 @@
 //!   segments under a *hard* per-stripe byte budget (key + value +
 //!   per-entry overhead all charged); the cache never exceeds its cap,
 //!   rejecting admission instead (fail-open).
-//! * **Version-based invalidation**: the index bumps a
-//!   [`VersionTable`](rhik_ftl::sync::VersionTable) stripe after every
-//!   value mutation; a fill tags its entry with the version read
-//!   *before* the value, and a lookup serves only entries whose fill
-//!   version still equals the current one. Staleness detection is
-//!   therefore O(1) at the reader with no writer → cache communication.
+//! * **Version-based invalidation**: every value mutation bumps a
+//!   [`VersionTable`](rhik_ftl::sync::VersionTable) stripe after it lands
+//!   (the device's one table, bumped by its read views); a fill tags its
+//!   entry with the version read *before* the value, and a lookup serves
+//!   only entries whose fill version still equals the current one.
+//!   Staleness detection is therefore O(1) at the reader with no writer →
+//!   cache communication.
 //!
-//! The cache is sharded into power-of-two stripes, each its own mutex,
-//! so reader threads rarely contend; optionally, ultra-hot keys are
-//!   replicated into every stripe so the hottest key's cacheline isn't
-//! a convoy point either. All failure modes degrade to a miss — the
-//! index stays the sole source of truth.
-
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+//! The cache is sharded into eight lock stripes, each its own mutex, so
+//! reader threads rarely contend. All failure modes degrade to a miss —
+//! the index stays the sole source of truth.
 
 use bytes::Bytes;
 use rhik_ftl::sync::{Counter, Mutex};
@@ -34,65 +30,38 @@ use rhik_ftl::sync::{Counter, Mutex};
 pub mod segment;
 pub mod sketch;
 
-use segment::{AdmitOutcome, Stripe, StripeLookup};
+use segment::Stripe;
 
 /// Per-entry DRAM overhead charged against the budget (re-exported for
 /// budget math in benches/tests).
 pub use segment::ENTRY_OVERHEAD;
 
-/// Sketch frequency at which a key counts as ultra-hot and is
-/// replicated into every stripe (when replication is enabled).
-const REPLICATE_FREQ: u32 = 64;
+/// Lock stripes the budget is split across (a power of two).
+const STRIPES: usize = 8;
 
 /// Hot-object cache configuration. `Copy` so it can ride inside the
 /// device config; default is **off** — the cache tier is strictly
 /// opt-in and cache-off behavior is bit-identical to a build without it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheConfig {
-    pub enabled: bool,
-    /// Hard DRAM budget across all stripes, in bytes.
+    /// Hard DRAM budget across all stripes, in bytes; 0 is no cache.
     pub budget_bytes: u64,
-    /// Lock stripes (rounded up to a power of two, min 1).
-    pub stripes: u32,
-    /// Share of each stripe reserved for the protected LRU segment.
-    pub protected_pct: u8,
-    /// Replicate ultra-hot keys into every stripe so one hot key's
-    /// cacheline is not a convoy point.
-    pub replicate_hot: bool,
 }
 
 impl CacheConfig {
     /// The default: no cache tier.
     pub const fn off() -> Self {
-        CacheConfig {
-            enabled: false,
-            budget_bytes: 0,
-            stripes: 8,
-            protected_pct: 80,
-            replicate_hot: false,
-        }
+        CacheConfig { budget_bytes: 0 }
     }
 
-    /// An enabled cache with `budget_bytes` of DRAM and default policy.
+    /// A cache with `budget_bytes` of DRAM.
     pub const fn with_budget(budget_bytes: u64) -> Self {
-        CacheConfig {
-            enabled: true,
-            budget_bytes,
-            stripes: 8,
-            protected_pct: 80,
-            replicate_hot: false,
-        }
+        CacheConfig { budget_bytes }
     }
 
-    pub const fn replicate(mut self, on: bool) -> Self {
-        self.replicate_hot = on;
-        self
-    }
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig::off()
+    /// Whether the device runs a cache tier at all.
+    pub const fn enabled(&self) -> bool {
+        self.budget_bytes > 0
     }
 }
 
@@ -115,7 +84,6 @@ pub struct CacheStats {
     pub admits: u64,
     pub rejects: u64,
     pub evictions: u64,
-    pub replica_admits: u64,
     /// Resident bytes / entries at snapshot time (gauges, not counters).
     pub bytes: u64,
     pub entries: u64,
@@ -124,12 +92,10 @@ pub struct CacheStats {
 /// What one [`HotCache::admit`] call did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdmitReport {
-    /// The entry is now resident (in at least the home stripe).
+    /// The entry is now resident.
     pub admitted: bool,
-    /// Entries displaced (all stripes) to make room.
+    /// Entries displaced to make room.
     pub evicted: u64,
-    /// Replica copies placed in non-home stripes.
-    pub replicated: u64,
 }
 
 /// One resident entry, exported for the cache↔index coherence audit.
@@ -145,39 +111,30 @@ pub struct CacheEntrySnapshot {
 /// The sharded hot-object cache.
 pub struct HotCache {
     stripes: Box<[Mutex<Stripe>]>,
-    stripe_mask: u64,
-    replicate_hot: bool,
     lookups: Counter,
     hits: Counter,
     stale_hits: Counter,
     admits: Counter,
     rejects: Counter,
     evictions: Counter,
-    replica_admits: Counter,
 }
 
 impl HotCache {
-    /// Build a cache from its config. Callers gate on `cfg.enabled`
-    /// themselves — constructing from a disabled config yields a
-    /// functional cache with `cfg.budget_bytes` of room (used by tests).
+    /// Build a cache from its config. Callers gate on
+    /// [`CacheConfig::enabled`] themselves; a zero budget yields a cache
+    /// that admits nothing.
     pub fn new(cfg: CacheConfig) -> Self {
-        let n = cfg.stripes.clamp(1, 1 << 10).next_power_of_two() as usize;
-        let per_stripe = cfg.budget_bytes / n as u64;
-        let stripes = (0..n)
-            .map(|_| Mutex::new(Stripe::new(per_stripe, cfg.protected_pct)))
-            .collect::<Vec<_>>()
-            .into();
+        let per_stripe = cfg.budget_bytes / STRIPES as u64;
+        let stripes =
+            (0..STRIPES).map(|_| Mutex::new(Stripe::new(per_stripe))).collect::<Vec<_>>().into();
         HotCache {
             stripes,
-            stripe_mask: n as u64 - 1,
-            replicate_hot: cfg.replicate_hot,
             lookups: Counter::new(),
             hits: Counter::new(),
             stale_hits: Counter::new(),
             admits: Counter::new(),
             rejects: Counter::new(),
             evictions: Counter::new(),
-            replica_admits: Counter::new(),
         }
     }
 
@@ -185,17 +142,7 @@ impl HotCache {
     /// version table's so stripe and version striping decorrelate.
     #[inline]
     fn home(&self, sig: u64) -> usize {
-        ((sig.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) & self.stripe_mask) as usize
-    }
-
-    /// The calling thread's affine stripe (replication probe order):
-    /// different threads hammering the same ultra-hot key land on
-    /// different stripes, so its replicas split the contention.
-    #[inline]
-    fn affine(&self) -> usize {
-        let mut h = DefaultHasher::new();
-        std::thread::current().id().hash(&mut h);
-        (h.finish() & self.stripe_mask) as usize
+        ((sig.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) & (STRIPES as u64 - 1)) as usize
     }
 
     fn lock(&self, idx: usize) -> rhik_ftl::sync::MutexGuard<'_, Stripe> {
@@ -207,33 +154,13 @@ impl HotCache {
     /// fallback index read the caller will make on a miss).
     pub fn get(&self, sig: u64, key: &[u8], current_version: u64) -> CacheLookup {
         self.lookups.incr();
-        let home = self.home(sig);
-        let first = if self.replicate_hot { self.affine() } else { home };
-        match self.lock(first).lookup(sig, key, current_version) {
-            StripeLookup::Hit(v) => {
-                self.hits.incr();
-                return CacheLookup::Hit(v);
-            }
-            StripeLookup::Stale => {
-                self.stale_hits.incr();
-                return CacheLookup::Stale;
-            }
-            StripeLookup::Miss => {}
+        let lookup = self.lock(self.home(sig)).lookup(sig, key, current_version);
+        match lookup {
+            CacheLookup::Hit(_) => self.hits.incr(),
+            CacheLookup::Stale => self.stale_hits.incr(),
+            CacheLookup::Miss => {}
         }
-        if first == home {
-            return CacheLookup::Miss;
-        }
-        match self.lock(home).lookup(sig, key, current_version) {
-            StripeLookup::Hit(v) => {
-                self.hits.incr();
-                CacheLookup::Hit(v)
-            }
-            StripeLookup::Stale => {
-                self.stale_hits.incr();
-                CacheLookup::Stale
-            }
-            StripeLookup::Miss => CacheLookup::Miss,
-        }
+        lookup
     }
 
     /// Offer `(sig, key, value)` read from the index at `fill_version`.
@@ -242,43 +169,15 @@ impl HotCache {
     /// read and (2) re-checked that the table still holds that version
     /// *after* it — the bump-after-mutate protocol then guarantees the
     /// value is not older than the version it is tagged with.
-    ///
     pub fn admit(&self, sig: u64, key: &[u8], value: Bytes, fill_version: u64) -> AdmitReport {
-        let home = self.home(sig);
-        let (outcome, replicate) = {
-            let mut stripe = self.lock(home);
-            let outcome = stripe.admit(sig, key, value.clone(), fill_version);
-            let replicate =
-                self.replicate_hot && outcome.admitted && stripe.estimate(sig) >= REPLICATE_FREQ;
-            (outcome, replicate)
-        };
-        self.note_admit(&outcome);
-        let mut report =
-            AdmitReport { admitted: outcome.admitted, evicted: outcome.evicted, replicated: 0 };
-        if replicate {
-            for idx in 0..self.stripes.len() {
-                if idx == home {
-                    continue;
-                }
-                let outcome = self.lock(idx).admit(sig, key, value.clone(), fill_version);
-                if outcome.admitted {
-                    self.replica_admits.incr();
-                    report.replicated += 1;
-                }
-                self.note_admit(&outcome);
-                report.evicted += outcome.evicted;
-            }
-        }
-        report
-    }
-
-    fn note_admit(&self, outcome: &AdmitOutcome) {
-        if outcome.admitted {
+        let report = self.lock(self.home(sig)).admit(sig, key, value, fill_version);
+        if report.admitted {
             self.admits.incr();
         } else {
             self.rejects.incr();
         }
-        self.evictions.add(outcome.evicted);
+        self.evictions.add(report.evicted);
+        report
     }
 
     /// Resident bytes across all stripes.
@@ -286,7 +185,7 @@ impl HotCache {
         (0..self.stripes.len()).map(|i| self.lock(i).bytes()).sum()
     }
 
-    /// Resident entries across all stripes (replicas counted).
+    /// Resident entries across all stripes.
     pub fn entries(&self) -> u64 {
         (0..self.stripes.len()).map(|i| self.lock(i).entries() as u64).sum()
     }
@@ -300,14 +199,13 @@ impl HotCache {
             admits: self.admits.get(),
             rejects: self.rejects.get(),
             evictions: self.evictions.get(),
-            replica_admits: self.replica_admits.get(),
             bytes: self.bytes(),
             entries: self.entries(),
         }
     }
 
-    /// Snapshot every resident entry (replicas included) for the
-    /// cache↔index coherence audit.
+    /// Snapshot every resident entry for the cache↔index coherence
+    /// audit.
     pub fn snapshot(&self) -> Vec<CacheEntrySnapshot> {
         let mut out = Vec::new();
         for i in 0..self.stripes.len() {
@@ -374,22 +272,6 @@ mod tests {
             assert!(cache.bytes() <= budget, "cache exceeded its hard budget");
         }
         assert!(cache.entries() > 0);
-    }
-
-    #[test]
-    fn replication_spreads_hot_key_to_stripes() {
-        let mut cfg = CacheConfig::with_budget(256 * 1024).replicate(true);
-        cfg.stripes = 4;
-        let cache = HotCache::new(cfg);
-        let sig = 42u64;
-        // Heat the key past REPLICATE_FREQ at its home stripe, re-admitting
-        // so the post-admit estimate check can see it hot.
-        for _ in 0..(REPLICATE_FREQ + 8) {
-            cache.get(sig, b"hot", 0);
-        }
-        cache.admit(sig, b"hot", val(64), 0);
-        assert!(cache.stats().replica_admits >= 3, "hot key must replicate to other stripes");
-        assert!(cache.entries() >= 4);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! hard per-stripe byte budget, with TinyLFU-gated admission.
 //!
 //! New entries land in *probation*; a hit while on probation promotes to
-//! *protected* (capped at a configured share of the stripe budget, the
-//! overflow demoting back to probation). Eviction drains the probation
+//! *protected* (capped at 80 % of the stripe budget, the overflow
+//! demoting back to probation). Eviction drains the probation
 //! LRU first, so a key must prove itself twice — once to the frequency
 //! sketch to get in, once with a real hit to escape probation — before
 //! it can displace the protected working set.
@@ -16,6 +16,11 @@ use std::collections::{BTreeMap, HashMap};
 use bytes::Bytes;
 
 use crate::sketch::TinyLfu;
+use crate::{AdmitReport, CacheLookup};
+
+/// Share of each stripe's budget the protected segment may hold, in
+/// percent.
+const PROTECTED_PCT: u64 = 80;
 
 /// DRAM charged per entry beyond key+value payload (map node, orders,
 /// bookkeeping) — keeps the budget honest for small values.
@@ -44,22 +49,6 @@ fn charge_of(key: &[u8], value: &Bytes) -> u64 {
     key.len() as u64 + value.len() as u64 + ENTRY_OVERHEAD
 }
 
-/// Outcome of a stripe lookup.
-pub(crate) enum StripeLookup {
-    Hit(Bytes),
-    /// The entry's fill version no longer matches — it was removed; the
-    /// caller falls through to the index.
-    Stale,
-    Miss,
-}
-
-/// Eviction/admission bookkeeping returned to the cache front-end.
-#[derive(Default)]
-pub(crate) struct AdmitOutcome {
-    pub admitted: bool,
-    pub evicted: u64,
-}
-
 pub(crate) struct Stripe {
     map: HashMap<u64, Entry>,
     /// stamp → sig recency orders (first = LRU).
@@ -74,8 +63,8 @@ pub(crate) struct Stripe {
 }
 
 impl Stripe {
-    pub(crate) fn new(budget: u64, protected_pct: u8) -> Self {
-        let protected_cap = budget / 100 * protected_pct.min(95) as u64;
+    pub(crate) fn new(budget: u64) -> Self {
+        let protected_cap = budget / 100 * PROTECTED_PCT;
         Stripe {
             // bounded-by: eviction keeps `bytes <= budget`, capping
             // resident entries at what the byte budget admits.
@@ -101,22 +90,22 @@ impl Stripe {
     /// Look up `sig`, validating the full key and the fill version.
     /// Every call trains the frequency sketch (hits and misses alike —
     /// TinyLFU needs to see the keys it is keeping *out*).
-    pub(crate) fn lookup(&mut self, sig: u64, key: &[u8], current_version: u64) -> StripeLookup {
+    pub(crate) fn lookup(&mut self, sig: u64, key: &[u8], current_version: u64) -> CacheLookup {
         self.sketch.record(sig);
         let Some(entry) = self.map.get(&sig) else {
-            return StripeLookup::Miss;
+            return CacheLookup::Miss;
         };
         if &*entry.key != key {
             // Signature collision: serve nothing, keep the resident entry.
-            return StripeLookup::Miss;
+            return CacheLookup::Miss;
         }
         if entry.version != current_version {
             self.evict_sig(sig);
-            return StripeLookup::Stale;
+            return CacheLookup::Stale;
         }
         let value = entry.value.clone();
         self.touch(sig);
-        StripeLookup::Hit(value)
+        CacheLookup::Hit(value)
     }
 
     /// Promote a just-hit entry: probation → protected (or refresh its
@@ -188,15 +177,15 @@ impl Stripe {
         key: &[u8],
         value: Bytes,
         fill_version: u64,
-    ) -> AdmitOutcome {
+    ) -> AdmitReport {
         let charge = charge_of(key, &value);
         if charge > self.budget {
-            return AdmitOutcome { admitted: false, evicted: 0 };
+            return AdmitReport { admitted: false, evicted: 0 };
         }
         // Replace any resident entry for the sig outright (refill after
         // a stale hit, or a sig collision — the newcomer was requested
         // more recently).
-        let mut out = AdmitOutcome::default();
+        let mut out = AdmitReport::default();
         if self.evict_sig(sig) {
             out.evicted += 1;
         }
@@ -219,11 +208,6 @@ impl Stripe {
         );
         out.admitted = true;
         out
-    }
-
-    /// Estimated frequency of `sig` (replication threshold checks).
-    pub(crate) fn estimate(&self, sig: u64) -> u32 {
-        self.sketch.estimate(sig)
     }
 
     pub(crate) fn bytes(&self) -> u64 {
@@ -252,11 +236,11 @@ mod tests {
 
     #[test]
     fn admit_then_hit_roundtrip() {
-        let mut s = Stripe::new(4096, 80);
+        let mut s = Stripe::new(4096);
         let out = s.admit(1, b"k1", val(100), 7);
         assert!(out.admitted);
         match s.lookup(1, b"k1", 7) {
-            StripeLookup::Hit(v) => assert_eq!(v.len(), 100),
+            CacheLookup::Hit(v) => assert_eq!(v.len(), 100),
             _ => panic!("expected hit"),
         }
         assert_eq!(s.entries(), 1);
@@ -265,24 +249,24 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_stale_and_self_evicts() {
-        let mut s = Stripe::new(4096, 80);
+        let mut s = Stripe::new(4096);
         s.admit(1, b"k1", val(10), 7);
-        assert!(matches!(s.lookup(1, b"k1", 8), StripeLookup::Stale));
-        assert!(matches!(s.lookup(1, b"k1", 8), StripeLookup::Miss));
+        assert!(matches!(s.lookup(1, b"k1", 8), CacheLookup::Stale));
+        assert!(matches!(s.lookup(1, b"k1", 8), CacheLookup::Miss));
         assert_eq!(s.bytes(), 0);
     }
 
     #[test]
     fn sig_collision_misses_without_evicting() {
-        let mut s = Stripe::new(4096, 80);
+        let mut s = Stripe::new(4096);
         s.admit(1, b"k1", val(10), 7);
-        assert!(matches!(s.lookup(1, b"other", 7), StripeLookup::Miss));
-        assert!(matches!(s.lookup(1, b"k1", 7), StripeLookup::Hit(_)));
+        assert!(matches!(s.lookup(1, b"other", 7), CacheLookup::Miss));
+        assert!(matches!(s.lookup(1, b"k1", 7), CacheLookup::Hit(_)));
     }
 
     #[test]
     fn budget_is_a_hard_cap() {
-        let mut s = Stripe::new(1024, 80);
+        let mut s = Stripe::new(1024);
         for sig in 0..100u64 {
             s.admit(sig, &sig.to_le_bytes(), val(64), 0);
             assert!(s.bytes() <= 1024, "stripe exceeded its budget");
@@ -292,7 +276,7 @@ mod tests {
 
     #[test]
     fn tinylfu_rejects_cold_candidate_against_hot_residents() {
-        let mut s = Stripe::new(400, 80); // room for 2 entries, not 3
+        let mut s = Stripe::new(400); // room for 2 entries, not 3
         s.admit(10, b"hot-a", val(100), 0);
         s.admit(11, b"hot-b", val(100), 0);
         for _ in 0..50 {
@@ -302,16 +286,16 @@ mod tests {
         // One cold access must not displace a 50-hit resident.
         let out = s.admit(99, b"cold", val(100), 0);
         assert!(!out.admitted);
-        assert!(matches!(s.lookup(10, b"hot-a", 0), StripeLookup::Hit(_)));
-        assert!(matches!(s.lookup(11, b"hot-b", 0), StripeLookup::Hit(_)));
+        assert!(matches!(s.lookup(10, b"hot-a", 0), CacheLookup::Hit(_)));
+        assert!(matches!(s.lookup(11, b"hot-b", 0), CacheLookup::Hit(_)));
     }
 
     #[test]
     fn protected_survives_probation_churn() {
-        let mut s = Stripe::new(2048, 50);
+        let mut s = Stripe::new(2048);
         s.admit(1, b"keeper", val(100), 0);
         // Hit it so it's promoted to protected.
-        assert!(matches!(s.lookup(1, b"keeper", 0), StripeLookup::Hit(_)));
+        assert!(matches!(s.lookup(1, b"keeper", 0), CacheLookup::Hit(_)));
         // Churn enough distinct keys through probation to wrap the budget;
         // make each churn key "popular enough" to pass the gate once.
         for sig in 100..140u64 {
@@ -320,7 +304,7 @@ mod tests {
             s.admit(sig, &sig.to_le_bytes(), val(100), 0);
         }
         assert!(
-            matches!(s.lookup(1, b"keeper", 0), StripeLookup::Hit(_)),
+            matches!(s.lookup(1, b"keeper", 0), CacheLookup::Hit(_)),
             "protected entry displaced by probation churn"
         );
     }

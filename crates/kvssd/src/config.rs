@@ -110,8 +110,8 @@ impl DeviceConfig {
     }
 
     /// Enable the DRAM hot-object cache tier with `budget_bytes` of DRAM
-    /// (hard cap; default policy: TinyLFU admission, 8 lock stripes,
-    /// 80% protected segment, no hot-key replication).
+    /// (hard cap; TinyLFU admission, 8 lock stripes, 80% protected
+    /// segment). A zero budget leaves the tier off.
     pub fn with_hot_cache(mut self, budget_bytes: u64) -> Self {
         self.hot_cache = CacheConfig::with_budget(budget_bytes);
         self

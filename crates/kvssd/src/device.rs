@@ -270,23 +270,6 @@ impl<I: IndexBackend> KvssdDevice<I> {
         self.ftl.media_reader()
     }
 
-    /// Offer a lock-free read view to the index backend.
-    /// Returns `true` iff the backend accepted it and will keep it
-    /// coherent (backends may only accept while empty); `false` leaves
-    /// every get on the locked path.
-    pub fn attach_read_view(&mut self, view: std::sync::Arc<rhik_ftl::ReadView>) -> bool {
-        self.index.attach_read_view(view)
-    }
-
-    /// Offer the hot-object cache tier's invalidation version table to
-    /// the index backend. Returns `true` iff the backend accepted it and
-    /// will bump the mutated signature's stripe after every value
-    /// mutation; `false` means the cache tier must stay disabled for
-    /// this device.
-    pub fn attach_versions(&mut self, versions: std::sync::Arc<rhik_ftl::VersionTable>) -> bool {
-        self.index.attach_versions(versions)
-    }
-
     /// Install a telemetry sink (shard id 0). The sink is shared down the
     /// stack (FTL, NAND) so media ops, cache traffic, GC and resize
     /// progress all land in one registry and trace ring.

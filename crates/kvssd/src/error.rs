@@ -34,6 +34,10 @@ pub enum KvError {
     ReadFault { ppa: Ppa },
     /// Unrecoverable media error.
     Media(String),
+    /// A batch op was submitted to shard `shard`'s queue, but its key
+    /// routes to shard `home` (or `shard` does not exist). The op was not
+    /// executed; resubmit it to `home`.
+    WrongShard { shard: usize, home: usize },
     /// A cross-layer invariant broke while serving the command (the
     /// firmware refuses to guess; run the device audit to localize the
     /// disagreeing layer).
@@ -54,6 +58,9 @@ impl std::fmt::Display for KvError {
             KvError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
             KvError::ReadFault { ppa } => write!(f, "media read failure at {ppa:?}"),
             KvError::Media(m) => write!(f, "media error: {m}"),
+            KvError::WrongShard { shard, home } => {
+                write!(f, "op for shard {home} submitted to shard {shard}")
+            }
             KvError::Corrupt(detail) => write!(f, "device state corrupt: {detail}"),
         }
     }

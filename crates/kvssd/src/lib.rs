@@ -34,7 +34,8 @@
 //! bits) with its own index and timing engine, over one shared flash pool.
 //! Resizes stall only the affected shard. Every shard-locked command runs
 //! through one locked pass over `execute_batch`; the hot-object cache and
-//! the lock-free read view answer gets in front of it.
+//! the lock-free read view answer gets in front of it, validated against
+//! one version table and recorded in one place per shard.
 
 mod cache_tier;
 mod cmd;
@@ -51,7 +52,7 @@ pub use device::{DeviceStats, ExistReport, KvssdDevice};
 pub use engine::{CommandTiming, TimingEngine};
 pub use error::KvError;
 pub use histogram::LatencyHistogram;
-pub use sharded::{GroupCommitStats, LockfreeReadStats, ShardedKvssd};
+pub use sharded::{LockfreeReadStats, ShardedKvssd};
 
 // Observability types, re-exported so device users need not depend on the
 // telemetry crate directly.

@@ -20,14 +20,19 @@
 //! * per-shard stats and histograms aggregate into a device-wide view
 //!   via [`DeviceStats::merge`] / `LatencyHistogram::merge`.
 //!
-//! One request path: every command that needs a shard lock — a get the
-//! hot cache and the lock-free view could not answer, the puts a
-//! group-commit leader drains, a delete, an exist, the rest of a
-//! [`ShardedKvssd::submit_batch`] — runs through one private locked pass:
-//! one lock acquisition and one compound submission through
+//! One fast path in front of the lock: a get first probes the hot cache,
+//! then walks the shard's lock-free read view. Both validate against the
+//! device's one [`VersionTable`], which the views bump after every index
+//! change, and both complete into one per-shard recorder (counters, one
+//! latency histogram, one telemetry slot), so a get answered off the
+//! lock is counted once whichever way it ended.
+//!
+//! One request path behind it: every command that needs a shard lock — a
+//! get the fast path could not answer, a put, a delete, an exist, the
+//! rest of a [`ShardedKvssd::submit_batch`] — runs through one private
+//! locked pass: one lock acquisition and one compound submission through
 //! [`KvssdDevice::execute_batch`], then, with the lock released, the
-//! `DeviceFull` retry and the hot-cache fill for get hits. The cache and
-//! the lock-free view sit in front of that pass, never beside it.
+//! `DeviceFull` retry and the hot-cache fill for get hits.
 //!
 //! Trade-offs (documented, not hidden): GC and wear accounting are per
 //! shard — a shard can only reclaim its *own* leased blocks, and the
@@ -44,12 +49,13 @@ use rhik_core::RhikIndex;
 use rhik_ftl::layout;
 // Per-shard locks via ftl::sync so `cfg(loom)` builds model them (and
 // wslint's `std-mutex-outside-sync` rule holds workspace-wide).
-use rhik_ftl::sync::{Condvar, Counter, Mutex, MutexGuard};
-use rhik_ftl::{FlashPool, Ftl, IndexBackend, MediaReader, ReadView};
+use rhik_ftl::sync::{Counter, Mutex, MutexGuard};
+use rhik_ftl::{FlashPool, Ftl, IndexBackend, MediaReader, ReadView, VersionTable};
+use rhik_hotcache::{AdmitReport, CacheLookup};
 use rhik_sigs::{KeySignature, SigHasher};
-use rhik_telemetry::{OpKind, OpSpan, TelemetrySink};
+use rhik_telemetry::{OpKind, OpSpan, Stage, StageEvent, TelemetrySink};
 
-use crate::cache_tier::{CacheTier, Probe};
+use crate::cache_tier::CacheTier;
 use crate::cmd::{BatchOp, BatchReply};
 use crate::config::DeviceConfig;
 use crate::device::{DeviceStats, KvssdDevice};
@@ -57,18 +63,30 @@ use crate::error::KvError;
 use crate::histogram::LatencyHistogram;
 use crate::Result;
 
-// ------------------------------------------------------ lock-free reads
+/// The device's version table: `1 << 14` stripes (128 KiB of DRAM).
+/// Stripe collisions only cost a spurious cache refill or a spurious
+/// fallback to the locked pass, so the table can be much smaller than the
+/// keyspace.
+const VERSION_BITS: u32 = 14;
 
-/// Per-shard lock-free get machinery: the index mirror ([`ReadView`],
-/// whose map mutex a get holds for one hash probe) plus a
-/// [`MediaReader`] that reads record pages through the narrow media
-/// lock — never the shard's command mutex. All counters are relaxed
-/// [`Counter`]s; the latency histogram and telemetry sink sit behind
-/// their own short-hold mutexes, touched only *after* the lock-free walk
-/// and flash read complete.
-struct ReadPath {
+// -------------------------------------------------- gets off the lock
+
+/// What one shard needs to answer a get in front of its lock: the
+/// lock-free index walk — the [`ReadView`] mirror, whose map mutex a get
+/// holds for one hash probe, and a [`MediaReader`] that reads record
+/// pages through the narrow media lock, never the shard's command mutex
+/// — and the one recorder that hot-cache hits and lock-free reads both
+/// complete into. All counters are relaxed [`Counter`]s; the latency
+/// histogram and telemetry sink sit behind their own short-hold mutexes,
+/// touched only after the answer is known.
+struct FastPath {
+    shard: u32,
     view: Arc<ReadView>,
     media: MediaReader,
+    /// Gets the hot cache answered, and the value bytes they returned.
+    cache_hits: Counter,
+    cache_bytes: Counter,
+    /// Lock-free reads, as [`LockfreeReadStats`] reports them.
     gets: Counter,
     hits: Counter,
     not_found: Counter,
@@ -79,6 +97,8 @@ struct ReadPath {
     /// Folded into the shard's device clock: these reads bypass the
     /// timing engine, so the clock must account for them separately.
     read_ns: Counter,
+    /// Every get answered here: cache hits at zero device time, lock-free
+    /// reads at their media time.
     latencies: Mutex<LatencyHistogram>,
     /// 1 when an enabled telemetry sink is installed (checked before
     /// taking the sink mutex, so disabled telemetry costs one load).
@@ -86,11 +106,14 @@ struct ReadPath {
     telemetry: Mutex<TelemetrySink>,
 }
 
-impl ReadPath {
-    fn new(view: Arc<ReadView>, media: MediaReader) -> Self {
-        ReadPath {
+impl FastPath {
+    fn new(shard: u32, view: Arc<ReadView>, media: MediaReader) -> Self {
+        FastPath {
+            shard,
             view,
             media,
+            cache_hits: Counter::new(),
+            cache_bytes: Counter::new(),
             gets: Counter::new(),
             hits: Counter::new(),
             not_found: Counter::new(),
@@ -104,33 +127,72 @@ impl ReadPath {
         }
     }
 
-    /// Record one completed lock-free get (media time already charged).
-    fn record(&self, shard: u32, pages: u64, bytes: u64, hit: bool) {
-        let latency = pages * self.media.page_read_ns();
-        let start = self.read_ns.get();
-        self.read_ns.add(latency);
-        self.gets.incr();
-        if hit {
-            self.hits.incr();
-            self.bytes_read.add(bytes);
-        } else {
-            self.not_found.incr();
+    fn sink(&self) -> Option<TelemetrySink> {
+        if self.telemetry_on.get() == 0 {
+            return None;
         }
-        self.pages_read.add(pages);
+        Some(self.telemetry.lock().unwrap_or_else(|p| p.into_inner()).clone())
+    }
+
+    /// A get span of this shard: `latency` ns of device time from
+    /// `start`, optionally tagged with one cache-tier stage (`count`
+    /// occurrences, no duration of its own). Zero *index* flash reads by
+    /// construction: the cache and the view are DRAM.
+    fn span(&self, start: u64, latency: u64, stage: Option<(Stage, u64)>) -> OpSpan {
+        OpSpan {
+            kind: OpKind::Get,
+            shard: self.shard,
+            submitted_ns: start,
+            completed_ns: start + latency,
+            lookup_flash_reads: 0,
+            stages: stage
+                .map(|(stage, count)| StageEvent { stage, count: count as u32, dur_ns: 0 })
+                .into_iter()
+                .collect(),
+        }
+    }
+
+    /// Complete one get answered off the lock: its latency lands in the
+    /// shard's one histogram, and in telemetry as a `kvssd_gets` op.
+    fn complete(&self, start: u64, latency: u64, hot_hit: bool) {
         self.latencies.lock().unwrap_or_else(|p| p.into_inner()).record(latency);
-        if self.telemetry_on.get() != 0 {
-            let sink = self.telemetry.lock().unwrap_or_else(|p| p.into_inner()).clone();
-            let span = OpSpan {
-                kind: OpKind::Get,
-                shard,
-                submitted_ns: start,
-                completed_ns: start + latency,
-                lookup_flash_reads: 0,
-                stages: Vec::new(), // bounded-by: built empty; the read path records no stages
-            };
-            // Zero *index* flash reads by construction: the walk is the
-            // DRAM mirror, and only record pages were read.
-            sink.record_op(span, "kvssd_gets", Some(("get_latency_ns", latency)), Some(0), &[]);
+        let Some(sink) = self.sink() else { return };
+        let stage = hot_hit.then(|| {
+            sink.counter_add("hot_cache_hits", 1);
+            (Stage::CacheHotHit, 1)
+        });
+        let span = self.span(start, latency, stage);
+        sink.record_op(span, "kvssd_gets", Some(("get_latency_ns", latency)), Some(0), &[]);
+    }
+
+    /// A hot-cache hit: a completed get with zero device time and zero
+    /// flash reads, counted like any other get.
+    fn record_cache_hit(&self, bytes: u64) {
+        self.cache_hits.incr();
+        self.cache_bytes.add(bytes);
+        self.complete(0, 0, true);
+    }
+
+    /// A probe found a superseded entry (dropped; the get falls through).
+    fn record_stale(&self) {
+        if let Some(sink) = self.sink() {
+            sink.counter_add("hot_cache_stale", 1);
+            sink.record_span(self.span(0, 0, Some((Stage::CacheStale, 1))));
+        }
+    }
+
+    /// What offering a read value to the cache did.
+    fn record_admit(&self, report: AdmitReport, tier: &CacheTier) {
+        let Some(sink) = self.sink() else { return };
+        sink.counter_add(if report.admitted { "hot_cache_admits" } else { "hot_cache_rejects" }, 1);
+        if report.evicted > 0 {
+            sink.counter_add("hot_cache_evictions", report.evicted);
+            sink.record_span(self.span(0, 0, Some((Stage::CacheEvict, report.evicted))));
+        }
+        if report.admitted {
+            sink.record_span(self.span(0, 0, Some((Stage::CacheAdmit, 1))));
+            sink.gauge_set("hot_cache_bytes", tier.cache.bytes() as f64);
+            sink.gauge_set("hot_cache_entries", tier.cache.entries() as f64);
         }
     }
 
@@ -177,20 +239,29 @@ impl ReadPath {
     }
 
     /// One lock-free get attempt. `Some(value)` is a completed command
-    /// (stats and latency recorded); `None` means fall back to the locked
-    /// path, which re-runs the command from scratch.
-    fn get(&self, shard: u32, sig: KeySignature, key: &[u8]) -> Option<Option<Bytes>> {
+    /// (recorded); `None` means fall back to the locked path, which
+    /// re-runs the command from scratch.
+    fn read(&self, sig: KeySignature, key: &[u8]) -> Option<Option<Bytes>> {
         let (pages, answer) = self.walk(sig, key);
+        let latency = pages * self.media.page_read_ns();
+        // The optimistic reads happened on real media; a fallback charges
+        // them to the shard clock even though the locked retry pays again.
+        let start = self.read_ns.get();
+        self.read_ns.add(latency);
+        self.pages_read.add(pages);
         let Some(value) = answer else {
-            // The optimistic reads happened on real media; charge them to
-            // the shard clock even though the locked retry pays again.
             self.fallbacks.incr();
-            self.pages_read.add(pages);
-            self.read_ns.add(pages * self.media.page_read_ns());
             return None;
         };
-        let bytes = value.as_ref().map_or(0, |v| v.len() as u64);
-        self.record(shard, pages, bytes, value.is_some());
+        self.gets.incr();
+        match &value {
+            Some(v) => {
+                self.hits.incr();
+                self.bytes_read.add(v.len() as u64);
+            }
+            None => self.not_found.incr(),
+        }
+        self.complete(start, latency, false);
         Some(value.map(Bytes::from))
     }
 }
@@ -214,74 +285,6 @@ pub struct LockfreeReadStats {
     pub bytes_read: u64,
 }
 
-// ------------------------------------------------------- group commit
-
-/// One waiter's mailbox in the put group-commit queue.
-struct PutSlot {
-    result: Mutex<Option<BatchReply>>,
-    ready: Condvar,
-}
-
-struct CommitQueue {
-    /// Puts waiting for the next batch, and their owners' slots (same
-    /// order).
-    ops: Vec<BatchOp>,
-    slots: Vec<Arc<PutSlot>>,
-    /// True while some thread is draining the queue into the shard.
-    /// Cleared only in the same critical section that observes the
-    /// queue empty, so no enqueued item can be stranded: a push either
-    /// lands before that observation (the leader drains it) or after
-    /// the flag cleared (the pusher elects itself leader).
-    leader_active: bool,
-}
-
-/// Per-shard write group commit: concurrent puts enqueue, the first
-/// arrival becomes the *leader* and drains the queue into the shard
-/// under one lock acquisition per batch (one compound submission),
-/// while followers block on their slot's condvar. Coalescing turns N
-/// contended lock hand-offs into one critical section per batch.
-struct GroupCommit {
-    queue: Mutex<CommitQueue>,
-    batches: Counter,
-    batched_puts: Counter,
-    max_batch: Counter,
-}
-
-impl GroupCommit {
-    fn new() -> Self {
-        GroupCommit {
-            queue: Mutex::new(CommitQueue {
-                // bounded-by: the batch leader swaps out the whole queue
-                // each commit round (drain_commits), so it holds at most
-                // the puts enqueued during one batch submission.
-                ops: Vec::new(),
-                // bounded-by: one slot per queued op, pushed and taken
-                // together with `ops`.
-                slots: Vec::new(),
-                leader_active: false,
-            }),
-            batches: Counter::new(),
-            batched_puts: Counter::new(),
-            max_batch: Counter::new(),
-        }
-    }
-
-    fn lock_queue(&self) -> MutexGuard<'_, CommitQueue> {
-        self.queue.lock().unwrap_or_else(|poison| poison.into_inner())
-    }
-}
-
-/// Aggregated group-commit counters (diagnostics and benches).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GroupCommitStats {
-    /// Batches drained (shard-lock acquisitions for puts).
-    pub batches: u64,
-    /// Puts that flowed through the queue.
-    pub batched_puts: u64,
-    /// Largest single batch observed on any shard.
-    pub max_batch: u64,
-}
-
 // ---------------------------------------------------- request path
 
 /// The error for a reply that does not answer its op. Unreachable:
@@ -301,25 +304,18 @@ enum FastGet {
     NeedsLock { fill_version: Option<u64> },
 }
 
-/// Per-shard state living *outside* the shard's command mutex.
-struct ShardExt {
-    /// `Some` when the index backend accepted a read view at
-    /// construction; `None` keeps every get on the locked path.
-    read: Option<ReadPath>,
-    commit: GroupCommit,
-}
-
 /// A cloneable handle to a sharded device: `S` independent command
 /// queues over one shared flash array.
 pub struct ShardedKvssd<I: IndexBackend> {
     shards: Arc<[Mutex<KvssdDevice<I>>]>,
-    ext: Arc<[ShardExt]>,
+    /// Per shard, everything in front of its lock.
+    fast: Arc<[FastPath]>,
     pool: Arc<FlashPool>,
     hasher: SigHasher,
     /// High signature bits selecting the shard (`log2(shard count)`).
     shard_bits: u32,
-    /// DRAM hot-object cache tier, `Some` when `cfg.hot_cache.enabled`
-    /// and every shard's index accepted the invalidation version table.
+    /// DRAM hot-object cache tier, `Some` when `cfg.hot_cache` has a
+    /// budget.
     cache: Option<Arc<CacheTier>>,
 }
 
@@ -327,7 +323,7 @@ impl<I: IndexBackend> Clone for ShardedKvssd<I> {
     fn clone(&self) -> Self {
         ShardedKvssd {
             shards: Arc::clone(&self.shards),
-            ext: Arc::clone(&self.ext),
+            fast: Arc::clone(&self.fast),
             pool: Arc::clone(&self.pool),
             hasher: self.hasher,
             shard_bits: self.shard_bits,
@@ -382,38 +378,32 @@ impl ShardedKvssd<RhikIndex> {
             ..cfg.gc
         };
 
-        // One version table + hot cache for the whole device: mutations
-        // route to exactly one shard per signature, so a single table
-        // sees every bump for a given key.
-        let mut cache =
-            cfg.hot_cache.enabled.then(|| Arc::new(CacheTier::new(cfg.hot_cache, count as usize)));
+        // One version table for the whole device: every shard's read view
+        // bumps it, and the hot cache validates against it. Mutations
+        // route to exactly one shard per signature, so the table sees
+        // every bump for a given key.
+        let versions = Arc::new(VersionTable::new(VERSION_BITS));
+        let cache = cfg
+            .hot_cache
+            .enabled()
+            .then(|| Arc::new(CacheTier::new(cfg.hot_cache, Arc::clone(&versions))));
 
         let mut shards: Vec<Mutex<KvssdDevice<RhikIndex>>> = Vec::with_capacity(count as usize);
-        let mut ext: Vec<ShardExt> = Vec::with_capacity(count as usize);
-        for _ in 0..count {
+        let mut fast: Vec<FastPath> = Vec::with_capacity(count as usize);
+        for shard in 0..count {
             let ftl = Ftl::with_pool(shard_cfg.ftl_config(), Arc::clone(&pool));
-            let index = RhikIndex::new(shard_cfg.rhik, shard_cfg.geometry.page_size);
-            let mut dev = KvssdDevice::with_index_and_ftl(shard_cfg, ftl, index);
-            // Offer the index a read mirror; gets go lock-free only if
-            // the backend accepted it.
-            let view = Arc::new(ReadView::default());
-            let read = dev
-                .attach_read_view(Arc::clone(&view))
-                .then(|| ReadPath::new(view, dev.media_reader()));
-            // The cache tier requires the backend to bump invalidation
-            // versions; a refusal disables the cache (fail-open).
-            if let Some(tier) = &cache {
-                if !dev.attach_versions(Arc::clone(&tier.versions)) {
-                    cache = None;
-                }
-            }
+            let mut index = RhikIndex::new(shard_cfg.rhik, shard_cfg.geometry.page_size);
+            let view = Arc::new(ReadView::new(Arc::clone(&versions)));
+            let attached = index.attach_read_view(Arc::clone(&view));
+            debug_assert!(attached, "a fresh index accepts its read view");
+            let dev = KvssdDevice::with_index_and_ftl(shard_cfg, ftl, index);
+            fast.push(FastPath::new(shard, view, dev.media_reader()));
             shards.push(Mutex::new(dev));
-            ext.push(ShardExt { read, commit: GroupCommit::new() });
         }
 
         ShardedKvssd {
             shards: shards.into(),
-            ext: ext.into(),
+            fast: fast.into(),
             pool,
             hasher: cfg.hasher,
             shard_bits,
@@ -458,8 +448,7 @@ impl ShardedKvssd<RhikIndex> {
         samples: &mut Vec<rhik_audit::CacheCoherenceSample>,
     ) {
         let Some(tier) = &self.cache else { return };
-        let Some(read) = &self.ext[shard].read else { return };
-        for entry in tier.snapshot() {
+        for entry in tier.cache.snapshot() {
             if self.shard_of(KeySignature(entry.sig)) != shard {
                 continue;
             }
@@ -473,7 +462,7 @@ impl ShardedKvssd<RhikIndex> {
                 fill_version: entry.version,
                 current_version: current,
                 cached_value: entry.value.to_vec(),
-                index_value: read.walk(KeySignature(entry.sig), &entry.key).1,
+                index_value: self.fast[shard].walk(KeySignature(entry.sig), &entry.key).1,
             });
         }
     }
@@ -507,69 +496,23 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
         self.route(key)
     }
 
-    /// `put` with write group commit: enqueue, then either drain the
-    /// shard as batch leader or wait for the current leader to carry
-    /// this item in its next batch. Either way the reply comes back
-    /// through the slot, `DeviceFull` retries included.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        let shard = self.route(key);
-        let slot = Arc::new(PutSlot { result: Mutex::new(None), ready: Condvar::new() });
-        let lead = {
-            let mut q = self.ext[shard].commit.lock_queue();
-            q.ops.push(BatchOp::Put { key: key.to_vec(), value: value.to_vec() });
-            q.slots.push(Arc::clone(&slot));
-            !std::mem::replace(&mut q.leader_active, true)
-        };
-        if lead {
-            self.drain_commits(shard);
-        }
-        // The leader filled its own slot while draining; followers wait.
-        let mut done = slot.result.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            match done.take() {
-                None => done = slot.ready.wait(done).unwrap_or_else(|p| p.into_inner()),
-                Some(BatchReply::Put(result)) => return result,
-                other => return Err(mismatched(other)),
-            }
-        }
-    }
-
-    /// Batch leader: repeatedly swap the queue out and run it through the
-    /// locked pass. The `leader_active` flag is cleared only in the
-    /// critical section that sees the queue empty, so every concurrently
-    /// enqueued item is either drained here or enqueued by a thread that
-    /// sees the flag down and leads its own batch.
-    fn drain_commits(&self, shard: usize) {
-        let commit = &self.ext[shard].commit;
-        loop {
-            let (ops, slots) = {
-                let mut q = commit.lock_queue();
-                if q.ops.is_empty() {
-                    q.leader_active = false;
-                    return;
-                }
-                (std::mem::take(&mut q.ops), std::mem::take(&mut q.slots))
-            };
-            commit.batches.incr();
-            commit.batched_puts.add(ops.len() as u64);
-            commit.max_batch.note_max(ops.len() as u64);
-            let locked: Vec<(&BatchOp, Option<u64>)> = ops.iter().map(|op| (op, None)).collect();
-            for (slot, reply) in slots.iter().zip(self.run_locked(shard, &locked)) {
-                *slot.result.lock().unwrap_or_else(|p| p.into_inner()) = Some(reply);
-                slot.ready.notify_one();
-            }
+        let op = BatchOp::Put { key: key.to_vec(), value: value.to_vec() };
+        match self.run_locked(self.route(key), &[(&op, None)]).pop() {
+            Some(BatchReply::Put(result)) => result,
+            other => Err(mismatched(other)),
         }
     }
 
     /// `get`: the hot-object cache answers first (a validated DRAM hit
     /// costs zero directory work and zero flash reads), then the
-    /// lock-free path when the shard has a read view — probe the view
-    /// (one hash probe under its map mutex), read record pages through
-    /// the media lock, validate, and return without ever touching the
-    /// shard's command mutex. Any ambiguity (pending write buffer, failed
-    /// validation) falls back to the locked pass. Values read
-    /// from the index are offered back to the cache under the
-    /// version-re-check fill protocol (see `cache_tier`).
+    /// lock-free path — probe the shard's read view (one hash probe under
+    /// its map mutex), read record pages through the media lock,
+    /// validate, and return without ever touching the shard's command
+    /// mutex. Any ambiguity (pending write buffer, failed validation)
+    /// falls back to the locked pass. Values read from the index are
+    /// offered back to the cache under the version-re-check fill protocol
+    /// (see `cache_tier`).
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         let sig = self.hasher.sign(key);
         let shard = self.shard_of(sig);
@@ -607,32 +550,33 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
     /// remains — puts, deletes, exists, fallback gets — runs through the
     /// locked pass as one compound submission, so the modeled device sees
     /// one queue handoff for the whole batch. Replies come back in
-    /// submission order.
+    /// submission order. An op whose key routes to another shard (or any
+    /// op, when `shard` is out of range) is never executed: it is
+    /// answered [`KvError::WrongShard`].
     pub fn submit_batch(&self, shard: usize, ops: &[BatchOp]) -> Vec<BatchReply> {
         let mut fast: Vec<Option<BatchReply>> = Vec::with_capacity(ops.len());
         let mut locked: Vec<(&BatchOp, Option<u64>)> = Vec::new();
         // Gets may leave the batch for the no-lock fast path only while
         // no earlier op in the batch mutates: a get *after* a put/delete
         // must observe it (pipelined read-your-writes), and neither the
-        // cache nor the published read view reflects the mutation until
-        // the locked pass actually runs it.
+        // cache nor the read view reflects the mutation until the locked
+        // pass actually runs it.
         let mut mutated = false;
         for op in ops {
-            debug_assert_eq!(
-                self.route(op.key()),
-                shard,
-                "batch op routed to the wrong shard queue"
-            );
+            let sig = self.hasher.sign(op.key());
+            let home = self.shard_of(sig);
+            if home != shard {
+                fast.push(Some(BatchReply::failed(op, KvError::WrongShard { shard, home })));
+                continue;
+            }
             let fill_version = match op {
-                BatchOp::Get { key } if !mutated => {
-                    match self.fast_get(shard, self.hasher.sign(key), key) {
-                        FastGet::Done(result) => {
-                            fast.push(Some(BatchReply::Get(result)));
-                            continue;
-                        }
-                        FastGet::NeedsLock { fill_version } => fill_version,
+                BatchOp::Get { key } if !mutated => match self.fast_get(shard, sig, key) {
+                    FastGet::Done(result) => {
+                        fast.push(Some(BatchReply::Get(result)));
+                        continue;
                     }
-                }
+                    FastGet::NeedsLock { fill_version } => fill_version,
+                },
                 BatchOp::Get { .. } | BatchOp::Exists { .. } => None,
                 BatchOp::Put { .. } | BatchOp::Delete { .. } => {
                     mutated = true;
@@ -655,20 +599,26 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
             // The locked path owns argument validation.
             return FastGet::NeedsLock { fill_version: None };
         }
-        let fill_version = match &self.cache {
-            Some(tier) => match tier.probe(shard as u32, sig, key) {
-                Probe::Hit(value) => return FastGet::Done(Ok(Some(value))),
-                Probe::Fill(v1) => Some(v1),
-            },
-            None => None,
-        };
-        let read = self.ext[shard].read.as_ref();
-        if let Some(value) = read.and_then(|read| read.get(shard as u32, sig, key)) {
-            let result = Ok(value);
-            self.admit_after_read(shard, sig, key, fill_version, &result);
-            return FastGet::Done(result);
+        let fast = &self.fast[shard];
+        let mut fill_version = None;
+        if let Some(tier) = &self.cache {
+            let (v1, lookup) = tier.probe(sig, key);
+            match lookup {
+                CacheLookup::Hit(value) => {
+                    fast.record_cache_hit(value.len() as u64);
+                    return FastGet::Done(Ok(Some(value)));
+                }
+                CacheLookup::Stale => fast.record_stale(),
+                CacheLookup::Miss => {}
+            }
+            fill_version = Some(v1);
         }
-        FastGet::NeedsLock { fill_version }
+        let Some(value) = fast.read(sig, key) else {
+            return FastGet::NeedsLock { fill_version };
+        };
+        let result = Ok(value);
+        self.admit_after_read(shard, sig, key, fill_version, &result);
+        FastGet::Done(result)
     }
 
     /// The one path that runs commands under a shard lock. Each entry is
@@ -730,8 +680,11 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
         fill_version: Option<u64>,
         result: &Result<Option<Bytes>>,
     ) {
-        if let (Some(tier), Some(v1), Ok(Some(value))) = (&self.cache, fill_version, result) {
-            tier.try_admit(shard as u32, sig, key, value, v1);
+        let (Some(tier), Some(v1), Ok(Some(value))) = (&self.cache, fill_version, result) else {
+            return;
+        };
+        if let Some(report) = tier.try_admit(sig, key, value, v1) {
+            self.fast[shard].record_admit(report, tier);
         }
     }
 
@@ -753,50 +706,33 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
     }
 
     /// Stats of one shard (diagnostics, load-balance analysis). Gets
-    /// completed on the lock-free path are folded in, so per-shard and
+    /// answered in front of the lock are folded in, so per-shard and
     /// device-wide views both cover every command.
     pub fn shard_stats(&self, shard: usize) -> DeviceStats {
         let mut stats = self.lock(shard).stats();
-        if let Some(read) = &self.ext[shard].read {
-            stats.gets += read.gets.get();
-            stats.not_found += read.not_found.get();
-            stats.bytes_read += read.bytes_read.get();
-        }
-        if let Some(tier) = &self.cache {
-            tier.fold_shard_stats(shard, &mut stats);
-        }
+        let fast = &self.fast[shard];
+        stats.gets += fast.gets.get() + fast.cache_hits.get();
+        stats.not_found += fast.not_found.get();
+        stats.bytes_read += fast.bytes_read.get() + fast.cache_bytes.get();
         stats
     }
 
     /// Hot-object cache counters and occupancy; `None` when the cache
     /// tier is disabled.
     pub fn hot_cache_stats(&self) -> Option<rhik_hotcache::CacheStats> {
-        self.cache.as_ref().map(|tier| tier.stats())
+        self.cache.as_ref().map(|tier| tier.cache.stats())
     }
 
-    /// Aggregated lock-free read-path counters over every shard. All
-    /// zeros when no shard accepted a read view.
+    /// Aggregated lock-free read-path counters over every shard.
     pub fn lockfree_read_stats(&self) -> LockfreeReadStats {
         let mut total = LockfreeReadStats::default();
-        for ext in self.ext.iter() {
-            let Some(read) = &ext.read else { continue };
-            total.gets += read.gets.get();
-            total.hits += read.hits.get();
-            total.not_found += read.not_found.get();
-            total.fallbacks += read.fallbacks.get();
-            total.pages_read += read.pages_read.get();
-            total.bytes_read += read.bytes_read.get();
-        }
-        total
-    }
-
-    /// Aggregated put group-commit counters over every shard.
-    pub fn group_commit_stats(&self) -> GroupCommitStats {
-        let mut total = GroupCommitStats::default();
-        for ext in self.ext.iter() {
-            total.batches += ext.commit.batches.get();
-            total.batched_puts += ext.commit.batched_puts.get();
-            total.max_batch = total.max_batch.max(ext.commit.max_batch.get());
+        for fast in self.fast.iter() {
+            total.gets += fast.gets.get();
+            total.hits += fast.hits.get();
+            total.not_found += fast.not_found.get();
+            total.fallbacks += fast.fallbacks.get();
+            total.pages_read += fast.pages_read.get();
+            total.bytes_read += fast.bytes_read.get();
         }
         total
     }
@@ -829,8 +765,7 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
                 // time is accrued separately and charged to the shard's
                 // clock serially (a conservative bound — on the modeled
                 // hardware they could overlap queued commands).
-                let lockfree =
-                    self.ext[s].read.as_ref().map_or(0.0, |read| read.read_ns.get() as f64 / 1e9);
+                let lockfree = self.fast[s].read_ns.get() as f64 / 1e9;
                 self.lock(s).elapsed_secs() + lockfree
             })
             .fold(0.0, f64::max)
@@ -845,18 +780,13 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
         h
     }
 
-    /// Merged get-latency histogram across shards (locked-path and
-    /// lock-free gets both included).
+    /// Merged get-latency histogram across shards: locked-path gets, and
+    /// gets answered in front of the lock.
     pub fn get_latencies(&self) -> LatencyHistogram {
         let mut h = LatencyHistogram::new();
-        for shard in 0..self.shards.len() {
+        for (shard, fast) in self.fast.iter().enumerate() {
             h.merge(self.lock(shard).get_latencies());
-            if let Some(read) = &self.ext[shard].read {
-                h.merge(&read.latencies.lock().unwrap_or_else(|p| p.into_inner()));
-            }
-        }
-        if let Some(tier) = &self.cache {
-            tier.merge_latencies(&mut h);
+            h.merge(&fast.latencies.lock().unwrap_or_else(|p| p.into_inner()));
         }
         h
     }
@@ -872,15 +802,10 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
     /// the shard id, so per-queue behaviour (resize stalls, queue depth,
     /// occupancy skew) stays distinguishable in the merged stream.
     pub fn set_telemetry(&self, sink: rhik_telemetry::TelemetrySink) {
-        for shard in 0..self.shards.len() {
+        for (shard, fast) in self.fast.iter().enumerate() {
             self.lock(shard).set_telemetry_shard(sink.clone(), shard as u32);
-            if let Some(read) = &self.ext[shard].read {
-                *read.telemetry.lock().unwrap_or_else(|p| p.into_inner()) = sink.clone();
-                read.telemetry_on.set(u64::from(sink.is_enabled()));
-            }
-        }
-        if let Some(tier) = &self.cache {
-            tier.set_telemetry(sink);
+            *fast.telemetry.lock().unwrap_or_else(|p| p.into_inner()) = sink.clone();
+            fast.telemetry_on.set(u64::from(sink.is_enabled()));
         }
     }
 
@@ -1076,20 +1001,6 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_carries_every_put() {
-        let dev = sharded(2);
-        for i in 0..80u64 {
-            dev.put(format!("gc-{i}").as_bytes(), b"v").unwrap();
-        }
-        let gc = dev.group_commit_stats();
-        // Single-threaded: every put leads its own batch of one.
-        assert_eq!(gc.batched_puts, 80);
-        assert_eq!(gc.batches, 80);
-        assert_eq!(gc.max_batch, 1);
-        assert_eq!(dev.stats().puts, 80);
-    }
-
-    #[test]
     fn concurrent_puts_and_gets_stay_coherent() {
         let dev = sharded(4);
         for i in 0..64u64 {
@@ -1271,6 +1182,125 @@ mod tests {
             }
         }
         assert_eq!(answered, ops.len());
+    }
+
+    #[test]
+    fn submit_batch_refuses_ops_routed_to_another_shard() {
+        let dev = sharded(4);
+        let key = b"misrouted".to_vec();
+        let home = dev.shard_for_key(&key);
+        let ops = [
+            BatchOp::Put { key: key.clone(), value: b"v".to_vec() },
+            BatchOp::Get { key: key.clone() },
+            BatchOp::Exists { key: key.clone() },
+            BatchOp::Delete { key: key.clone() },
+        ];
+        // A neighbouring shard's queue, and a shard that does not exist.
+        for shard in [(home + 1) % 4, 4] {
+            let wrong = KvError::WrongShard { shard, home };
+            let expected = [
+                BatchReply::Put(Err(wrong.clone())),
+                BatchReply::Get(Err(wrong.clone())),
+                BatchReply::Exists(Err(wrong.clone())),
+                BatchReply::Delete(Err(wrong)),
+            ];
+            assert_eq!(dev.submit_batch(shard, &ops), expected);
+        }
+        // Nothing ran: no shard holds the key or counted a command.
+        assert_eq!(dev.key_count(), 0);
+        assert_eq!(dev.stats(), DeviceStats::default());
+        assert_eq!(dev.get(&key).unwrap(), None);
+        // The same batch at the key's own shard runs in full.
+        let replies = dev.submit_batch(home, &ops[..2]);
+        assert_eq!(replies[0], BatchReply::Put(Ok(())));
+        assert!(matches!(&replies[1], BatchReply::Get(Ok(Some(v))) if &v[..] == b"v"));
+    }
+
+    /// Gets that end in the hot cache, on the lock-free path (hit and
+    /// miss) and in the locked pass are each counted once, in every view
+    /// of the device: stats, latency histogram, telemetry, and the
+    /// cache / lock-free split.
+    #[test]
+    fn every_get_path_is_counted_once() {
+        let dev =
+            ShardedKvssd::rhik(DeviceConfig::small().with_shards(4).with_hot_cache(64 * 1024));
+        let sink = rhik_telemetry::TelemetrySink::enabled();
+        dev.set_telemetry(sink.clone());
+        let value = |i: u64| format!("value-{i:03}").repeat(1 + i as usize % 3);
+        // `flushed` keys have their head page on flash; `buffered` keys,
+        // written after the flush, still sit in a shard's write buffer.
+        let flushed: Vec<String> = (0..40).map(|i| format!("flushed-{i:03}")).collect();
+        let buffered: Vec<String> = (0..12).map(|i| format!("buffered-{i:03}")).collect();
+        for (i, key) in flushed.iter().enumerate() {
+            dev.put(key.as_bytes(), value(i as u64).as_bytes()).unwrap();
+        }
+        dev.flush().unwrap();
+        for (i, key) in buffered.iter().enumerate() {
+            dev.put(key.as_bytes(), value(100 + i as u64).as_bytes()).unwrap();
+        }
+        let put_ops = sink.snapshot().unwrap();
+
+        let mut gets = [0u64; 4];
+        let mut bytes = [0u64; 4];
+        let mut get = |key: &str, expect: Option<String>| {
+            let got = dev.get(key.as_bytes()).unwrap();
+            assert_eq!(got.as_deref(), expect.as_deref().map(str::as_bytes), "{key}");
+            let shard = dev.shard_for_key(key.as_bytes());
+            gets[shard] += 1;
+            bytes[shard] += got.map_or(0, |v| v.len() as u64);
+        };
+        // Locked pass: the head is in the write buffer, so the lock-free
+        // read falls back (and the locked hit fills the cache).
+        for (i, key) in buffered.iter().enumerate() {
+            get(key, Some(value(100 + i as u64)));
+        }
+        // Lock-free hits (each fills the cache), then cache hits.
+        for _ in 0..2 {
+            for (i, key) in flushed.iter().enumerate() {
+                get(key, Some(value(i as u64)));
+            }
+        }
+        // Lock-free misses: zero flash reads, straight from the view.
+        for i in 0..20 {
+            get(&format!("absent-{i:03}"), None);
+        }
+
+        let (locked, lockfree_hits, cache_hits, misses) = (12, 40, 40, 20);
+        let issued = locked + lockfree_hits + cache_hits + misses;
+        assert_eq!(gets.iter().sum::<u64>(), issued);
+        let total = dev.stats();
+        assert_eq!(total.gets, issued);
+        assert_eq!(total.bytes_read, bytes.iter().sum::<u64>());
+        assert_eq!(total.not_found, misses);
+        assert_eq!(dev.get_latencies().count(), issued);
+        let snap = sink.snapshot().unwrap().since(&put_ops);
+        assert_eq!(snap.counter("kvssd_gets"), issued);
+        let spans = sink.spans();
+        for shard in 0..4 {
+            let stats = dev.shard_stats(shard);
+            assert_eq!(stats.gets, gets[shard], "shard {shard} gets");
+            assert_eq!(stats.bytes_read, bytes[shard], "shard {shard} bytes");
+            // Get spans of completed ops: the cache's stale / admit /
+            // evict events are spans of their own.
+            let cache_event = |e: &StageEvent| {
+                matches!(e.stage, Stage::CacheStale | Stage::CacheAdmit | Stage::CacheEvict)
+            };
+            let traced = spans
+                .iter()
+                .filter(|s| s.kind == OpKind::Get && s.shard == shard as u32)
+                .filter(|s| !s.stages.iter().any(cache_event))
+                .count() as u64;
+            assert_eq!(traced, gets[shard], "shard {shard} get spans");
+        }
+        let lockfree = dev.lockfree_read_stats();
+        assert_eq!(lockfree.gets, lockfree_hits + misses);
+        assert_eq!(lockfree.hits, lockfree_hits);
+        assert_eq!(lockfree.not_found, misses);
+        assert_eq!(lockfree.fallbacks, locked);
+        let cache = dev.hot_cache_stats().expect("cache enabled");
+        assert_eq!(cache.lookups, issued);
+        assert_eq!(cache.hits, cache_hits);
+        assert_eq!(snap.counter("hot_cache_hits"), cache_hits);
     }
 
     #[test]

@@ -41,17 +41,12 @@ pub struct RhikIndex {
     /// snapshot-referenced pages (see [`RhikIndex::recover`]).
     recovery_lost_tables: u64,
     /// Mirror of the `sig → head PPA` mapping for the device's lock-free
-    /// read path (attached by the sharded device; `None` on single-owner
-    /// devices). Every mutation that changes where a pair lives funnels
-    /// through the `note_view_*` helpers; directory doublings move no
-    /// pair, so they leave the view alone.
+    /// read path and hot cache (attached by the sharded device; `None` on
+    /// single-owner devices). Every mutation that changes where a pair
+    /// lives funnels through the `note_view_*` helpers, and the view's
+    /// version bump invalidates the signature for both; directory
+    /// doublings move no pair, so they leave the view alone.
     view: Option<std::sync::Arc<rhik_ftl::ReadView>>,
-    /// Invalidation versions for the hot-object cache tier (attached by
-    /// the device when the cache is enabled; `None` otherwise). Bumped in
-    /// the same `note_view_*` funnel as the read view: every value
-    /// mutation — insert, update, delete, GC relocation — invalidates
-    /// the signature's stripe.
-    versions: Option<std::sync::Arc<rhik_ftl::VersionTable>>,
 }
 
 impl RhikIndex {
@@ -73,7 +68,6 @@ impl RhikIndex {
             migration: None,
             recovery_lost_tables: 0,
             view: None,
-            versions: None,
         }
     }
 
@@ -184,7 +178,6 @@ impl RhikIndex {
             migration: None,
             recovery_lost_tables: lost_tables,
             view: None,
-            versions: None,
         };
         // The snapshot pages just consumed may themselves have been retired
         // (GC churn); re-anchor the persistent copy immediately so the next
@@ -290,18 +283,33 @@ impl RhikIndex {
         pages::load(self, ftl, key, ppa)
     }
 
+    /// Attach a [`ReadView`](rhik_ftl::ReadView) for this index to
+    /// mirror: every `sig → head PPA` change (insert, update, delete, GC
+    /// relocation) is reflected into the view, whose version bump after
+    /// each change is what the device's lock-free gets validate against
+    /// and what invalidates the hot cache. Directory doublings move no
+    /// pair, so they need no view work.
+    ///
+    /// Returns `true` iff the view was accepted, which happens only while
+    /// the index is empty: the view starts empty, so adopting it later
+    /// would make every pre-existing key a lock-free miss.
+    pub fn attach_read_view(&mut self, view: std::sync::Arc<rhik_ftl::ReadView>) -> bool {
+        if self.len != 0 {
+            return false;
+        }
+        self.view = Some(view);
+        true
+    }
+
     /// Mirror a `sig → head` change into the attached read view (no-op
     /// without one). Called at every insert/update success point,
-    /// including GC relocation, which funnels through `insert`.
+    /// including GC relocation, which funnels through `insert`, after the
+    /// table changed: once a reader observes the view's bump it is
+    /// guaranteed to also observe the new value.
     #[inline]
     pub(crate) fn note_view_upsert(&self, sig: KeySignature, ppa: Ppa) {
         if let Some(view) = &self.view {
             view.upsert(sig.0, ppa);
-        }
-        // Bump *after* the index mutation: once a cache fill observes the
-        // new version it is guaranteed to also observe the new value.
-        if let Some(versions) = &self.versions {
-            versions.bump(sig.0);
         }
     }
 
@@ -310,9 +318,6 @@ impl RhikIndex {
     pub(crate) fn note_view_remove(&self, sig: KeySignature) {
         if let Some(view) = &self.view {
             view.remove(sig.0);
-        }
-        if let Some(versions) = &self.versions {
-            versions.bump(sig.0);
         }
     }
 
@@ -725,23 +730,6 @@ impl IndexBackend for RhikIndex {
 
     fn migration_progress(&self) -> Option<(u64, u64)> {
         self.migration.as_ref().map(|m| m.progress())
-    }
-
-    fn attach_read_view(&mut self, view: std::sync::Arc<rhik_ftl::ReadView>) -> bool {
-        if self.len != 0 {
-            // The view starts empty; adopting it now would make every
-            // pre-existing key a lock-free miss.
-            return false;
-        }
-        self.view = Some(view);
-        true
-    }
-
-    fn attach_versions(&mut self, versions: std::sync::Arc<rhik_ftl::VersionTable>) -> bool {
-        // Safe at any point: versions are equality-compared against a
-        // fill-time read, and no cache entries predate the attach.
-        self.versions = Some(versions);
-        true
     }
 
     fn scan_records(

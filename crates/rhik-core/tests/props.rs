@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use rhik_core::{RecordTable, RhikConfig, RhikIndex, TableInsert, TablePage};
-use rhik_ftl::{Ftl, FtlConfig, FtlError, IndexBackend, ReadView};
+use rhik_ftl::{Ftl, FtlConfig, FtlError, IndexBackend, ReadView, VersionTable};
 use rhik_nand::{NandGeometry, Ppa};
 use rhik_sigs::KeySignature;
 use std::collections::{BTreeMap, HashMap};
@@ -86,7 +86,7 @@ proptest! {
         let mut ftl = big_ftl();
         let mut idx = index();
         let mut model: HashMap<u64, Ppa> = HashMap::new();
-        let view = std::sync::Arc::new(ReadView::default());
+        let view = std::sync::Arc::new(ReadView::new(std::sync::Arc::new(VersionTable::new(10))));
         prop_assert!(idx.attach_read_view(std::sync::Arc::clone(&view)));
 
         for op in ops {

@@ -50,7 +50,7 @@ impl Reply {
 /// |---|---|
 /// | `ERR io` | `ReadFault`, `Media`, `Corrupt` |
 /// | `ERR device full` | `DeviceFull`, `IndexFull` |
-/// | `ERR invalid argument` | `EmptyKey`, `KeyTooLarge`, `ValueTooLarge` |
+/// | `ERR invalid argument` | `EmptyKey`, `KeyTooLarge`, `ValueTooLarge`, `WrongShard` |
 /// | `ERR collision` | `KeyCollision`, `KeyRejected` |
 /// | `ERR unsupported` | `Unsupported` |
 pub fn error_text(err: &KvError) -> String {
@@ -59,9 +59,10 @@ pub fn error_text(err: &KvError) -> String {
             format!("ERR io: {err}")
         }
         KvError::DeviceFull | KvError::IndexFull => format!("ERR device full: {err}"),
-        KvError::EmptyKey | KvError::KeyTooLarge { .. } | KvError::ValueTooLarge { .. } => {
-            format!("ERR invalid argument: {err}")
-        }
+        KvError::EmptyKey
+        | KvError::KeyTooLarge { .. }
+        | KvError::ValueTooLarge { .. }
+        | KvError::WrongShard { .. } => format!("ERR invalid argument: {err}"),
         KvError::KeyCollision | KvError::KeyRejected => format!("ERR collision: {err}"),
         KvError::Unsupported(_) => format!("ERR unsupported: {err}"),
         // Reached only by ops whose mapping has no not-found rendering
@@ -122,10 +123,11 @@ mod tests {
             KvError::ReadFault { ppa: Ppa::new(3, 7) },
             KvError::Media("worn out".into()),
             KvError::Corrupt("directory disagrees".into()),
+            KvError::WrongShard { shard: 1, home: 2 },
         ];
         // (error index, expected class prefix) — the contract clients
         // dispatch on. KeyNotFound has per-op renderings checked below.
-        let class: [(usize, &str); 11] = [
+        let class: [(usize, &str); 12] = [
             (1, "ERR collision"),
             (2, "ERR collision"),
             (3, "ERR device full"),
@@ -137,6 +139,7 @@ mod tests {
             (9, "ERR io"),
             (10, "ERR io"),
             (11, "ERR io"),
+            (12, "ERR invalid argument"),
         ];
         for (idx, prefix) in class {
             let err = all_errors[idx].clone();

@@ -108,9 +108,8 @@ fn main() {
     );
     let cache = dev.hot_cache_stats().expect("cache enabled");
     println!(
-        "typed stats: {} lookups, {:.1}% hit rate, {} replica admits",
+        "typed stats: {} lookups, {:.1}% hit rate",
         cache.lookups,
         if cache.lookups == 0 { 0.0 } else { 100.0 * cache.hits as f64 / cache.lookups as f64 },
-        cache.replica_admits,
     );
 }
