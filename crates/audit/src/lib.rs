@@ -20,7 +20,8 @@
 //!
 //! The catalog (see DESIGN.md "Invariant catalog" for paper citations):
 //!
-//! 1. Every directory entry points at a live, correctly-typed flash page.
+//! 1. Every directory entry points at a live, correctly-typed flash page,
+//!    and a clean cached copy of that page holds the same bytes.
 //! 2. Index-block live-byte accounting equals the pages the index owns.
 //! 3. No PPA is owned twice (GC victim vs. resize-migration source, or
 //!    two directory keys, or two shards).
@@ -104,6 +105,10 @@ pub enum InvariantViolation {
     /// The index's key count and the directory's per-entry record sums
     /// disagree.
     RecordCountMismatch { shard: u32, index_len: u64, directory_records: u64 },
+    /// A table's resident, clean cached copy differs from its flash copy:
+    /// lookups (and a resize split) read bytes the flash does not hold,
+    /// and evicting the copy drops them unwritten.
+    CleanCacheDiverged { shard: u32, key: u64, ppa: RawPpa },
 
     // --------------------------------------------------------- migration
     /// The migration cursor moved backwards between two audits of the
@@ -191,6 +196,10 @@ impl fmt::Display for InvariantViolation {
                 f,
                 "shard {shard}: index len {index_len} != directory record sum {directory_records}"
             ),
+            CleanCacheDiverged { shard, key, ppa } => write!(
+                f,
+                "shard {shard}: table {key:#x} is cached clean but differs from its flash copy at {ppa:?}"
+            ),
             CursorRegressed { shard, generation, prev, now } => write!(
                 f,
                 "shard {shard} gen {generation}: migration cursor regressed {prev} -> {now}"
@@ -240,6 +249,9 @@ pub struct OwnedPage {
     /// Spare-area kind tag this page must carry.
     pub expected_kind: u8,
     pub observed: ObservedPage,
+    /// The page cache holds a clean copy of this page whose bytes differ
+    /// from the flash copy.
+    pub clean_cache_diverged: bool,
 }
 
 /// Per-directory-entry counters for the Eq. 1 capacity check.
@@ -487,8 +499,8 @@ impl DeviceAuditor {
         let block_of: HashMap<u32, &BlockAccounting> =
             flash.blocks.iter().map(|b| (b.block, b)).collect();
 
-        // 1. Every owned page is programmed, correctly typed, and sits in
-        //    an index-stream block.
+        // 1. Every owned page is programmed, correctly typed, matched by
+        //    any clean cached copy, and sits in an index-stream block.
         let mut owned_per_block: HashMap<u32, u32> = HashMap::new();
         for p in &index.owned_pages {
             match p.observed {
@@ -512,6 +524,9 @@ impl DeviceAuditor {
                     })
                 }
                 ObservedPage::Kind(_) => {}
+            }
+            if p.clean_cache_diverged {
+                v.push(InvariantViolation::CleanCacheDiverged { shard, key: p.key, ppa: p.ppa });
             }
             let stream = block_of.get(&p.ppa.0).and_then(|b| b.stream);
             if stream != Some("index") {
@@ -717,7 +732,13 @@ mod tests {
     }
 
     fn owned(key: u64, ppa: RawPpa) -> OwnedPage {
-        OwnedPage { key, ppa, expected_kind: KIND_INDEX, observed: ObservedPage::Kind(KIND_INDEX) }
+        OwnedPage {
+            key,
+            ppa,
+            expected_kind: KIND_INDEX,
+            observed: ObservedPage::Kind(KIND_INDEX),
+            clean_cache_diverged: false,
+        }
     }
 
     fn clean_fixture() -> (FlashAudit, IndexAuditSnapshot) {
@@ -781,6 +802,17 @@ mod tests {
                 expected: KIND_INDEX,
                 found: Some(KIND_HEAD),
             }]
+        );
+    }
+
+    #[test]
+    fn diverged_clean_cache_copy_detected() {
+        let (flash, mut index) = clean_fixture();
+        index.owned_pages[1].clean_cache_diverged = true;
+        let report = DeviceAuditor::new().check_device(&flash, &index, &[]);
+        assert_eq!(
+            report.violations,
+            vec![InvariantViolation::CleanCacheDiverged { shard: 0, key: 2, ppa: (0, 1) }]
         );
     }
 
@@ -901,6 +933,7 @@ mod tests {
                 ppa: (block, 0),
                 expected_kind: KIND_INDEX,
                 observed: ObservedPage::Kind(KIND_INDEX),
+                clean_cache_diverged: false,
             }],
             migration: None,
         };

@@ -107,8 +107,7 @@ impl MultiLevelIndex {
         level: usize,
         slot: u32,
     ) -> Result<(pages::Table, u64), FtlError> {
-        let ppa = self.levels[level].tables[slot as usize];
-        pages::load(self, ftl, Self::cache_key(level, slot), ppa)
+        pages::load(self, ftl, Self::cache_key(level, slot))
     }
 }
 

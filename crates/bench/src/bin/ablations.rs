@@ -242,9 +242,6 @@ fn ablate_resize_threshold(scale: Scale) {
                     Err(FtlError::TableFull { .. }) => aborts += 1,
                     Err(e) => panic!("unexpected: {e}"),
                 }
-                if idx.maintenance_due() {
-                    idx.maintain(&mut ftl).expect("maintain");
-                }
             }
             cells.push(aborts);
             if !hyper_local {

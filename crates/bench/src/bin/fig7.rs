@@ -15,7 +15,7 @@
 
 use rhik_bench::{render_table, Scale};
 use rhik_core::{RhikConfig, RhikIndex};
-use rhik_ftl::{Ftl, FtlConfig, IndexBackend};
+use rhik_ftl::{Ftl, FtlConfig, FtlError, IndexBackend};
 use rhik_nand::{DeviceProfile, NandGeometry, Ppa};
 use rhik_sigs::KeySignature;
 
@@ -46,11 +46,12 @@ fn main() {
     });
     let mut idx = RhikIndex::new(
         // Paper-fidelity Fig. 7: measure the monolithic doubling cost, so
-        // keep the stop-the-world resize rather than the incremental one.
+        // an unbounded migration batch finishes each doubling in the
+        // insert that begins it.
         RhikConfig {
             initial_dir_bits: 0,
             dir_flush_interval: u64::MAX / 2,
-            stop_the_world: true,
+            resize_migration_batch: u32::MAX,
             ..Default::default()
         },
         geometry.page_size,
@@ -64,24 +65,20 @@ fn main() {
     };
     let mut aborts = 0u64;
     for i in 0..target_keys {
-        match idx.insert(&mut ftl, mix(i), Ppa::new(0, 0)) {
+        let mut inserted = idx.insert(&mut ftl, mix(i), Ppa::new(0, 0));
+        if inserted == Err(FtlError::NeedsGc) {
+            // Out of space: collect once and retry, as the device does.
+            rhik_ftl::gc::run(&mut ftl, &mut idx, &gc_cfg).expect("gc");
+            inserted = idx.insert(&mut ftl, mix(i), Ppa::new(0, 0));
+        }
+        match inserted {
             Ok(_) => {}
             // The paper's infrequent hopscotch abort (§IV-A1): at tens of
             // millions of inserts a few tables hit their hop limit just
             // below the global trigger. The device rejects the key; the
             // harness counts and moves on.
-            Err(rhik_ftl::FtlError::TableFull { .. }) => aborts += 1,
+            Err(FtlError::TableFull { .. }) => aborts += 1,
             Err(e) => panic!("insert: {e}"),
-        }
-        if idx.maintenance_due() {
-            match idx.maintain(&mut ftl) {
-                Ok(()) => {}
-                Err(rhik_ftl::FtlError::NeedsGc) => {
-                    rhik_ftl::gc::run(&mut ftl, &mut idx, &gc_cfg).expect("gc");
-                    let _ = idx.maintain(&mut ftl);
-                }
-                Err(e) => panic!("maintain: {e}"),
-            }
         }
         // Reclaim retired table pages periodically; without GC the host
         // memory holding superseded pages grows unboundedly at full scale.

@@ -3,8 +3,8 @@
 //! Grows two identical RHIK devices from a single-table directory through
 //! several doublings with the same sequential put stream — one with the
 //! default incremental migration (`resize_migration_batch` slots piggyback
-//! on each command), one with `stop_the_world: true` (the paper's §IV-A2
-//! monolithic pass, as measured in Fig. 7). Per-put device-time latency is
+//! on each command), one stop-the-world with `resize_migration_batch:
+//! u32::MAX` (the paper's §IV-A2 monolithic pass, as measured in Fig. 7). Per-put device-time latency is
 //! sampled from the simulated clock, and fixed-width windows around every
 //! doubling are pooled per mode so the percentiles describe exactly the
 //! ops that a reconfiguration can stall.
@@ -48,7 +48,7 @@ struct ModeRun {
 
 fn run_mode(
     label: &'static str,
-    stop_the_world: bool,
+    resize_migration_batch: u32,
     scale: Scale,
     keys: u64,
     sink: Option<TelemetrySink>,
@@ -56,16 +56,7 @@ fn run_mode(
     let mut cfg = DeviceConfig::small().with_profile(DeviceProfile::kvemu_like());
     // Room for the whole fill.
     cfg.geometry.blocks = scale.pick(256, 2048);
-    // One slot per command: a directory slot is a full-page record table,
-    // so batch=1 is the finest (and for 4 KiB pages the natural) migration
-    // granularity — the per-op stall is one table split, independent of
-    // directory size. stop_the_world ignores the batch.
-    cfg.rhik = RhikConfig {
-        initial_dir_bits: 0,
-        resize_migration_batch: 1,
-        stop_the_world,
-        ..Default::default()
-    };
+    cfg.rhik = RhikConfig { initial_dir_bits: 0, resize_migration_batch, ..Default::default() };
     let mut dev = KvssdDevice::rhik(cfg);
     if let Some(s) = sink {
         dev.set_telemetry(s);
@@ -161,8 +152,12 @@ fn main() {
     let keys: u64 = scale.pick(6_000, 25_000);
 
     let runs = [
-        run_mode("incremental", false, scale, keys, None),
-        run_mode("stop_the_world", true, scale, keys, None),
+        // One slot per command: a directory slot is a full-page record
+        // table, so batch 1 is the finest (and for 4 KiB pages the
+        // natural) migration granularity — the per-op stall is one table
+        // split, independent of directory size.
+        run_mode("incremental", 1, scale, keys, None),
+        run_mode("stop_the_world", u32::MAX, scale, keys, None),
     ];
 
     let mut rows = vec![vec![
@@ -244,11 +239,11 @@ fn main() {
 
     // `--trace-dump`: rerun the incremental mode with a live telemetry
     // sink and attribute per-op device time across stages — directory
-    // walks, flash reads/programs, cache traffic, GC, migration batches,
-    // and queue stalls all become visible, including mid-resize.
+    // walks, flash reads/programs, cache traffic, GC and migration
+    // batches all become visible, including mid-resize.
     if trace_dump_requested() {
         let sink = TelemetrySink::with_trace_capacity(keys as usize);
-        let _ = run_mode("incremental-traced", false, scale, keys, Some(sink.clone()));
+        let _ = run_mode("incremental-traced", 1, scale, keys, Some(sink.clone()));
         let attr = sink.attribution();
         let rpl = sink.reads_per_lookup().unwrap_or_default();
         println!("per-stage device-time attribution (incremental run, telemetry on):");

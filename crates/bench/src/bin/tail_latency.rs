@@ -38,15 +38,20 @@ fn main() {
 
     let mut emitted = Vec::new();
     for (label, rhik_cfg) in [
-        // stop_the_world: this bench demonstrates the §VI reconfiguration
-        // stall that incremental migration (see resize_tail) amortizes away.
+        // An unbounded migration batch is the monolithic doubling: this
+        // bench demonstrates the §VI reconfiguration stall that incremental
+        // migration (see resize_tail) amortizes away.
         (
             "conservative (1 table)",
-            RhikConfig { initial_dir_bits: 0, stop_the_world: true, ..Default::default() },
+            RhikConfig {
+                initial_dir_bits: 0,
+                resize_migration_batch: u32::MAX,
+                ..Default::default()
+            },
         ),
         (
             "pre-sized (Eq. 2)",
-            RhikConfig { stop_the_world: true, ..RhikConfig::default() }
+            RhikConfig { resize_migration_batch: u32::MAX, ..RhikConfig::default() }
                 .with_anticipated_keys(keys * 2, 4096),
         ),
     ] {

@@ -169,19 +169,6 @@ pub trait IndexBackend {
         Ok(None)
     }
 
-    /// Whether the index has deferred maintenance pending (e.g. a resize
-    /// that was postponed for lack of free blocks). The device checks this
-    /// after each command and runs GC + [`IndexBackend::maintain`].
-    fn maintenance_due(&self) -> bool {
-        false
-    }
-
-    /// Perform deferred maintenance (RHIK: the pending resize). May return
-    /// [`FtlError::NeedsGc`] if space is still insufficient.
-    fn maintain(&mut self, _ftl: &mut Ftl) -> Result<(), FtlError> {
-        Ok(())
-    }
-
     /// Perform one bounded slice of background maintenance (RHIK: migrate
     /// one batch of an in-flight incremental resize). Meant for idle device
     /// time; returns `true` if any work was done (more may remain). The
@@ -190,15 +177,11 @@ pub trait IndexBackend {
         Ok(false)
     }
 
-    /// True while an incremental resize migration is in flight.
-    fn resize_in_progress(&self) -> bool {
-        false
-    }
-
     /// Progress of an in-flight resize migration as
     /// `(slots_migrated, slots_total)` over the frozen old directory —
     /// `None` when no migration is running. Telemetry exports this as the
-    /// per-shard migration-cursor gauge.
+    /// per-shard migration-cursor gauge; the device derives "resize in
+    /// progress" from it.
     fn migration_progress(&self) -> Option<(u64, u64)> {
         None
     }

@@ -150,7 +150,7 @@ impl KvssdDevice<RhikIndex> {
     /// and perturbs no statistics.
     ///
     /// Call between commands. Gauges refresh at the end of every traced
-    /// command (`span_finish` runs after housekeeping), so between
+    /// command (`span_finish` runs after garbage collection), so between
     /// commands the published values must agree with live index state.
     pub fn audit_parts(
         &self,
@@ -240,8 +240,8 @@ impl<I: IndexBackend> KvssdDevice<I> {
 
     pub fn stats(&self) -> DeviceStats {
         let mut s = self.stats;
-        // Resizes can complete inline (inside an insert) or via deferred
-        // maintenance; the index's event log is the single source of truth.
+        // Resizes complete inside index operations or idle-time steps; the
+        // index's event log is the single source of truth.
         s.resizes = self.index.stats().resizes.len() as u64;
         s
     }
@@ -342,16 +342,13 @@ impl<I: IndexBackend> KvssdDevice<I> {
     }
 
     /// Finish an op span: drain the media stage events the FTL staged for
-    /// this command, synthesize cache and queue-wait events from counter
-    /// diffs, and publish the span, latency histogram, and shard gauges.
-    /// `stall_ns` is queue-hold time (GC/resize housekeeping) charged to
-    /// this command on top of its media timing.
+    /// this command, synthesize cache events from counter diffs, and
+    /// publish the span, latency histogram, and shard gauges.
     fn span_finish(
         &mut self,
         snap: Option<OpSnapshot>,
         kind: OpKind,
         timing: crate::CommandTiming,
-        stall_ns: u64,
     ) {
         let Some(snap) = snap else { return };
         let mut stages = self.ftl.drain_stage_log();
@@ -363,9 +360,6 @@ impl<I: IndexBackend> KvssdDevice<I> {
         }
         if misses > 0 {
             stages.push(StageEvent { stage: Stage::CacheMiss, count: misses as u32, dur_ns: 0 });
-        }
-        if stall_ns > 0 {
-            stages.push(StageEvent { stage: Stage::QueueWait, count: 1, dur_ns: stall_ns });
         }
 
         // Flash reads this command's index lookup needed, taken from the
@@ -390,12 +384,12 @@ impl<I: IndexBackend> KvssdDevice<I> {
             OpKind::Exist => ("kvssd_exists", None),
             OpKind::Maintenance => ("kvssd_maintenance_steps", None),
         };
-        let latency = latency_histo.map(|name| (name, timing.latency_ns() + stall_ns));
+        let latency = latency_histo.map(|name| (name, timing.latency_ns()));
         let span = OpSpan {
             kind,
             shard: self.shard_id,
             submitted_ns: timing.submitted_ns,
-            completed_ns: timing.completed_ns + stall_ns,
+            completed_ns: timing.completed_ns,
             lookup_flash_reads: lookup_reads.unwrap_or(0),
             stages,
         };
@@ -478,33 +472,10 @@ impl<I: IndexBackend> KvssdDevice<I> {
         self.engine.stall_until(self.engine.now_ns() + stall);
     }
 
-    /// Post-command housekeeping: proactive GC + deferred index maintenance
-    /// (the RHIK resize, which stalls the submission queue). Best effort:
-    /// a resize still short of space after one collection and one retry
-    /// stays deferred for a later command.
-    fn housekeeping(&mut self) -> Result<()> {
-        if gc::should_run(&self.ftl, &self.gc_cfg) {
-            self.collect_garbage()?;
-        }
-        if self.index.maintenance_due() {
-            let mut maintained = self.index.maintain(&mut self.ftl);
-            if maintained == Err(FtlError::NeedsGc) && self.collect_garbage()? {
-                maintained = self.index.maintain(&mut self.ftl);
-            }
-            match maintained {
-                Ok(()) | Err(FtlError::NeedsGc) => {}
-                Err(e) => return Err(e.into()),
-            }
-            // The resize held the submission queue (§IV-A2).
-            self.stall_queue();
-        }
-        Ok(())
-    }
-
     /// Whether the index is mid-way through an incremental directory
     /// doubling (old and new directories both live, cursor advancing).
     pub fn resize_in_progress(&self) -> bool {
-        self.index.resize_in_progress()
+        self.index.migration_progress().is_some()
     }
 
     /// Run one bounded slice of background index maintenance — the idle-time
@@ -519,17 +490,11 @@ impl<I: IndexBackend> KvssdDevice<I> {
     pub fn maintain_step(&mut self) -> Result<bool> {
         let snap = self.span_begin();
         let submitted_ns = self.engine.now_ns();
-        let progressed = match self.index.maintain_step(&mut self.ftl) {
-            Ok(p) => p,
-            // Migration paused on free space; reclaim and report "still
-            // working" so drain loops retry after the collection.
-            Err(FtlError::NeedsGc) => self.collect_garbage()?,
-            Err(e) => return Err(e.into()),
-        };
+        let progressed = self.index.maintain_step(&mut self.ftl)?;
         self.stall_queue();
         if progressed {
             let timing = crate::CommandTiming { submitted_ns, completed_ns: self.engine.now_ns() };
-            self.span_finish(snap, OpKind::Maintenance, timing, 0);
+            self.span_finish(snap, OpKind::Maintenance, timing);
         }
         Ok(progressed)
     }
@@ -593,8 +558,9 @@ impl<I: IndexBackend> KvssdDevice<I> {
     /// count the command, open its span, sign the key and run `body`,
     /// which returns its reply and the payload bytes it moved besides the
     /// key. The command's media time settles once, whether `body`
-    /// succeeded or not. A successful mutation then runs housekeeping,
-    /// whose queue stall is charged to its latency.
+    /// succeeded or not. A successful mutation then collects garbage if
+    /// free blocks fell below the low watermark; that collection's media
+    /// time settles with the next command.
     fn command<T>(
         &mut self,
         kind: OpKind,
@@ -618,18 +584,15 @@ impl<I: IndexBackend> KvssdDevice<I> {
         let payload = result.as_ref().map_or(0, |&(_, bytes)| bytes);
         let timing = self.settle(key.len() as u64 + payload);
         let (reply, _) = result?;
-        let mut stall = 0;
-        if matches!(kind, OpKind::Put | OpKind::Delete) {
-            let before_hk = self.engine.now_ns();
-            self.housekeeping()?;
-            stall = self.engine.now_ns() - before_hk;
+        if matches!(kind, OpKind::Put | OpKind::Delete) && gc::should_run(&self.ftl, &self.gc_cfg) {
+            self.collect_garbage()?;
         }
         match kind {
-            OpKind::Put => self.put_latencies.record(timing.latency_ns() + stall),
+            OpKind::Put => self.put_latencies.record(timing.latency_ns()),
             OpKind::Get => self.get_latencies.record(timing.latency_ns()),
             _ => {}
         }
-        self.span_finish(snap, kind, timing, stall);
+        self.span_finish(snap, kind, timing);
         Ok(reply)
     }
 
@@ -1176,6 +1139,99 @@ mod tests {
         }
         dev.put(b"after-delete", &value).unwrap();
         assert!(dev.get(b"after-delete").unwrap().is_some());
+    }
+
+    #[test]
+    fn a_doubling_paused_for_space_resumes_after_watermark_gc() {
+        // A 64-slot directory migrating one slot per step, begun on a
+        // device a few blocks short of full. The index cache holds every
+        // table, so the index leaves no garbage for the collector.
+        let mut cfg = DeviceConfig::small();
+        cfg.cache_budget_bytes = 1 << 20;
+        cfg.rhik.initial_dir_bits = 6;
+        cfg.rhik.occupancy_threshold = 0.1;
+        cfg.rhik.resize_migration_batch = 1;
+        let mut dev = KvssdDevice::rhik(cfg);
+        let capacity = dev.index().total_capacity() as f64;
+        let block = cfg.geometry.block_bytes() as usize;
+        let key = |i: usize| format!("pause-{i:06}").into_bytes();
+        // Values are `len` copies of the length's low byte.
+        let value = |len: usize| vec![len as u8; len];
+
+        // Fresh pairs, sized to leave about five free blocks when one more
+        // key would begin the doubling.
+        let mut keys_left = 0;
+        while ((keys_left + 1) as f64 / capacity) < cfg.rhik.occupancy_threshold {
+            keys_left += 1;
+        }
+        let mut pairs: Vec<(Vec<u8>, usize)> = Vec::new();
+        for left in (1..=keys_left).rev() {
+            let spare = (dev.ftl().free_blocks() as usize).saturating_sub(5) * block;
+            let len = (spare / left).clamp(16, 192 * 1024);
+            pairs.push((key(pairs.len()), len));
+            dev.put(&pairs.last().unwrap().0, &value(len)).unwrap();
+        }
+        assert!(!dev.resize_in_progress());
+
+        // Fresh 192 KiB pairs: the first begins the doubling, the rest
+        // split their own slots until the migration stops advancing.
+        let mut split_by_put = Vec::new();
+        let paused = loop {
+            assert!(pairs.len() < 10_000, "the migration never paused");
+            let before = dev.index().migration_progress();
+            let (k, len) = (key(pairs.len()), 192 * 1024);
+            match dev.put(&k, &value(len)) {
+                Ok(()) => {
+                    if before.is_some() {
+                        split_by_put.push(dev.sign(&k).low_bits(cfg.rhik.initial_dir_bits));
+                    }
+                    pairs.push((k, len));
+                }
+                Err(KvError::DeviceFull) if before.is_some() => {}
+                Err(e) => panic!("put: {e}"),
+            }
+            let after = dev.index().migration_progress();
+            assert!(after.is_some() || before.is_none(), "the doubling finished with space left");
+            if before.is_some() && after == before {
+                break after.unwrap();
+            }
+        };
+        assert!(paused.0 > 0 && paused.0 < paused.1, "paused at {paused:?}");
+        assert_eq!(dev.ftl().free_blocks(), 0);
+
+        // Delete keys whose old slots already split (a delete in an
+        // un-split slot would wait on the pause like any mutation); the
+        // watermark collector frees their blocks, and ordinary commands
+        // — these deletes, then gets and puts — resume and finish the
+        // doubling.
+        let cursor = dev.audit_parts().1.migration.expect("migrating").cursor as u64;
+        let gc_before = dev.stats().gc_invocations;
+        let (gone, live): (Vec<_>, Vec<_>) = pairs.into_iter().partition(|(k, _)| {
+            let slot = dev.sign(k).low_bits(cfg.rhik.initial_dir_bits);
+            slot < cursor || split_by_put.contains(&slot)
+        });
+        for (k, _) in &gone {
+            dev.delete(k).unwrap();
+        }
+        assert!(dev.stats().gc_invocations > gc_before, "watermark GC never ran");
+        assert_ne!(dev.index().migration_progress(), Some(paused), "the migration never resumed");
+        for (i, (k, len)) in live.iter().enumerate() {
+            assert_eq!(dev.get(k).unwrap(), Some(Bytes::from(value(*len))));
+            if i % 8 == 0 {
+                dev.put(format!("small-{i:06}").as_bytes(), b"new").unwrap();
+            }
+        }
+        assert!(
+            !dev.resize_in_progress(),
+            "still paused at {:?}",
+            dev.index().migration_progress()
+        );
+        assert_eq!(dev.stats().resizes, 1);
+        for (k, _) in &gone {
+            assert_eq!(dev.get(k).unwrap(), None);
+        }
+        let report = dev.audit(&mut rhik_audit::DeviceAuditor::new());
+        assert!(report.is_ok(), "{report}");
     }
 
     #[test]

@@ -647,17 +647,14 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
 
     /// Re-run `op`, which hit `DeviceFull` in the locked pass. A shard's
     /// collector can only reclaim blocks that shard leased, so when the
-    /// pool runs dry the garbage may sit in *other* shards' blocks. While
-    /// the op still reports `DeviceFull`, sweep every shard's collector
-    /// (one at a time; the pool's GC permit serializes collection anyway)
-    /// and retry as long as a sweep reclaims anything. Runs with no shard
-    /// lock held, so the sweep can visit the op's own shard too.
+    /// pool runs dry the garbage may sit in *other* shards' blocks. Sweep
+    /// every shard's collector (one at a time; the pool's GC permit
+    /// serializes collection anyway), and re-run the op only when a sweep
+    /// reclaimed anything, for as long as it still reports `DeviceFull`.
+    /// Runs with no shard lock held, so the sweep can visit the op's own
+    /// shard too.
     fn with_full_retry(&self, shard: usize, op: &BatchOp) -> BatchReply {
         loop {
-            let reply = self.lock(shard).execute(op);
-            if !matches!(reply.err(), Some(KvError::DeviceFull)) {
-                return reply;
-            }
             let mut reclaimed = false;
             for s in 0..self.shards.len() {
                 match self.lock(s).collect_garbage() {
@@ -666,6 +663,10 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
                 }
             }
             if !reclaimed {
+                return BatchReply::failed(op, KvError::DeviceFull);
+            }
+            let reply = self.lock(shard).execute(op);
+            if !matches!(reply.err(), Some(KvError::DeviceFull)) {
                 return reply;
             }
         }
@@ -1385,5 +1386,60 @@ mod tests {
         let mut auditor = rhik_audit::DeviceAuditor::new();
         let report = dev.audit(&mut auditor);
         assert!(report.is_ok(), "coherence audit:\n{report}");
+    }
+
+    #[test]
+    fn device_full_sweeps_every_shard_before_rerunning() {
+        // Shard 1 leaves its leased blocks full of stale data; then only
+        // shard 0 writes. Shard 0's collector cannot reach that garbage,
+        // so its fresh writes ride on the device-wide sweep.
+        let dev = sharded(2);
+        let value = vec![5u8; 8 * 1024];
+        let dev = &dev;
+        let keys_of = |shard: usize, tag: &'static str| {
+            (0u64..)
+                .map(move |i| format!("{tag}-{i:06}"))
+                .filter(move |k| dev.shard_for_key(k.as_bytes()) == shard)
+        };
+        let hot: Vec<String> = keys_of(1, "hot").take(40).collect();
+        'churn: loop {
+            for key in &hot {
+                if dev.pool().free_blocks() <= 8 {
+                    break 'churn;
+                }
+                dev.put(key.as_bytes(), &value).unwrap();
+            }
+        }
+        let free_before = dev.pool().free_blocks() as u64;
+        let shard1 = dev.shard_stats(1);
+
+        let (mut issued, mut stored, mut full) = (0u64, 0u64, false);
+        for key in keys_of(0, "fresh").take(20_000) {
+            issued += 1;
+            match dev.put(key.as_bytes(), &value) {
+                Ok(()) => stored += 1,
+                Err(KvError::DeviceFull) => {
+                    full = true;
+                    break;
+                }
+                Err(e) => panic!("put {key}: {e}"),
+            }
+        }
+        assert!(full, "the device never filled");
+        assert_eq!(dev.shard_stats(1).puts, shard1.puts, "shard 1 got no command");
+        let sweeps = dev.shard_stats(1).gc_invocations - shard1.gc_invocations;
+        assert!(sweeps > 0, "no sweep ran");
+        // The sweep carried the writes: far more fresh data landed than
+        // the pool had free when shard 0 started.
+        let block_bytes = 64 * 4096;
+        assert!(
+            stored * value.len() as u64 > 2 * free_before * block_bytes,
+            "{stored} puts of 8 KiB against {free_before} free blocks"
+        );
+        // Each reclaiming sweep re-ran the op once; the last sweep
+        // reclaimed nothing and the op failed `DeviceFull`.
+        assert_eq!(dev.shard_stats(0).puts, issued + sweeps - 1);
+        let report = dev.audit(&mut rhik_audit::DeviceAuditor::new());
+        assert!(report.is_ok(), "audit after the sweep:\n{report}");
     }
 }

@@ -27,13 +27,10 @@ pub struct RhikConfig {
     pub hyper_local: bool,
     /// Incremental resize: old slots migrated per index operation while a
     /// doubling is in flight. Small values spread the migration thin
-    /// (lowest per-op stall); large values finish sooner. Ignored when
-    /// `stop_the_world` is set.
+    /// (lowest per-op stall); large values finish sooner. `u32::MAX` is
+    /// the paper's monolithic pass (§IV-A2, the behavior Fig. 7
+    /// measures): the operation that begins a doubling finishes it.
     pub resize_migration_batch: u32,
-    /// Paper-fidelity fallback (§IV-A2): migrate the whole directory in
-    /// one pass, stalling the submission queue — the behavior Fig. 7
-    /// measures. Off by default in favor of incremental migration.
-    pub stop_the_world: bool,
 }
 
 impl Default for RhikConfig {
@@ -45,7 +42,6 @@ impl Default for RhikConfig {
             dir_flush_interval: 4096,
             hyper_local: false,
             resize_migration_batch: 4,
-            stop_the_world: false,
         }
     }
 }

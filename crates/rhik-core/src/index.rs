@@ -10,7 +10,7 @@ use rhik_sigs::KeySignature;
 use crate::bucket::{TableInsert, TablePage};
 use crate::config::RhikConfig;
 use crate::directory::{Directory, OVERFLOW_KEY};
-use crate::pages::{self, CachedTables, Table};
+use crate::pages::{self, CachedTables};
 
 /// Cache keys with this bit set identify directory snapshot pages rather
 /// than record-layer tables (they share the FTL's index-page namespace for
@@ -31,9 +31,6 @@ pub struct RhikIndex {
     dirty_mutations: u64,
     /// Monotonic snapshot sequence (distinguishes flushes at mount time).
     snapshot_seq: u64,
-    /// A resize hit NeedsGc and was deferred; the device will GC and call
-    /// [`IndexBackend::maintain`].
-    pub(crate) resize_deferred: bool,
     /// In-flight incremental doubling (§IV-A2, amortized — see
     /// `resize.rs`). `None` outside migrations.
     pub(crate) migration: Option<crate::resize::Migration>,
@@ -64,7 +61,6 @@ impl RhikIndex {
             dir_snapshot: Vec::new(),
             dirty_mutations: 0,
             snapshot_seq: 0,
-            resize_deferred: false,
             migration: None,
             recovery_lost_tables: 0,
             view: None,
@@ -174,7 +170,6 @@ impl RhikIndex {
             dir_snapshot,
             dirty_mutations: 0,
             snapshot_seq,
-            resize_deferred: false,
             migration: None,
             recovery_lost_tables: lost_tables,
             view: None,
@@ -221,24 +216,32 @@ impl RhikIndex {
         &mut self.dir
     }
 
-    /// While migrating: the frozen old directory's `(cache key, entry)`
-    /// for `sig`, if its slot has not yet split — reads must then go to
-    /// the old table. `None` once the slot (or the whole migration) is
-    /// done.
-    fn old_route(&self, sig: KeySignature) -> Option<(u64, crate::directory::DirEntry)> {
-        let m = self.migration.as_ref()?;
-        let slot = m.old.slot_of(sig);
-        if m.is_split(slot) {
-            None
-        } else {
-            Some((m.old.cache_key(slot), *m.old.entry(slot)))
-        }
+    /// Whether a directory doubling is in flight (old and new directories
+    /// both live, cursor advancing).
+    pub fn resize_in_progress(&self) -> bool {
+        self.migration.is_some()
     }
 
-    /// Advance an in-flight incremental migration before serving an index
-    /// operation: at most `resize_migration_batch` old slots, plus — for
-    /// mutations, which pass their signature — the operation's own slot,
-    /// split first so the old tables stay frozen.
+    /// The table that holds `sig`: its cache key, and whether its bucket
+    /// has an overflow table. Mid-migration that is the frozen old table
+    /// while `sig`'s old slot has not split, else the current one. Where
+    /// the table lies on flash is asked only when it is loaded.
+    fn route(&self, sig: KeySignature) -> (u64, bool) {
+        let dir = match &self.migration {
+            Some(m) if !m.is_split(m.old.slot_of(sig)) => &m.old,
+            _ => &self.dir,
+        };
+        let slot = dir.slot_of(sig);
+        (dir.cache_key(slot), dir.entry(slot).has_overflow)
+    }
+
+    /// Advance an in-flight migration before serving an index operation:
+    /// at most `resize_migration_batch` old slots, plus — for mutations,
+    /// which pass their signature — the operation's own slot, split first
+    /// so the old tables stay frozen. Out of space, the cursor pauses
+    /// until a later operation finds a free block; background slots can
+    /// wait, but a mutation whose own slot is still pending cannot
+    /// proceed.
     fn migration_work(
         &mut self,
         ftl: &mut Ftl,
@@ -246,41 +249,13 @@ impl RhikIndex {
     ) -> Result<(), FtlError> {
         let Some(m) = self.migration.as_ref() else { return Ok(()) };
         let target = mutates.map(|sig| m.old.slot_of(sig));
-        let batch = self.cfg.resize_migration_batch;
-        match crate::resize::step(self, ftl, batch, target) {
-            Ok(_) => Ok(()),
-            Err(FtlError::NeedsGc) => {
-                // Out of space mid-migration: pause the cursor and flag the
-                // device for GC. Background slots can wait, but a mutation
-                // whose own slot is still pending cannot proceed (the old
-                // tables are frozen).
-                self.resize_deferred = true;
-                match (target, self.migration.as_ref()) {
-                    (Some(t), Some(m)) if !m.is_split(t) => Err(FtlError::NeedsGc),
-                    _ => Ok(()),
-                }
-            }
-            Err(e) => Err(e),
+        match crate::resize::step(self, ftl, self.cfg.resize_migration_batch, target) {
+            Err(FtlError::NeedsGc) => match (target, self.migration.as_ref()) {
+                (Some(t), Some(m)) if !m.is_split(t) => Err(FtlError::NeedsGc),
+                _ => Ok(()),
+            },
+            result => result.map(drop),
         }
-    }
-
-    /// Load the record-layer table for `slot`, through the DRAM cache.
-    ///
-    /// Returns the table and the number of flash reads performed (0 on a
-    /// cache hit or a never-persisted empty table, 1 otherwise — the
-    /// paper's bound).
-    fn load_table(&mut self, ftl: &mut Ftl, slot: u32) -> Result<(Table, u64), FtlError> {
-        let key = self.dir.cache_key(slot);
-        let ppa = self.dir.entry(slot).table_ppa;
-        pages::load(self, ftl, key, ppa)
-    }
-
-    /// Load `slot`'s hyper-local overflow table (an empty one if it has
-    /// none yet).
-    fn load_overflow(&mut self, ftl: &mut Ftl, slot: u32) -> Result<(Table, u64), FtlError> {
-        let key = OVERFLOW_KEY | self.dir.cache_key(slot);
-        let ppa = self.dir.entry(slot).overflow_ppa;
-        pages::load(self, ftl, key, ppa)
     }
 
     /// Attach a [`ReadView`](rhik_ftl::ReadView) for this index to
@@ -323,37 +298,20 @@ impl RhikIndex {
 
     /// Resize check: called after each insert (§IV-A2 "once the total
     /// occupancy of RHIK reaches a pre-defined threshold, its resizing
-    /// function is triggered").
+    /// function is triggered"). With `resize_migration_batch: u32::MAX`
+    /// the doubling also finishes here, in one pass (Fig. 7). With no
+    /// free page to re-anchor the snapshot the doubling does not begin;
+    /// the record that triggered the check is already safely inserted,
+    /// and the next insert tries again.
     fn maybe_resize(&mut self, ftl: &mut Ftl) -> Result<(), FtlError> {
-        if self.migration.is_some() {
+        if self.migration.is_some() || self.occupancy() < self.cfg.occupancy_threshold {
             return Ok(()); // one doubling at a time
         }
-        if self.occupancy() >= self.cfg.occupancy_threshold {
-            match crate::resize::begin(self, ftl) {
-                Ok(()) => {
-                    self.resize_deferred = false;
-                    if self.cfg.stop_the_world {
-                        // Paper-fidelity fallback: migrate everything now,
-                        // in one stall (§IV-A2 / Fig. 7).
-                        match crate::resize::step(self, ftl, u32::MAX, None) {
-                            Ok(_) => {}
-                            Err(FtlError::NeedsGc) => self.resize_deferred = true,
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-                Err(FtlError::NeedsGc) => {
-                    // No free page to re-anchor the snapshot. The record
-                    // that triggered this check is already safely inserted;
-                    // defer the doubling until the device has
-                    // garbage-collected (it polls `maintenance_due` after
-                    // every command).
-                    self.resize_deferred = true;
-                }
-                Err(e) => return Err(e),
-            }
+        match crate::resize::begin(self, ftl) {
+            Ok(()) if self.cfg.resize_migration_batch == u32::MAX => self.migration_work(ftl, None),
+            Ok(()) | Err(FtlError::NeedsGc) => Ok(()),
+            Err(e) => Err(e),
         }
-        Ok(())
     }
 
     /// Flush the directory snapshot if the mutation interval elapsed.
@@ -400,27 +358,35 @@ impl RhikIndex {
 
     /// Snapshot the index's cross-layer claims for the invariant auditor:
     /// every flash page the directory owns (with the spare-area kind the
-    /// auditor should find there), per-entry record counts, and the state
-    /// of any in-flight migration. Pages are observed through
-    /// [`Ftl::peek_page`], so the audit charges no flash reads and cannot
-    /// disturb the ≤1-read statistics.
+    /// auditor should find there, and whether a clean cached copy differs
+    /// from it), per-entry record counts, and the state of any in-flight
+    /// migration. Pages are observed through [`Ftl::peek_page`] and the
+    /// cache through `peek`, so the audit charges no flash reads and
+    /// cannot disturb the ≤1-read statistics.
     pub fn audit_snapshot(&self, ftl: &Ftl, shard: u32) -> rhik_audit::IndexAuditSnapshot {
         use rhik_audit::{ObservedPage, OwnedPage, KIND_DIRECTORY, KIND_INDEX};
 
-        let observe = |ppa: Ppa| -> ObservedPage {
-            match ftl.peek_page(ppa) {
+        let cache = ftl.cache_ref();
+        let owned = |key: u64, ppa: Ppa, expected_kind: u8| {
+            let page = ftl.peek_page(ppa);
+            let observed = match &page {
                 None => ObservedPage::Unprogrammed,
-                Some((_, spare)) => match SpareMeta::decode(&spare) {
+                Some((_, spare)) => match SpareMeta::decode(spare) {
                     Some(_) => ObservedPage::Kind(spare[0]),
                     None => ObservedPage::Undecodable,
                 },
+            };
+            let clean_cache_diverged = match (cache.peek(key), &page) {
+                (Some(cached), Some((data, _))) => !cache.is_dirty(key) && cached[..] != data[..],
+                _ => false,
+            };
+            OwnedPage {
+                key,
+                ppa: (ppa.block, ppa.page),
+                expected_kind,
+                observed,
+                clean_cache_diverged,
             }
-        };
-        let owned = |key: u64, ppa: Ppa, expected_kind: u8| OwnedPage {
-            key,
-            ppa: (ppa.block, ppa.page),
-            expected_kind,
-            observed: observe(ppa),
         };
         // Mid-migration, un-split slots of the frozen old directory still
         // own their pages and hold the authoritative copy of their records:
@@ -502,14 +468,15 @@ impl IndexBackend for RhikIndex {
         ftl.note_stage(rhik_telemetry::Stage::DirLookup, 0);
         self.migration_work(ftl, Some(sig))?;
         let slot = self.dir.slot_of(sig);
-        let (mut table, _reads) = self.load_table(ftl, slot)?;
+        let key = self.dir.cache_key(slot);
+        let (mut table, _reads) = pages::load(self, ftl, key)?;
 
         // If the bucket has overflowed before, the signature may already
         // live in the overflow table; updates must land there, not create
         // a duplicate in the primary.
         if self.dir.entry(slot).has_overflow && table.lookup(ftl, sig).is_none() {
             table.pin(ftl); // the overflow load may evict the primary
-            let (mut overflow, _) = self.load_overflow(ftl, slot)?;
+            let (mut overflow, _) = pages::load(self, ftl, OVERFLOW_KEY | key)?;
             if overflow.lookup(ftl, sig).is_some() {
                 let (TableInsert::Updated { old }, _) = overflow.insert(ftl, sig, ppa) else {
                     unreachable!("lookup said present");
@@ -542,7 +509,7 @@ impl IndexBackend for RhikIndex {
             TableInsert::Full if self.cfg.hyper_local => {
                 // §VI hyper-local scaling: absorb the reject in a
                 // per-bucket overflow table instead of aborting.
-                let (mut overflow, _) = self.load_overflow(ftl, slot)?;
+                let (mut overflow, _) = pages::load(self, ftl, OVERFLOW_KEY | key)?;
                 let outcome = match overflow.insert(ftl, sig, ppa).0 {
                     TableInsert::Inserted => {
                         let entry = self.dir.entry_mut(slot);
@@ -578,38 +545,17 @@ impl IndexBackend for RhikIndex {
         self.stats.lookups += 1;
         ftl.note_stage(rhik_telemetry::Stage::DirLookup, 0);
         self.migration_work(ftl, None)?;
-        if let Some((key, entry)) = self.old_route(sig) {
-            // Un-migrated slot: serve from the frozen old table, same
-            // ≤ 1-flash-read path as a live table.
-            let (table, mut reads) = pages::load(self, ftl, key, entry.table_ppa)?;
-            debug_assert!(reads <= 1, "old-table lookup exceeded one flash read");
-            if let Some(hit) = table.lookup(ftl, sig) {
-                self.stats.note_lookup_reads(reads);
-                return Ok(Some(hit));
-            }
-            let mut hit = None;
-            if entry.has_overflow {
-                let (overflow, r2) =
-                    pages::load(self, ftl, OVERFLOW_KEY | key, entry.overflow_ppa)?;
-                reads += r2;
-                hit = overflow.lookup(ftl, sig);
-            }
-            self.stats.note_lookup_reads(reads);
-            return Ok(hit);
-        }
-        let slot = self.dir.slot_of(sig);
-        let (table, mut reads) = self.load_table(ftl, slot)?;
+        // An un-split slot is served from the frozen old table, on the
+        // same ≤ 1-flash-read path as a live table.
+        let (key, has_overflow) = self.route(sig);
+        let (table, mut reads) = pages::load(self, ftl, key)?;
         debug_assert!(reads <= 1, "primary lookup exceeded one flash read");
-        if let Some(hit) = table.lookup(ftl, sig) {
-            self.stats.note_lookup_reads(reads);
-            return Ok(Some(hit));
-        }
+        let mut hit = table.lookup(ftl, sig);
         // Overflowed buckets may need a second read — the documented cost
         // of hyper-local scaling (resize migration may also create overflow
         // tables as a survival measure, so this is checked unconditionally).
-        let mut hit = None;
-        if self.dir.entry(slot).has_overflow {
-            let (overflow, r2) = self.load_overflow(ftl, slot)?;
+        if hit.is_none() && has_overflow {
+            let (overflow, r2) = pages::load(self, ftl, OVERFLOW_KEY | key)?;
             reads += r2;
             hit = overflow.lookup(ftl, sig);
         }
@@ -622,12 +568,13 @@ impl IndexBackend for RhikIndex {
         ftl.note_stage(rhik_telemetry::Stage::DirLookup, 0);
         self.migration_work(ftl, Some(sig))?;
         let slot = self.dir.slot_of(sig);
-        let (mut table, _) = self.load_table(ftl, slot)?;
+        let key = self.dir.cache_key(slot);
+        let (mut table, _) = pages::load(self, ftl, key)?;
         let mut removed = table.remove(ftl, sig);
         if removed.is_some() {
             self.dir.entry_mut(slot).records -= 1;
         } else if self.dir.entry(slot).has_overflow {
-            let (mut overflow, _) = self.load_overflow(ftl, slot)?;
+            let (mut overflow, _) = pages::load(self, ftl, OVERFLOW_KEY | key)?;
             removed = overflow.remove(ftl, sig);
             if removed.is_some() {
                 self.dir.entry_mut(slot).overflow_records -= 1;
@@ -682,50 +629,16 @@ impl IndexBackend for RhikIndex {
         live
     }
 
-    fn maintenance_due(&self) -> bool {
-        // A healthily-progressing migration is not maintenance — per-op
-        // batches drain it. Only a deferral (NeedsGc) or a doubling not
-        // yet begun needs the device's help.
-        self.resize_deferred
-            || (self.migration.is_none() && self.occupancy() >= self.cfg.occupancy_threshold)
-    }
-
-    fn maintain(&mut self, ftl: &mut Ftl) -> Result<(), FtlError> {
-        if self.migration.is_some() {
-            // Deferred mid-migration (out of space): after GC, drive the
-            // remainder to completion.
-            match crate::resize::step(self, ftl, u32::MAX, None) {
-                Ok(_) => return Ok(()),
-                Err(FtlError::NeedsGc) => {
-                    self.resize_deferred = true;
-                    return Err(FtlError::NeedsGc);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.maybe_resize(ftl)?;
-        if self.resize_deferred {
-            return Err(FtlError::NeedsGc);
-        }
-        Ok(())
-    }
-
     fn maintain_step(&mut self, ftl: &mut Ftl) -> Result<bool, FtlError> {
         if self.migration.is_none() {
             return Ok(false);
         }
         match crate::resize::step(self, ftl, self.cfg.resize_migration_batch, None) {
             Ok(n) => Ok(n > 0 || self.migration.is_none()),
-            Err(FtlError::NeedsGc) => {
-                self.resize_deferred = true;
-                Ok(false)
-            }
+            // Paused for space: no progress until garbage is collected.
+            Err(FtlError::NeedsGc) => Ok(false),
             Err(e) => Err(e),
         }
-    }
-
-    fn resize_in_progress(&self) -> bool {
-        self.migration.is_some()
     }
 
     fn migration_progress(&self) -> Option<(u64, u64)> {
@@ -1061,9 +974,6 @@ mod tests {
         let n = 400u64;
         for i in 0..n {
             idx.insert(&mut ftl, sig(i), Ppa::new(0, 0)).unwrap();
-            if idx.maintenance_due() {
-                idx.maintain(&mut ftl).unwrap();
-            }
         }
         assert!(idx.stats().resizes.len() >= 3);
         assert_eq!(idx.len(), n);
@@ -1220,6 +1130,74 @@ mod tests {
             i += 1;
         }
         sig(i)
+    }
+
+    #[test]
+    fn lookup_reads_the_overflow_a_write_back_just_moved() {
+        // 30-slot tables, a two-page cache, four slots, hop width 4 and a
+        // one-slot migration batch: an un-split slot's overflow table is
+        // written back to a new address by the load of its own primary.
+        let mut ftl = Ftl::new(FtlConfig {
+            geometry: rhik_nand::NandGeometry {
+                blocks: 256,
+                pages_per_block: 8,
+                page_size: 512,
+                spare_size: 16,
+                channels: 2,
+            },
+            cache_budget_bytes: 1024,
+            ..FtlConfig::tiny()
+        });
+        let mut idx = RhikIndex::new(
+            RhikConfig {
+                initial_dir_bits: 2,
+                hop_width: 4,
+                dir_flush_interval: 1_000_000,
+                hyper_local: true,
+                resize_migration_batch: 1,
+                ..Default::default()
+            },
+            512,
+        );
+        let (old, new) = (Ppa::new(1, 1), Ppa::new(2, 2));
+        // X: the first key of slot 3 its primary table rejects.
+        let mut i = 0;
+        let x = loop {
+            let s = sig_in_slot(&idx, 3, i);
+            i = s.0 % 1_000_000 + 1;
+            idx.insert(&mut ftl, s, old).unwrap();
+            if idx.directory().entry(3).has_overflow {
+                break s;
+            }
+        };
+        // Fill slots 0 and 2 until one more record begins the doubling.
+        let threshold = idx.config().occupancy_threshold;
+        let mut next = 0;
+        while ((idx.len() + 1) as f64 / idx.total_capacity() as f64) < threshold {
+            let s = sig_in_slot(&idx, [0, 2][idx.len() as usize % 2], next);
+            next = s.0 % 1_000_000 + 1;
+            let _ = idx.insert(&mut ftl, s, old); // a full overflow just skips the key
+        }
+        idx.flush(&mut ftl).unwrap();
+        // The overflow holding X turns dirty; its flash copy still says `old`.
+        idx.insert(&mut ftl, x, new).unwrap();
+        let primary = idx.directory().cache_key(3);
+        assert!(ftl.cache_ref().is_dirty(OVERFLOW_KEY | primary));
+        // One insert into slot 1 evicts slot 3's primary and begins the
+        // doubling.
+        idx.insert(&mut ftl, sig_in_slot(&idx, 1, 0), old).unwrap();
+        assert!(idx.resize_in_progress());
+        assert!(ftl.cache_ref().peek(primary).is_none());
+
+        let mut auditor = rhik_audit::DeviceAuditor::new();
+        assert_eq!(idx.lookup(&mut ftl, x).unwrap(), Some(new), "mid-doubling");
+        let report = auditor.check_device(&ftl.audit_flash(0), &idx.audit_snapshot(&ftl, 0), &[]);
+        assert!(report.is_ok(), "mid-doubling audit: {report}");
+        while idx.maintain_step(&mut ftl).unwrap() {}
+        assert!(!idx.resize_in_progress());
+        assert_eq!(idx.lookup(&mut ftl, x).unwrap(), Some(new), "after the doubling");
+        let report = auditor.check_device(&ftl.audit_flash(0), &idx.audit_snapshot(&ftl, 0), &[]);
+        assert!(report.is_ok(), "post-doubling audit: {report}");
     }
 
     #[test]

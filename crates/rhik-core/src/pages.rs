@@ -7,7 +7,9 @@
 //! tables are live. Everything else is written once, here:
 //!
 //! * [`load`] counts a cache hit, or on a miss reads the table's flash
-//!   page (the ≤ 1 read) and installs it clean;
+//!   page (the ≤ 1 read) and installs it clean. It asks the index where
+//!   that page is only then: an earlier load may have evicted the table
+//!   and written it back to a new address;
 //! * [`Table`] probes the page where it lies and patches only the slots an
 //!   operation touches. A resident page is patched in the cache,
 //!   copy-on-write: the first write after a flash fill or a write-back —
@@ -78,21 +80,22 @@ pub struct Table {
     place: Place,
 }
 
-/// Reach the table cached under `key` and persisted at `ppa`: a cache hit,
-/// a flash read installed clean, or — with no page anywhere — an empty
-/// table. Returns the table and the flash reads performed (0 or 1).
+/// Reach the live table cached under `key`: a cache hit, a read of its
+/// current flash copy installed clean, or — with no page anywhere — an
+/// empty table. Returns the table and the flash reads performed (0 or 1).
 pub fn load<I: CachedTables>(
     index: &mut I,
     ftl: &mut Ftl,
     key: u64,
-    ppa: Option<Ppa>,
 ) -> Result<(Table, u64), FtlError> {
     let (records, hop_width) = index.table_shape();
     let table = |place| Table { key, records, hop_width, place };
     if ftl.cache().get(key).is_some() {
         return Ok((table(Place::Resident), 0));
     }
-    let Some(ppa) = ppa else { return Ok((table(Place::Unwritten), 0)) };
+    let Some(ppa) = index.table_ppa(key).and_then(|at| *at) else {
+        return Ok((table(Place::Unwritten), 0));
+    };
     let bytes = ftl.read_index_page(ppa)?;
     index.stats_mut().metadata_flash_reads += 1;
     install(index, ftl, key, bytes.clone(), false)?;
@@ -200,10 +203,7 @@ pub fn scan_records<I: CachedTables>(
     let keys: Vec<u64> =
         index.tables().filter(|&(_, _, records)| records > 0).map(|(key, ..)| key).collect();
     for key in keys {
-        // A load can write back an evicted table, so each flash copy is
-        // looked up only when its own turn comes.
-        let ppa = index.table_ppa(key).and_then(|at| *at);
-        let (table, _) = load(index, ftl, key, ppa)?;
+        let (table, _) = load(index, ftl, key)?;
         table.for_each(ftl, visit);
     }
     Ok(())

@@ -11,16 +11,16 @@
 //! migration (§VI calls real-time index scaling out as future work). Here
 //! the doubling is a resumable state machine instead: [`begin`] installs
 //! the doubled directory next to the frozen old one with a migration
-//! cursor, and [`step`] — invoked with a small batch bound by every index
-//! operation, or with no bound by idle-time maintenance / the
-//! `stop_the_world` fallback — splits old slots one at a time. Each old
-//! table splits into exactly two successor tables (low-bit extension),
-//! written to flash as they fill, so peak DRAM is two tables regardless of
-//! index size; old pages are marked stale for the garbage collector once
-//! their slot has split. The completion [`ResizeEvent`] carries CPU and
-//! simulated-media time plus the per-step breakdown (`steps`,
-//! `max_step_media_ns`) so the stop-the-world vs incremental stall
-//! comparison is measurable.
+//! cursor, and [`step`] — invoked by every index operation and by
+//! idle-time maintenance with the `resize_migration_batch` bound (at
+//! `u32::MAX`, the paper's monolithic pass), and unbounded by `flush` —
+//! splits old slots one at a time. Each old table splits into exactly two
+//! successor tables (low-bit extension), written to flash as they fill,
+//! so peak DRAM is two tables regardless of index size; old pages are
+//! marked stale for the garbage collector once their slot has split. The
+//! completion [`ResizeEvent`] carries CPU and simulated-media time plus
+//! the per-step breakdown (`steps`, `max_step_media_ns`) so the
+//! stop-the-world vs incremental stall comparison is measurable.
 //!
 //! Invariants while a migration is in flight:
 //!
@@ -35,8 +35,8 @@
 //!   migration: each slot split first checks its own worst case (four
 //!   free pages) and is internally retryable (successor pages are
 //!   replaced and the losers retired if a flash write fails partway), and
-//!   a mid-migration `NeedsGc` simply pauses the cursor and flags
-//!   maintenance until the device garbage-collects.
+//!   a mid-migration `NeedsGc` simply pauses the cursor; the next index
+//!   operation that finds free blocks resumes it.
 
 use bytes::Bytes;
 use rhik_ftl::{Ftl, FtlError, IndexBackend, ResizeEvent};
@@ -188,7 +188,7 @@ pub(crate) fn begin(idx: &mut RhikIndex, ftl: &mut Ftl) -> Result<(), FtlError> 
 /// slot migrates. No-op if no migration is in flight.
 ///
 /// Returns the number of slots split. On `NeedsGc` the cursor simply
-/// pauses where it is; the caller re-enters after garbage collection.
+/// pauses where it is; the next call resumes it.
 pub(crate) fn step(
     idx: &mut RhikIndex,
     ftl: &mut Ftl,
@@ -226,7 +226,6 @@ pub(crate) fn step(
     if m.finalized {
         debug_assert_eq!(m.migrated, m.keys_before, "resize lost records");
         idx.stats_mut().resizes.push(m.event());
-        idx.resize_deferred = false;
     } else {
         idx.migration = Some(m);
     }
@@ -435,7 +434,7 @@ mod tests {
         KeySignature(z ^ (z >> 31))
     }
 
-    fn grown_index_with(keys: u64, stop_the_world: bool) -> (Ftl, RhikIndex) {
+    fn grown_index_with(keys: u64, resize_migration_batch: u32) -> (Ftl, RhikIndex) {
         let mut ftl = Ftl::new(FtlConfig {
             geometry: rhik_nand::NandGeometry {
                 blocks: 64,
@@ -452,7 +451,7 @@ mod tests {
                 dir_flush_interval: 1_000_000,
                 hop_width: 16,
                 occupancy_threshold: 0.6,
-                stop_the_world,
+                resize_migration_batch,
                 ..Default::default()
             },
             512,
@@ -464,7 +463,7 @@ mod tests {
     }
 
     fn grown_index(keys: u64) -> (Ftl, RhikIndex) {
-        grown_index_with(keys, false)
+        grown_index_with(keys, RhikConfig::default().resize_migration_batch)
     }
 
     #[test]
@@ -528,7 +527,7 @@ mod tests {
 
     #[test]
     fn stop_the_world_runs_as_one_step() {
-        let (_ftl, idx) = grown_index_with(500, true);
+        let (_ftl, idx) = grown_index_with(500, u32::MAX);
         assert!(idx.stats().resizes.len() >= 4);
         for ev in &idx.stats().resizes {
             assert_eq!(ev.steps, 1, "stop-the-world must migrate in one pass");
@@ -543,8 +542,8 @@ mod tests {
     fn incremental_and_monolithic_media_work_match() {
         // Amortization must not inflate flash traffic: the same fill in
         // both modes performs (nearly) identical migration reads/programs.
-        let (_f1, inc) = grown_index_with(800, false);
-        let (_f2, stw) = grown_index_with(800, true);
+        let (_f1, inc) = grown_index(800);
+        let (_f2, stw) = grown_index_with(800, u32::MAX);
         let sum = |idx: &RhikIndex| {
             idx.stats().resizes.iter().map(|e| e.flash_reads + e.flash_programs).sum::<u64>()
         };
@@ -553,11 +552,11 @@ mod tests {
     }
 
     #[test]
-    fn short_split_pauses_the_migration_for_maintenance() {
+    fn short_split_pauses_the_migration_until_gc() {
         // On a nearly full device the doubling still begins; the first
-        // split short of free pages pauses the cursor and flags
-        // maintenance, and every record stays reachable through the frozen
-        // old table.
+        // split short of free pages pauses the cursor, and every record
+        // stays reachable through the frozen old table. Once garbage
+        // collection frees blocks, the next index operation resumes it.
         let mut ftl = Ftl::new(FtlConfig::tiny()); // 8 blocks x 8 pages
         let mut idx = RhikIndex::new(
             RhikConfig {
@@ -570,9 +569,10 @@ mod tests {
             512,
         );
         // Consume nearly all flash with data.
-        let mut i = 0u64;
-        while ftl.store_pair(KeySignature(i), b"k", &[0u8; 400], 0).is_ok() {
-            i += 1;
+        let mut data = Vec::new();
+        while let Ok(extent) = ftl.store_pair(KeySignature(data.len() as u64), b"k", &[0u8; 400], 0)
+        {
+            data.push(extent);
         }
         let bits_before = idx.directory().bits();
         // Insert past the threshold: the records land and the doubling
@@ -588,10 +588,21 @@ mod tests {
         assert!(inserted >= 18, "inserted {inserted}");
         assert_eq!(idx.directory().bits(), bits_before + 1, "the doubling began");
         assert_eq!(idx.migration_progress(), Some((0, 1)), "the split paused");
-        assert!(idx.maintenance_due());
-        assert_eq!(idx.maintain(&mut ftl).unwrap_err(), FtlError::NeedsGc);
-        assert!(idx.resize_in_progress(), "a refused split keeps the migration");
-        // Every inserted record is still reachable.
+        // Every inserted record is still reachable, and a lookup without
+        // free space leaves the cursor where it is.
+        for k in 0..inserted {
+            assert!(idx.lookup(&mut ftl, sig(k)).unwrap().is_some(), "key {k} lost");
+        }
+        assert_eq!(idx.migration_progress(), Some((0, 1)), "no space, no progress");
+
+        for extent in &data {
+            ftl.mark_stale(extent);
+        }
+        let report = rhik_ftl::gc::run(&mut ftl, &mut idx, &rhik_ftl::GcConfig::default()).unwrap();
+        assert!(report.data_blocks_erased > 0, "GC reclaimed nothing: {report:?}");
+        assert!(idx.lookup(&mut ftl, sig(0)).unwrap().is_some());
+        assert!(!idx.resize_in_progress(), "the next operation finished the doubling");
+        assert_eq!(idx.stats().resizes.len(), 1);
         for k in 0..inserted {
             assert!(idx.lookup(&mut ftl, sig(k)).unwrap().is_some(), "key {k} lost");
         }

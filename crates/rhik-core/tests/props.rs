@@ -379,7 +379,7 @@ fn page_bytes_and_cache_decisions_are_pinned() {
     };
     let hyper_local =
         RhikConfig { hop_width: 4, occupancy_threshold: 0.9, hyper_local: true, ..base };
-    let stop_the_world = RhikConfig { hop_width: 8, stop_the_world: true, ..base };
+    let stop_the_world = RhikConfig { hop_width: 8, resize_migration_batch: u32::MAX, ..base };
     // 256 B of cache is smaller than one 512 B page: every table bounces.
     let tiny_cache = RhikConfig { initial_dir_bits: 2, ..base };
     let pinned = [

@@ -22,8 +22,10 @@ pub enum Stage {
     GcStep,
     /// Media work performed by an incremental resize migration batch.
     ResizeMigrateBatch,
-    /// Time the command spent stalled behind the submission queue
-    /// (housekeeping debt: deferred maintenance, proactive GC).
+    /// Time the command spent stalled behind the submission queue. No
+    /// device path charges a housekeeping stall today (watermark GC's
+    /// media time settles with the next command); the stage stays in
+    /// the vocabulary for reports that name it.
     QueueWait,
     /// Hot-object cache tier: value admitted after an index read.
     CacheAdmit,
