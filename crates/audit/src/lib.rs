@@ -27,7 +27,8 @@
 //!    two directory keys, or two shards).
 //! 4. The migration cursor is monotone and
 //!    `migrated + pending == keys_before`.
-//! 5. Telemetry occupancy gauges agree with recomputed ground truth.
+//! 5. The lock-free read view maps exactly the index's signatures, each
+//!    to the index's head page.
 //! 6. Record tables respect the Eq. 1 capacity bound and hopscotch
 //!    neighbourhood discipline.
 
@@ -127,10 +128,11 @@ pub enum InvariantViolation {
     /// or a programmed page has no payload.
     NandStateMismatch { ppa: RawPpa, detail: &'static str },
 
-    // --------------------------------------------------------- telemetry
-    /// A published gauge disagrees with ground truth recomputed from the
-    /// live structures.
-    GaugeDrift { gauge: String, reported: f64, actual: f64 },
+    // ------------------------------------------------------ read view
+    /// The lock-free read view and the index disagree on a signature: the
+    /// view lacks it (`view: None`), holds it though the index does not
+    /// (`index: None`), or maps it to another head page.
+    ReadViewDiverged { shard: u32, sig: u64, view: Option<RawPpa>, index: Option<RawPpa> },
 
     // -------------------------------------------------- hot-object cache
     /// A current-version cache entry disagrees with the directory →
@@ -215,9 +217,10 @@ impl fmt::Display for InvariantViolation {
                 write!(f, "free pool accounts {free_raw} free + {leased} leased of {total} blocks")
             }
             NandStateMismatch { ppa, detail } => write!(f, "NAND state at {ppa:?}: {detail}"),
-            GaugeDrift { gauge, reported, actual } => {
-                write!(f, "gauge {gauge} reports {reported} but ground truth is {actual}")
-            }
+            ReadViewDiverged { shard, sig, view, index } => write!(
+                f,
+                "shard {shard}: read view maps sig {sig:#x} to {view:?} but the index to {index:?}"
+            ),
             CacheIncoherent { shard, sig, detail } => {
                 write!(f, "shard {shard}: cached sig {sig:#x} incoherent with index: {detail}")
             }
@@ -321,10 +324,11 @@ pub struct FlashAudit {
 ///
 /// The device builds these under the shard lock: for every resident
 /// cache entry whose fill version still equals the version table's
-/// current value, it re-reads the key through the directory →
-/// record-page → FTL chain and reports what it found. Entries whose
-/// fill version is already superseded are *not* sampled — they are
-/// unservable by construction (the reader's version check drops them).
+/// current value, it looks the key's signature up in the index's own
+/// records and reads the value at that head page, charging no flash
+/// read, and reports what it found. Entries whose fill version is
+/// already superseded are *not* sampled — they are unservable by
+/// construction (the reader's version check drops them).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheCoherenceSample {
     pub shard: u32,
@@ -336,22 +340,11 @@ pub struct CacheCoherenceSample {
     pub current_version: u64,
     /// The bytes the cache would serve.
     pub cached_value: Vec<u8>,
-    /// What the index chain holds: `None` when the chain could not be
-    /// walked without side effects (e.g. the value still sits in a
-    /// write buffer) — the sample is skipped; `Some(None)` when the key
-    /// is absent from the index (a ghost entry); `Some(Some(v))` the
-    /// chain's value.
+    /// What the index holds: `None` when its value cannot be read
+    /// without side effects (it still sits in the write buffer) — the
+    /// sample is skipped; `Some(None)` when the key is absent from the
+    /// index (a ghost entry); `Some(Some(v))` the index's value.
     pub index_value: Option<Option<Vec<u8>>>,
-}
-
-/// A gauge the device published, paired with recomputed ground truth.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GaugeCheck {
-    pub gauge: String,
-    /// `None` when telemetry is disabled or the gauge was never set —
-    /// nothing to check then.
-    pub reported: Option<f64>,
-    pub actual: f64,
 }
 
 /// Result of one audit pass.
@@ -406,27 +399,17 @@ impl DeviceAuditor {
     }
 
     /// Audit a single (unsharded) device: one flash front-end, one index.
-    pub fn check_device(
-        &mut self,
-        flash: &FlashAudit,
-        index: &IndexAuditSnapshot,
-        gauges: &[GaugeCheck],
-    ) -> AuditReport {
+    pub fn check_device(&mut self, flash: &FlashAudit, index: &IndexAuditSnapshot) -> AuditReport {
         let mut v = Vec::new();
         self.check_flash(flash, &mut v);
         self.check_index(flash, index, &mut v);
         check_ownership(std::slice::from_ref(index), &mut v);
-        check_gauges(gauges, &mut v);
         AuditReport { violations: v }
     }
 
     /// Audit a sharded device: per-shard checks plus the cross-shard
     /// block-lease and free-pool invariants.
-    pub fn check_sharded(
-        &mut self,
-        shards: &[(FlashAudit, IndexAuditSnapshot)],
-        gauges: &[GaugeCheck],
-    ) -> AuditReport {
+    pub fn check_sharded(&mut self, shards: &[(FlashAudit, IndexAuditSnapshot)]) -> AuditReport {
         let mut v = Vec::new();
         for (flash, index) in shards {
             self.check_flash(flash, &mut v);
@@ -435,12 +418,36 @@ impl DeviceAuditor {
         let indexes: Vec<IndexAuditSnapshot> = shards.iter().map(|(_, i)| i.clone()).collect();
         check_ownership(&indexes, &mut v);
         check_leases(shards, &mut v);
-        check_gauges(gauges, &mut v);
         AuditReport { violations: v }
     }
 
+    /// Read-view ↔ index pass for one shard: `view` is the lock-free read
+    /// view's `sig → head` map, `index` the index's own, read from its
+    /// tables. Every signature must map to the same head in both.
+    pub fn check_read_view(
+        &mut self,
+        shard: u32,
+        view: &HashMap<u64, RawPpa>,
+        index: &HashMap<u64, RawPpa>,
+    ) -> AuditReport {
+        let mut sigs: Vec<u64> = view.keys().chain(index.keys()).copied().collect();
+        sigs.sort_unstable();
+        sigs.dedup();
+        let violations = sigs
+            .into_iter()
+            .filter(|sig| view.get(sig) != index.get(sig))
+            .map(|sig| InvariantViolation::ReadViewDiverged {
+                shard,
+                sig,
+                view: view.get(&sig).copied(),
+                index: index.get(&sig).copied(),
+            })
+            .collect();
+        AuditReport { violations }
+    }
+
     /// Cache↔index coherence pass: no serveable cached value may
-    /// disagree with the directory → record-page → FTL chain.
+    /// disagree with the value the index holds for its key.
     pub fn check_cache(&mut self, samples: &[CacheCoherenceSample]) -> AuditReport {
         let mut v = Vec::new();
         for s in samples {
@@ -672,20 +679,6 @@ fn check_leases(shards: &[(FlashAudit, IndexAuditSnapshot)], v: &mut Vec<Invaria
     }
 }
 
-fn check_gauges(gauges: &[GaugeCheck], v: &mut Vec<InvariantViolation>) {
-    for g in gauges {
-        if let Some(reported) = g.reported {
-            if (reported - g.actual).abs() > 1e-9 {
-                v.push(InvariantViolation::GaugeDrift {
-                    gauge: g.gauge.clone(),
-                    reported,
-                    actual: g.actual,
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -771,7 +764,7 @@ mod tests {
     fn clean_state_audits_clean() {
         let (flash, index) = clean_fixture();
         let mut auditor = DeviceAuditor::new();
-        let report = auditor.check_device(&flash, &index, &[]);
+        let report = auditor.check_device(&flash, &index);
         assert!(report.is_ok(), "{report}");
     }
 
@@ -781,7 +774,7 @@ mod tests {
         index.owned_pages[0].observed = ObservedPage::Unprogrammed;
         // The live-byte accounting still matches (the page *was* counted),
         // so exactly the dangling-entry violation fires.
-        let report = DeviceAuditor::new().check_device(&flash, &index, &[]);
+        let report = DeviceAuditor::new().check_device(&flash, &index);
         assert!(report
             .violations
             .iter()
@@ -792,7 +785,7 @@ mod tests {
     fn wrong_kind_detected() {
         let (flash, mut index) = clean_fixture();
         index.owned_pages[1].observed = ObservedPage::Kind(KIND_HEAD);
-        let report = DeviceAuditor::new().check_device(&flash, &index, &[]);
+        let report = DeviceAuditor::new().check_device(&flash, &index);
         assert_eq!(
             report.violations,
             vec![InvariantViolation::WrongPageKind {
@@ -809,7 +802,7 @@ mod tests {
     fn diverged_clean_cache_copy_detected() {
         let (flash, mut index) = clean_fixture();
         index.owned_pages[1].clean_cache_diverged = true;
-        let report = DeviceAuditor::new().check_device(&flash, &index, &[]);
+        let report = DeviceAuditor::new().check_device(&flash, &index);
         assert_eq!(
             report.violations,
             vec![InvariantViolation::CleanCacheDiverged { shard: 0, key: 2, ppa: (0, 1) }]
@@ -820,7 +813,7 @@ mod tests {
     fn double_ownership_detected() {
         let (flash, mut index) = clean_fixture();
         index.owned_pages.push(owned(9, (0, 0)));
-        let report = DeviceAuditor::new().check_device(&flash, &index, &[]);
+        let report = DeviceAuditor::new().check_device(&flash, &index);
         assert!(report.violations.iter().any(|v| matches!(
             v,
             InvariantViolation::DoublePpaOwnership { ppa: (0, 0), first_key: 1, second_key: 9, .. }
@@ -831,7 +824,7 @@ mod tests {
     fn live_byte_mismatch_detected() {
         let (mut flash, index) = clean_fixture();
         flash.blocks[0].live_bytes += 512; // phantom live page
-        let report = DeviceAuditor::new().check_device(&flash, &index, &[]);
+        let report = DeviceAuditor::new().check_device(&flash, &index);
         assert!(report
             .violations
             .iter()
@@ -842,7 +835,7 @@ mod tests {
     fn record_count_mismatch_detected() {
         let (flash, mut index) = clean_fixture();
         index.directory_records = 4;
-        let report = DeviceAuditor::new().check_device(&flash, &index, &[]);
+        let report = DeviceAuditor::new().check_device(&flash, &index);
         assert!(report.violations.iter().any(|v| matches!(
             v,
             InvariantViolation::RecordCountMismatch { index_len: 5, directory_records: 4, .. }
@@ -860,7 +853,7 @@ mod tests {
             pending: 2,
         });
         let mut auditor = DeviceAuditor::new();
-        assert!(auditor.check_device(&flash, &index, &[]).is_ok());
+        assert!(auditor.check_device(&flash, &index).is_ok());
 
         // Cursor moves forward: fine.
         index.migration = Some(MigrationAudit {
@@ -870,7 +863,7 @@ mod tests {
             keys_before: 5,
             pending: 1,
         });
-        assert!(auditor.check_device(&flash, &index, &[]).is_ok());
+        assert!(auditor.check_device(&flash, &index).is_ok());
 
         // Cursor regresses within the same generation: violation.
         index.migration = Some(MigrationAudit {
@@ -880,7 +873,7 @@ mod tests {
             keys_before: 5,
             pending: 1,
         });
-        let report = auditor.check_device(&flash, &index, &[]);
+        let report = auditor.check_device(&flash, &index);
         assert!(report
             .violations
             .iter()
@@ -894,7 +887,7 @@ mod tests {
             keys_before: 5,
             pending: 5,
         });
-        assert!(auditor.check_device(&flash, &index, &[]).is_ok());
+        assert!(auditor.check_device(&flash, &index).is_ok());
 
         // Lost records: migrated + pending < keys_before.
         index.migration = Some(MigrationAudit {
@@ -904,7 +897,7 @@ mod tests {
             keys_before: 5,
             pending: 3,
         });
-        let report = auditor.check_device(&flash, &index, &[]);
+        let report = auditor.check_device(&flash, &index);
         assert!(report.violations.iter().any(|v| matches!(
             v,
             InvariantViolation::MigrationAccounting { migrated: 1, pending: 3, keys_before: 5, .. }
@@ -940,12 +933,12 @@ mod tests {
         let mut auditor = DeviceAuditor::new();
         // Disjoint leases, 2 leased + 6 free of 8: clean.
         let shards = vec![(mk(0, 0), idx(0, 0)), (mk(1, 1), idx(1, 1))];
-        assert!(auditor.check_sharded(&shards, &[]).is_ok());
+        assert!(auditor.check_sharded(&shards).is_ok());
 
         // Same block leased twice: violation (and a double-ownership one
         // for the page both shards claim).
         let shards = vec![(mk(0, 3), idx(0, 3)), (mk(1, 3), idx(1, 3))];
-        let report = auditor.check_sharded(&shards, &[]);
+        let report = auditor.check_sharded(&shards);
         assert!(report
             .violations
             .iter()
@@ -959,7 +952,7 @@ mod tests {
         let mut bad = mk(0, 0);
         bad.free_raw = 5;
         let shards = vec![(bad, idx(0, 0)), (mk(1, 1), idx(1, 1))];
-        let report = auditor.check_sharded(&shards, &[]);
+        let report = auditor.check_sharded(&shards);
         assert!(report.violations.iter().any(|v| matches!(
             v,
             InvariantViolation::FreeCountMismatch { free_raw: 5, leased: 2, total: 8 }
@@ -967,19 +960,36 @@ mod tests {
     }
 
     #[test]
-    fn gauge_drift_detected_and_missing_gauge_skipped() {
-        let (flash, index) = clean_fixture();
-        let gauges = vec![
-            GaugeCheck { gauge: "occ".into(), reported: Some(0.5), actual: 0.5 },
-            GaugeCheck { gauge: "drift".into(), reported: Some(0.9), actual: 0.5 },
-            GaugeCheck { gauge: "unset".into(), reported: None, actual: 0.5 },
-        ];
-        let report = DeviceAuditor::new().check_device(&flash, &index, &gauges);
-        assert_eq!(report.violations.len(), 1);
-        assert!(matches!(
-            &report.violations[0],
-            InvariantViolation::GaugeDrift { gauge, .. } if gauge == "drift"
-        ));
+    fn read_view_divergence_detected() {
+        let index: HashMap<u64, RawPpa> = [(1, (0, 0)), (2, (0, 1)), (3, (1, 0))].into();
+        let mut auditor = DeviceAuditor::new();
+        assert!(auditor.check_read_view(0, &index.clone(), &index).is_ok());
+        // Missing, pointing at another head, and extra.
+        let view: HashMap<u64, RawPpa> = [(2, (0, 1)), (3, (1, 1)), (4, (2, 0))].into();
+        let report = auditor.check_read_view(5, &view, &index);
+        assert_eq!(
+            report.violations,
+            vec![
+                InvariantViolation::ReadViewDiverged {
+                    shard: 5,
+                    sig: 1,
+                    view: None,
+                    index: Some((0, 0))
+                },
+                InvariantViolation::ReadViewDiverged {
+                    shard: 5,
+                    sig: 3,
+                    view: Some((1, 1)),
+                    index: Some((1, 0))
+                },
+                InvariantViolation::ReadViewDiverged {
+                    shard: 5,
+                    sig: 4,
+                    view: Some((2, 0)),
+                    index: None
+                },
+            ]
+        );
     }
 
     #[test]
@@ -992,7 +1002,7 @@ mod tests {
             has_overflow: false,
         });
         index.directory_records = 5; // keep the count check quiet is impossible; accept both
-        let report = DeviceAuditor::new().check_device(&flash, &index, &[]);
+        let report = DeviceAuditor::new().check_device(&flash, &index);
         assert!(report.violations.iter().any(|v| matches!(
             v,
             InvariantViolation::EntryOverCapacity { slot: 1, records: 17, capacity: 16, .. }

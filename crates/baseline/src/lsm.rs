@@ -307,7 +307,7 @@ impl IndexBackend for LsmIndex {
     fn lookup(&mut self, ftl: &mut Ftl, sig: KeySignature) -> Result<Option<Ppa>, FtlError> {
         self.stats.lookups += 1;
         let (hit, reads) = self.query(ftl, sig.0)?;
-        self.stats.note_lookup_reads(reads);
+        self.stats.count_lookup(reads);
         Ok(hit.flatten())
     }
 

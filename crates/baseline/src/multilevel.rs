@@ -206,7 +206,7 @@ impl IndexBackend for MultiLevelIndex {
                 break;
             }
         }
-        self.stats.note_lookup_reads(reads);
+        self.stats.count_lookup(reads);
         Ok(found)
     }
 

@@ -5,8 +5,8 @@
 //! * **baseline** — no sink ever installed (the default device);
 //! * **disabled** — an explicitly installed disabled sink (the "one
 //!   branch per command" configuration every production device runs);
-//! * **enabled** — a live sink collecting counters, histograms, spans,
-//!   and per-shard gauges on every command.
+//! * **enabled** — a live sink tracing a span, with its stage events, for
+//!   every command.
 //!
 //! Each phase runs three trials and keeps the best wall-clock time (the
 //! least-noisy estimate on a shared CI host). Acceptance gates:
@@ -17,7 +17,7 @@
 //!   this is the CI smoke gate).
 //!
 //! A final untimed instrumented run dumps per-stage latency attribution
-//! and the traced flash-reads-per-lookup distribution into the JSON blob
+//! and the index's flash-reads-per-lookup distribution into the JSON blob
 //! (`BENCH_obs_overhead.json` + `target/experiments/obs_overhead.json`).
 
 use std::time::Instant;
@@ -25,7 +25,7 @@ use std::time::Instant;
 use rhik_bench::{
     attribution_json, attribution_table, emit_json, reads_per_lookup_json, render_table, Scale,
 };
-use rhik_kvssd::{DeviceConfig, KvssdDevice, TelemetrySink};
+use rhik_kvssd::{DeviceConfig, KvssdDevice, ReadsPerLookup, TelemetrySink};
 use rhik_nand::DeviceProfile;
 use serde_json::json;
 
@@ -39,8 +39,9 @@ fn config(scale: Scale) -> DeviceConfig {
 }
 
 /// One trial: fill `keys` pairs, then `ops` mixed commands (50 % get /
-/// 50 % update). Returns host wall-clock seconds for the whole stream.
-fn trial(scale: Scale, sink: Option<TelemetrySink>, keys: u64, ops: u64) -> f64 {
+/// 50 % update). Returns host wall-clock seconds for the whole stream,
+/// and the flash reads each index lookup needed.
+fn trial(scale: Scale, sink: Option<TelemetrySink>, keys: u64, ops: u64) -> (f64, ReadsPerLookup) {
     let mut dev = KvssdDevice::rhik(config(scale));
     if let Some(s) = sink {
         dev.set_telemetry(s);
@@ -58,13 +59,13 @@ fn trial(scale: Scale, sink: Option<TelemetrySink>, keys: u64, ops: u64) -> f64 
             dev.put(key.as_bytes(), &value).expect("update");
         }
     }
-    start.elapsed().as_secs_f64()
+    (start.elapsed().as_secs_f64(), dev.reads_per_lookup())
 }
 
 /// Best-of-N wall-clock seconds for a phase; the sink is rebuilt per
 /// trial so each runs on a fresh device and fresh telemetry state.
 fn best_of(scale: Scale, keys: u64, ops: u64, mk_sink: impl Fn() -> Option<TelemetrySink>) -> f64 {
-    (0..TRIALS).map(|_| trial(scale, mk_sink(), keys, ops)).fold(f64::INFINITY, f64::min)
+    (0..TRIALS).map(|_| trial(scale, mk_sink(), keys, ops).0).fold(f64::INFINITY, f64::min)
 }
 
 fn main() {
@@ -107,13 +108,12 @@ fn main() {
     // Untimed instrumented run for the attribution dump: an unbounded-ish
     // trace ring so the whole run (resizes included) is attributable.
     let sink = TelemetrySink::with_trace_capacity((total_ops as usize).max(1));
-    let _ = trial(scale, Some(sink.clone()), keys, ops);
+    let (_, rpl) = trial(scale, Some(sink.clone()), keys, ops);
     let attr = sink.attribution();
-    let rpl = sink.reads_per_lookup().unwrap_or_default();
     println!("per-stage device-time attribution (instrumented run):");
     println!("{}", attribution_table(&attr));
     println!(
-        "traced reads-per-lookup: {} lookups, max {} ({}), {:.2}% within 1 read",
+        "reads-per-lookup: {} lookups, max {} ({}), {:.2}% within 1 read",
         rpl.lookups,
         rpl.max,
         if rpl.invariant_ok() { "invariant holds" } else { "INVARIANT VIOLATED" },

@@ -23,7 +23,7 @@ use rhik_bench::{
 };
 use rhik_core::RhikConfig;
 use rhik_ftl::IndexBackend;
-use rhik_kvssd::{DeviceConfig, KvssdDevice, TelemetrySink};
+use rhik_kvssd::{DeviceConfig, KvssdDevice, ReadsPerLookup, TelemetrySink};
 use rhik_nand::DeviceProfile;
 use serde_json::{json, Value};
 
@@ -44,6 +44,8 @@ struct ModeRun {
     resize_flash_programs: u64,
     max_step_media_ns: u64,
     device_secs: f64,
+    /// Flash reads each index lookup of the run needed.
+    reads_per_lookup: ReadsPerLookup,
 }
 
 fn run_mode(
@@ -116,6 +118,7 @@ fn run_mode(
         resize_flash_programs: stats.resizes.iter().map(|e| e.flash_programs).sum(),
         max_step_media_ns: stats.resizes.iter().map(|e| e.max_step_media_ns).max().unwrap_or(0),
         device_secs: dev.elapsed_secs(),
+        reads_per_lookup: dev.reads_per_lookup(),
     }
 }
 
@@ -243,13 +246,13 @@ fn main() {
     // batches all become visible, including mid-resize.
     if trace_dump_requested() {
         let sink = TelemetrySink::with_trace_capacity(keys as usize);
-        let _ = run_mode("incremental-traced", 1, scale, keys, Some(sink.clone()));
+        let rpl =
+            run_mode("incremental-traced", 1, scale, keys, Some(sink.clone())).reads_per_lookup;
         let attr = sink.attribution();
-        let rpl = sink.reads_per_lookup().unwrap_or_default();
         println!("per-stage device-time attribution (incremental run, telemetry on):");
         println!("{}", attribution_table(&attr));
         println!(
-            "traced reads-per-lookup: {} lookups, max {} ({})",
+            "reads-per-lookup: {} lookups, max {} ({})",
             rpl.lookups,
             rpl.max,
             if rpl.invariant_ok() { "invariant holds" } else { "INVARIANT VIOLATED" },

@@ -61,6 +61,8 @@ struct RunResult {
     get_p999_ns: u64,
     /// Hot-object cache counters, when the run had the cache enabled.
     cache: Option<rhik_kvssd::CacheStats>,
+    /// Flash reads each index lookup of the run needed.
+    reads_per_lookup: rhik_kvssd::ReadsPerLookup,
 }
 
 impl RunResult {
@@ -147,16 +149,14 @@ impl CachePhase {
 /// steady state of a skewed serving workload, with no compulsory misses
 /// muddying the number (every measured key was seen once before; whether
 /// it *hits* is decided purely by what the budget + TinyLFU kept
-/// resident). A telemetry snapshot diff isolates the measured phase's
-/// latency histogram from load and warmup.
+/// resident). A histogram diff isolates the measured phase's get
+/// latencies from load and warmup.
 fn run_cache_phase(dist: Dist, population: u64, ops: u64, budget: Option<u64>) -> CachePhase {
     let mut cfg = config().with_shards(4);
     if let Some(b) = budget {
         cfg = cfg.with_hot_cache(b);
     }
     let dev = ShardedKvssd::rhik(cfg);
-    let sink = TelemetrySink::enabled();
-    dev.set_telemetry(sink.clone());
     let value = vec![0xAB; VALUE_BYTES];
     std::thread::scope(|scope| {
         for t in 0..4u64 {
@@ -186,7 +186,7 @@ fn run_cache_phase(dist: Dist, population: u64, ops: u64, budget: Option<u64>) -
             });
         }
     });
-    let warm = sink.snapshot().expect("sink enabled");
+    let warm = dev.get_latencies();
     let device_start = dev.device_elapsed_secs();
     std::thread::scope(|scope| {
         for t in 0..4u64 {
@@ -200,10 +200,8 @@ fn run_cache_phase(dist: Dist, population: u64, ops: u64, budget: Option<u64>) -
             });
         }
     });
-    let measured = sink.snapshot().expect("sink enabled").since(&warm);
-    let (p50, p99, p999) = measured
-        .histogram("get_latency_ns")
-        .map_or((0, 0, 0), |h| (h.p50_ns(), h.p99_ns(), h.p999_ns()));
+    let measured = dev.get_latencies().since(&warm);
+    let (p50, p99, p999) = (measured.p50_ns(), measured.p99_ns(), measured.p999_ns());
     CachePhase {
         get_p50_ns: p50,
         get_p99_ns: p99,
@@ -298,6 +296,7 @@ fn run_sharded(
         get_p99_ns: gets.p99_ns(),
         get_p999_ns: gets.p999_ns(),
         cache: dev.hot_cache_stats(),
+        reads_per_lookup: dev.reads_per_lookup(),
     }
 }
 
@@ -347,6 +346,7 @@ fn run_shared(threads: u64, dist: Dist, population: u64, ops: u64) -> RunResult 
         get_p99_ns: gets.p99_ns(),
         get_p999_ns: gets.p999_ns(),
         cache: None,
+        reads_per_lookup: dev.reads_per_lookup(),
     }
 }
 
@@ -559,7 +559,7 @@ fn main() {
         "threads": 4,
         "shards": 4,
         "budget_bytes": comparison_budget,
-        "workload": "warmed get-only zipf trace replay (telemetry snapshot diff)",
+        "workload": "warmed get-only zipf trace replay (latency histogram diff)",
         "measured_ops": off.measured_ops,
         "hit_rate_pct": hit_pct,
         "off": {
@@ -631,9 +631,9 @@ fn main() {
         let sink = TelemetrySink::with_trace_capacity((population + ops) as usize);
         let dist = dists[0];
         eprintln!("[run] trace-dump dist={} mode=sharded threads=2 shards=4", dist.name);
-        let _ = run_sharded(4, 2, dist, population, ops, Some(&sink), matrix_cache);
+        let rpl =
+            run_sharded(4, 2, dist, population, ops, Some(&sink), matrix_cache).reads_per_lookup;
         let attr = sink.attribution();
-        let rpl = sink.reads_per_lookup().unwrap_or_default();
         println!("per-stage device-time attribution (sharded run, telemetry on):");
         println!("{}", attribution_table(&attr));
         let trace = json!({

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use rhik_nand::{DeviceProfile, NandArray, NandGeometry, NandOp, Ppa};
 use rhik_sigs::KeySignature;
-use rhik_telemetry::{Stage, StageEvent, TelemetrySink};
+use rhik_telemetry::{Stage, StageEvent};
 
 use crate::alloc::{BlockAllocator, Stream};
 use crate::cache::IndexPageCache;
@@ -162,10 +162,12 @@ pub struct Ftl {
     cache: IndexPageCache,
     stats: FtlStats,
     timed_ops: Vec<TimedOp>,
-    telemetry: TelemetrySink,
+    /// Whether charged media ops are logged as stage events (a tracing
+    /// sink is installed on the device).
+    log_stages: bool,
     /// Stage events accumulated since the last drain, tagged on the same
     /// cadence as `timed_ops`; the device attaches them to the op span it
-    /// is building. Empty while telemetry is disabled.
+    /// is building. Empty while `log_stages` is off.
     stage_log: Vec<StageEvent>,
     /// When set, media ops charged are attributed to this stage instead of
     /// the plain flash-read/program stages (GC runs, resize batches).
@@ -203,7 +205,7 @@ impl Ftl {
             cache: IndexPageCache::new(config.cache_budget_bytes),
             stats: FtlStats::default(),
             timed_ops: Vec::new(), // bounded-by: device drains it every op (drain_timed_ops)
-            telemetry: TelemetrySink::disabled(),
+            log_stages: false,
             stage_log: Vec::new(), // bounded-by: device drains it every op (drain_stage_log)
             stage_scope: None,
             data_builder: None,
@@ -236,16 +238,11 @@ impl Ftl {
         }
     }
 
-    /// Install a telemetry sink (forwarded down to the NAND array). The
-    /// FTL tags every charged media op with the stage it serves.
-    pub fn set_telemetry(&mut self, sink: TelemetrySink) {
-        self.nand_guard().set_telemetry(sink.clone());
-        self.telemetry = sink;
-    }
-
-    #[inline]
-    pub fn telemetry(&self) -> &TelemetrySink {
-        &self.telemetry
+    /// Turn stage logging on or off: while on, the FTL tags every charged
+    /// media op with the stage it serves (the device's span tracer).
+    pub fn set_stage_log(&mut self, on: bool) {
+        self.log_stages = on;
+        self.stage_log.clear();
     }
 
     /// Attribute subsequently charged media ops to `scope` (GC run, resize
@@ -256,9 +253,9 @@ impl Ftl {
     }
 
     /// Append a stage event that does not correspond to a media op (e.g.
-    /// a DRAM directory walk). No-op while telemetry is disabled.
+    /// a DRAM directory walk). No-op while stage logging is off.
     pub fn note_stage(&mut self, stage: Stage, dur_ns: u64) {
-        if self.telemetry.is_enabled() {
+        if self.log_stages {
             self.stage_log.push(StageEvent { stage, count: 1, dur_ns });
         }
     }
@@ -371,7 +368,7 @@ impl Ftl {
         let geometry = self.geometry;
         let duration_ns = self.profile.latency.duration_ns(&op);
         self.timed_ops.push(TimedOp { channel: op.channel(&geometry), duration_ns });
-        if self.telemetry.is_enabled() {
+        if self.log_stages {
             let stage = self.stage_scope.unwrap_or(match op {
                 NandOp::Read { .. } => Stage::FlashRead,
                 NandOp::Program { .. } => Stage::FlashProgram,

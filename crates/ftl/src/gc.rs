@@ -120,15 +120,6 @@ pub fn run<I: IndexBackend>(
     let result = run_inner(ftl, index, cfg, &mut report);
     ftl.set_stage_scope(scope);
     ftl.alloc_mut().set_gc_mode(false);
-    let telemetry = ftl.telemetry();
-    if telemetry.is_enabled() {
-        telemetry.counter_add("ftl_gc_runs", 1);
-        telemetry.counter_add("ftl_gc_pairs_relocated", report.pairs_relocated);
-        telemetry.counter_add(
-            "ftl_gc_blocks_erased",
-            report.data_blocks_erased + report.index_blocks_erased,
-        );
-    }
     result.map(|()| report)
 }
 
@@ -149,29 +140,42 @@ fn run_inner<I: IndexBackend>(
     // each abort duplicates the victim's live data into fresh blocks.
     let mut reloc_ok = true;
     let mut victims_cleaned = 0u32;
-    let block_bytes = ftl.geometry().pages_per_block as u64 * ftl.geometry().page_size as u64;
-    // Scratch margin for a relocation beyond the victim's own live data:
-    // index write-backs (record updates evicting dirty cached pages) and
-    // a partially-filled open target block. Half the GC reserve scales
-    // with how the device was provisioned (a 1-block reserve gets 0: the
-    // abort path below keeps an underestimate safe).
+    let page_size = ftl.geometry().page_size as u64;
+    let pages_per_block = ftl.geometry().pages_per_block as u64;
+    // Scratch margin for a data or extent relocation beyond the victim's
+    // own live data: index write-backs (its inserts evicting dirty cached
+    // pages) and a partially-filled open target block. Half the GC
+    // reserve scales with how the device was provisioned (a 1-block
+    // reserve gets 0: the abort path below keeps an underestimate safe).
     let margin = ftl.alloc_ref().gc_reserve() as u64 / 2;
     while ftl.free_blocks() < cfg.high_watermark && victims_cleaned < cfg.max_victims_per_run {
-        let raw_before = ftl.alloc_ref().free_blocks_raw();
+        let raw_before = ftl.alloc_ref().free_blocks_raw() as u64;
         // Best victim across all three streams, ranked by the policy.
         // Victims holding live data are skipped when the remaining raw
-        // pool cannot plausibly cover their relocation targets plus
-        // index write-backs: aborting mid-victim strands the pool at
-        // zero with nothing erased, which is strictly worse than
-        // collecting a staler block first.
+        // pool cannot plausibly cover their relocation: aborting
+        // mid-victim strands the pool at zero with nothing erased, which
+        // is strictly worse than collecting a staler block first.
         let victim = [Stream::Data, Stream::Extent, Stream::Index]
             .into_iter()
             .flat_map(|stream| {
                 ftl.alloc_ref().victims(stream).into_iter().map(move |b| (b, stream))
             })
-            .filter(|&(b, _)| {
-                let live = ftl.alloc_ref().meta(b).live_bytes;
-                live == 0 || (reloc_ok && raw_before as u64 >= live.div_ceil(block_bytes) + margin)
+            .filter(|&(b, stream)| {
+                let live_pages = ftl.alloc_ref().meta(b).live_bytes.div_ceil(page_size);
+                live_pages == 0
+                    || reloc_ok
+                        && match stream {
+                            // An index block's relocation reprograms only
+                            // its live pages and touches no cached table,
+                            // so it may lease every free block. (Index
+                            // write-backs may drain the pool to half the
+                            // reserve; a block-granular rule with the
+                            // margin could then never run again.)
+                            Stream::Index => raw_before * pages_per_block >= live_pages,
+                            Stream::Data | Stream::Extent => {
+                                raw_before >= live_pages.div_ceil(pages_per_block) + margin
+                            }
+                        }
             })
             .max_by_key(|&(b, _)| score(ftl.alloc_ref().meta(b), cfg.policy));
         let Some(victim) = victim else { break };
@@ -204,7 +208,7 @@ fn run_inner<I: IndexBackend>(
             Err(e) => return Err(e),
         }
 
-        if ftl.alloc_ref().free_blocks_raw() <= raw_before {
+        if ftl.alloc_ref().free_blocks_raw() as u64 <= raw_before {
             stagnant += 1;
             if stagnant >= 2 {
                 break;

@@ -106,6 +106,12 @@ impl ReadView {
     pub fn entry_count(&self) -> usize {
         self.heads().len()
     }
+
+    /// A copy of every mapping, read-only: what the auditor compares
+    /// against the index's own `sig → head` records.
+    pub fn entries(&self) -> HashMap<u64, Ppa> {
+        self.heads().clone()
+    }
 }
 
 #[cfg(test)]

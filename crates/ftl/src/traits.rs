@@ -66,13 +66,20 @@ pub struct IndexStats {
     pub reads_per_lookup_histo: [u64; 16],
     /// Insert aborts due to [`FtlError::TableFull`].
     pub insert_aborts: u64,
+    /// Hopscotch displacements inserts performed to place a record.
+    pub hopscotch_displacements: u64,
+    /// Directory doublings begun, migration steps run and directory slots
+    /// those steps split (RHIK only).
+    pub resizes_started: u64,
+    pub resize_steps: u64,
+    pub resize_slots_migrated: u64,
     /// Completed resize events (RHIK only).
     pub resizes: Vec<ResizeEvent>,
 }
 
 impl IndexStats {
     /// Record a lookup that needed `reads` flash reads.
-    pub fn note_lookup_reads(&mut self, reads: u64) {
+    pub fn count_lookup(&mut self, reads: u64) {
         let bucket = (reads as usize).min(self.reads_per_lookup_histo.len() - 1);
         self.reads_per_lookup_histo[bucket] += 1;
         if reads == 0 {
@@ -179,9 +186,9 @@ pub trait IndexBackend {
 
     /// Progress of an in-flight resize migration as
     /// `(slots_migrated, slots_total)` over the frozen old directory —
-    /// `None` when no migration is running. Telemetry exports this as the
-    /// per-shard migration-cursor gauge; the device derives "resize in
-    /// progress" from it.
+    /// `None` when no migration is running. The device's metrics export
+    /// this as the per-shard migration-cursor gauges; the device derives
+    /// "resize in progress" from it.
     fn migration_progress(&self) -> Option<(u64, u64)> {
         None
     }
@@ -206,10 +213,10 @@ mod tests {
     fn lookup_histogram_percentiles() {
         let mut s = IndexStats::default();
         for _ in 0..90 {
-            s.note_lookup_reads(1);
+            s.count_lookup(1);
         }
         for _ in 0..10 {
-            s.note_lookup_reads(5);
+            s.count_lookup(5);
         }
         assert!((s.pct_lookups_within(1) - 90.0).abs() < 1e-9);
         assert!((s.pct_lookups_within(4) - 90.0).abs() < 1e-9);
@@ -220,9 +227,9 @@ mod tests {
     #[test]
     fn zero_read_lookups_counted() {
         let mut s = IndexStats::default();
-        s.note_lookup_reads(0);
-        s.note_lookup_reads(0);
-        s.note_lookup_reads(2);
+        s.count_lookup(0);
+        s.count_lookup(0);
+        s.count_lookup(2);
         assert_eq!(s.zero_flash_lookups, 2);
         assert!((s.pct_lookups_within(0) - 66.66).abs() < 0.1);
     }
@@ -230,7 +237,7 @@ mod tests {
     #[test]
     fn histogram_saturates_at_last_bucket() {
         let mut s = IndexStats::default();
-        s.note_lookup_reads(1_000);
+        s.count_lookup(1_000);
         assert_eq!(s.reads_per_lookup_histo[15], 1);
         assert!((s.pct_lookups_within(14) - 0.0).abs() < 1e-9);
         assert!((s.pct_lookups_within(100) - 100.0).abs() < 1e-9);

@@ -46,14 +46,6 @@ impl BatchOp {
             | BatchOp::Exists { key } => key,
         }
     }
-
-    /// Payload bytes this op carries (admission-control cost accounting).
-    pub fn payload_bytes(&self) -> usize {
-        match self {
-            BatchOp::Put { key, value } => key.len() + value.len(),
-            BatchOp::Get { key } | BatchOp::Delete { key } | BatchOp::Exists { key } => key.len(),
-        }
-    }
 }
 
 /// Reply to one [`BatchOp`], in submission order.

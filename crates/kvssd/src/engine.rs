@@ -82,8 +82,8 @@ impl TimingEngine {
     }
 
     /// Commands still in flight (async mode; always 0 in sync mode, where
-    /// the host blocks per command). Telemetry exports this as the
-    /// per-shard submission-queue-depth gauge.
+    /// the host blocks per command). The device's metrics export this as
+    /// the per-shard submission-queue-depth gauge.
     pub fn inflight_commands(&self) -> usize {
         self.inflight.len()
     }

@@ -1,8 +1,7 @@
 //! Latency histogram, re-exported from the telemetry crate.
 //!
-//! The log-bucketed [`LatencyHistogram`] started life here; it now lives in
-//! `rhik-telemetry` so the metric registry can bucket arbitrary named
-//! distributions with the same machinery. This module keeps the historical
-//! `rhik_kvssd::LatencyHistogram` path working.
+//! The log-bucketed [`LatencyHistogram`] lives in `rhik-telemetry`, next
+//! to the metric snapshots that export the device's histograms. This
+//! module keeps the `rhik_kvssd::LatencyHistogram` path working.
 
 pub use rhik_telemetry::LatencyHistogram;

@@ -45,6 +45,7 @@ mod device;
 mod engine;
 mod error;
 mod histogram;
+mod metrics;
 mod sharded;
 
 pub use cmd::{BatchOp, BatchReply, IterHandle};
@@ -58,8 +59,8 @@ pub use sharded::{LockfreeReadStats, ShardedKvssd};
 // Observability types, re-exported so device users need not depend on the
 // telemetry crate directly.
 pub use rhik_telemetry::{
-    Attribution, MetricRegistry, MetricSnapshot, OpKind, OpSpan, ReadsPerLookup, Stage, StageEvent,
-    TelemetrySink, TraceRing,
+    Attribution, MetricSnapshot, OpKind, OpSpan, ReadsPerLookup, Stage, StageEvent, TelemetrySink,
+    TraceRing,
 };
 
 // Hot-object cache configuration and counters, re-exported so device users

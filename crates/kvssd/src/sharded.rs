@@ -24,8 +24,9 @@
 //! then walks the shard's lock-free read view. Both validate against the
 //! device's one [`VersionTable`], which the views bump after every index
 //! change, and both complete into one per-shard recorder (counters, one
-//! latency histogram, one telemetry slot), so a get answered off the
-//! lock is counted once whichever way it ended.
+//! latency histogram, one span slot), so a get answered off the lock is
+//! counted once whichever way it ended. [`ShardedKvssd::metrics`] reads
+//! those counts, with every shard's and the hot cache's, when asked.
 //!
 //! One request path behind it: every command that needs a shard lock — a
 //! get the fast path could not answer, a put, a delete, an exist, the
@@ -42,6 +43,7 @@
 //! collector, serialized by the pool's GC permit) and retries before
 //! surfacing `DeviceFull`.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -52,8 +54,11 @@ use rhik_ftl::layout;
 use rhik_ftl::sync::{Counter, Mutex, MutexGuard};
 use rhik_ftl::{FlashPool, Ftl, IndexBackend, MediaReader, ReadView, VersionTable};
 use rhik_hotcache::{AdmitReport, CacheLookup};
+use rhik_nand::Ppa;
 use rhik_sigs::{KeySignature, SigHasher};
-use rhik_telemetry::{OpKind, OpSpan, Stage, StageEvent, TelemetrySink};
+use rhik_telemetry::{
+    MetricSnapshot, OpKind, OpSpan, ReadsPerLookup, Stage, StageEvent, TelemetrySink,
+};
 
 use crate::cache_tier::CacheTier;
 use crate::cmd::{BatchOp, BatchReply};
@@ -61,6 +66,7 @@ use crate::config::DeviceConfig;
 use crate::device::{DeviceStats, KvssdDevice};
 use crate::error::KvError;
 use crate::histogram::LatencyHistogram;
+use crate::metrics::MetricsReader;
 use crate::Result;
 
 /// The device's version table: `1 << 14` stripes (128 KiB of DRAM).
@@ -77,7 +83,7 @@ const VERSION_BITS: u32 = 14;
 /// pages through the narrow media lock, never the shard's command mutex
 /// — and the one recorder that hot-cache hits and lock-free reads both
 /// complete into. All counters are relaxed [`Counter`]s; the latency
-/// histogram and telemetry sink sit behind their own short-hold mutexes,
+/// histogram and span sink sit behind their own short-hold mutexes,
 /// touched only after the answer is known.
 struct FastPath {
     shard: u32,
@@ -153,16 +159,12 @@ impl FastPath {
     }
 
     /// Complete one get answered off the lock: its latency lands in the
-    /// shard's one histogram, and in telemetry as a `kvssd_gets` op.
+    /// shard's one histogram, and in the trace as a get span.
     fn complete(&self, start: u64, latency: u64, hot_hit: bool) {
         self.latencies.lock().unwrap_or_else(|p| p.into_inner()).record(latency);
-        let Some(sink) = self.sink() else { return };
-        let stage = hot_hit.then(|| {
-            sink.counter_add("hot_cache_hits", 1);
-            (Stage::CacheHotHit, 1)
-        });
-        let span = self.span(start, latency, stage);
-        sink.record_op(span, "kvssd_gets", Some(("get_latency_ns", latency)), Some(0), &[]);
+        if let Some(sink) = self.sink() {
+            sink.record_span(self.span(start, latency, hot_hit.then_some((Stage::CacheHotHit, 1))));
+        }
     }
 
     /// A hot-cache hit: a completed get with zero device time and zero
@@ -176,23 +178,18 @@ impl FastPath {
     /// A probe found a superseded entry (dropped; the get falls through).
     fn record_stale(&self) {
         if let Some(sink) = self.sink() {
-            sink.counter_add("hot_cache_stale", 1);
             sink.record_span(self.span(0, 0, Some((Stage::CacheStale, 1))));
         }
     }
 
     /// What offering a read value to the cache did.
-    fn record_admit(&self, report: AdmitReport, tier: &CacheTier) {
+    fn record_admit(&self, report: AdmitReport) {
         let Some(sink) = self.sink() else { return };
-        sink.counter_add(if report.admitted { "hot_cache_admits" } else { "hot_cache_rejects" }, 1);
         if report.evicted > 0 {
-            sink.counter_add("hot_cache_evictions", report.evicted);
             sink.record_span(self.span(0, 0, Some((Stage::CacheEvict, report.evicted))));
         }
         if report.admitted {
             sink.record_span(self.span(0, 0, Some((Stage::CacheAdmit, 1))));
-            sink.gauge_set("hot_cache_bytes", tier.cache.bytes() as f64);
-            sink.gauge_set("hot_cache_entries", tier.cache.entries() as f64);
         }
     }
 
@@ -201,8 +198,6 @@ impl FastPath {
     /// the reads. Returns the pages read and `Some(answer)`: the value, or
     /// `None` for an absence. No answer means only the locked path can
     /// decide (head still in the write buffer, failed validation).
-    /// Touches no counter, so the audit's coherence join walks the chain
-    /// through it too.
     fn walk(&self, sig: KeySignature, key: &[u8]) -> (u64, Option<Option<Vec<u8>>>) {
         // A miss costs zero flash reads — the §IV-A3 signature-only
         // answer, straight from DRAM.
@@ -396,7 +391,9 @@ impl ShardedKvssd<RhikIndex> {
             let view = Arc::new(ReadView::new(Arc::clone(&versions)));
             let attached = index.attach_read_view(Arc::clone(&view));
             debug_assert!(attached, "a fresh index accepts its read view");
-            let dev = KvssdDevice::with_index_and_ftl(shard_cfg, ftl, index);
+            let mut dev = KvssdDevice::with_index_and_ftl(shard_cfg, ftl, index);
+            // Tags the shard's audits and spans; no tracer until one is set.
+            dev.set_telemetry_shard(TelemetrySink::disabled(), shard);
             fast.push(FastPath::new(shard, view, dev.media_reader()));
             shards.push(Mutex::new(dev));
         }
@@ -418,53 +415,51 @@ impl ShardedKvssd<RhikIndex> {
     /// shard order; no other path holds two at once) so the cross-shard
     /// pool accounting is one consistent snapshot — safe to call while
     /// other threads keep issuing commands.
+    ///
+    /// With the keyspace quiescent it also reads each index's own
+    /// `sig → head` records, charging nothing, and joins against them
+    /// what the fast path trusts: the shard's read view entry by entry,
+    /// and every still-current hot-cache entry's value.
     pub fn audit(&self, auditor: &mut rhik_audit::DeviceAuditor) -> rhik_audit::AuditReport {
+        // Cached entries are listed before the shard locks are taken; an
+        // entry is joined only if its fill version is still current under
+        // them, so no mutation landed since its fill.
+        let cached = self.cache.as_ref().map(|tier| (tier, tier.cache.snapshot()));
         let guards: Vec<_> = (0..self.shards.len()).map(|s| self.lock(s)).collect();
-        let mut shards = Vec::with_capacity(self.shards.len());
-        let mut gauges = Vec::new();
+        let shards: Vec<_> = guards.iter().map(|dev| dev.audit_parts()).collect();
+        let mut report = auditor.check_sharded(&shards);
         let mut cache_samples = Vec::new();
         for (shard, dev) in guards.iter().enumerate() {
-            let (flash, index, shard_gauges) = dev.audit_parts();
-            shards.push((flash, index));
-            gauges.extend(shard_gauges);
-            // Cache↔index coherence: with every shard lock held the
-            // keyspace is quiescent — join every still-current cached
-            // entry of this shard's slice against the directory →
-            // record-page → FTL chain.
-            self.collect_cache_samples(shard, &mut cache_samples);
+            let heads = dev.index().peek_records(dev.ftl());
+            let raw = |heads: &HashMap<u64, Ppa>| -> HashMap<u64, rhik_audit::RawPpa> {
+                heads.iter().map(|(&sig, ppa)| (sig, (ppa.block, ppa.page))).collect()
+            };
+            let view = raw(&self.fast[shard].view.entries());
+            report
+                .violations
+                .extend(auditor.check_read_view(shard as u32, &view, &raw(&heads)).violations);
+            let Some((tier, entries)) = &cached else { continue };
+            for entry in entries {
+                let sig = KeySignature(entry.sig);
+                let current = tier.versions.load(entry.sig);
+                if self.shard_of(sig) != shard || current != entry.version {
+                    continue; // another shard's, or unservable by construction
+                }
+                cache_samples.push(rhik_audit::CacheCoherenceSample {
+                    shard: shard as u32,
+                    sig: entry.sig,
+                    fill_version: entry.version,
+                    current_version: current,
+                    cached_value: entry.value.to_vec(),
+                    index_value: match heads.get(&entry.sig) {
+                        Some(&head) => dev.peek_value(sig, head, &entry.key),
+                        None => Some(None),
+                    },
+                });
+            }
         }
-        let mut report = auditor.check_sharded(&shards, &gauges);
         report.violations.extend(auditor.check_cache(&cache_samples).violations);
         report
-    }
-
-    /// Gather [`rhik_audit::CacheCoherenceSample`]s for `shard`'s slice
-    /// of the signature space. Caller holds (or just held) the shard
-    /// lock; mutations for these signatures route only through that
-    /// shard, so versions observed here are stable for the join.
-    fn collect_cache_samples(
-        &self,
-        shard: usize,
-        samples: &mut Vec<rhik_audit::CacheCoherenceSample>,
-    ) {
-        let Some(tier) = &self.cache else { return };
-        for entry in tier.cache.snapshot() {
-            if self.shard_of(KeySignature(entry.sig)) != shard {
-                continue;
-            }
-            let current = tier.versions.load(entry.sig);
-            if current != entry.version {
-                continue; // unservable by construction — not sampled
-            }
-            samples.push(rhik_audit::CacheCoherenceSample {
-                shard: shard as u32,
-                sig: entry.sig,
-                fill_version: entry.version,
-                current_version: current,
-                cached_value: entry.value.to_vec(),
-                index_value: self.fast[shard].walk(KeySignature(entry.sig), &entry.key).1,
-            });
-        }
     }
 }
 
@@ -685,7 +680,7 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
             return;
         };
         if let Some(report) = tier.try_admit(sig, key, value, v1) {
-            self.fast[shard].record_admit(report, tier);
+            self.fast[shard].record_admit(report);
         }
     }
 
@@ -695,6 +690,42 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
             self.lock(shard).flush()?;
         }
         Ok(())
+    }
+
+    /// Every metric the device publishes, read now from the stats its
+    /// layers keep — with or without a telemetry sink:
+    ///
+    /// * counters `kvssd_{puts,gets,deletes,exists,maintenance_steps}`
+    ///   (commands attempted, as [`DeviceStats`] counts them), `nand_*`,
+    ///   `ftl_gc_*`, `rhik_*` and, with a hot cache, `hot_cache_*`;
+    /// * histograms `{put,get,delete}_latency_ns` (device time);
+    /// * gauges `shard{i}_{queue_depth,index_occupancy,
+    ///   migration_slots_done,migration_slots_total}` and, with a hot
+    ///   cache, `hot_cache_{bytes,entries}`.
+    pub fn metrics(&self) -> MetricSnapshot {
+        let mut m = MetricsReader::default();
+        for (shard, fast) in self.fast.iter().enumerate() {
+            m.add_shard(shard, &self.lock(shard));
+            m.histogram(
+                "get_latency_ns",
+                &fast.latencies.lock().unwrap_or_else(|p| p.into_inner()),
+            );
+        }
+        m.finish(self.stats(), self.hot_cache_stats())
+    }
+
+    /// The flash reads each index lookup needed so far, summed over the
+    /// shards' per-lookup histograms. Gets answered in front of the lock
+    /// ran no index lookup and are not in it.
+    pub fn reads_per_lookup(&self) -> ReadsPerLookup {
+        let mut histo = [0; 16];
+        for shard in 0..self.shards.len() {
+            let dev = self.lock(shard);
+            for (total, n) in histo.iter_mut().zip(dev.index().stats().reads_per_lookup_histo) {
+                *total += n;
+            }
+        }
+        ReadsPerLookup::from_histo(histo)
     }
 
     /// Device-wide stats: field-wise sum over shards.
@@ -798,10 +829,10 @@ impl<I: IndexBackend + Send> ShardedKvssd<I> {
         f(&mut self.lock(shard))
     }
 
-    /// Install one telemetry sink across every shard. Shards share the
-    /// sink's registry and trace ring; spans and gauges are tagged with
-    /// the shard id, so per-queue behaviour (resize stalls, queue depth,
-    /// occupancy skew) stays distinguishable in the merged stream.
+    /// Install one span tracer across every shard. Shards share the
+    /// sink's trace ring; spans are tagged with the shard id, so
+    /// per-queue behaviour (resize stalls, cache traffic) stays
+    /// distinguishable in the merged stream.
     pub fn set_telemetry(&self, sink: rhik_telemetry::TelemetrySink) {
         for (shard, fast) in self.fast.iter().enumerate() {
             self.lock(shard).set_telemetry_shard(sink.clone(), shard as u32);
@@ -963,13 +994,31 @@ mod tests {
         let spans = sink.spans();
         let shards_seen: std::collections::BTreeSet<u32> = spans.iter().map(|s| s.shard).collect();
         assert!(shards_seen.len() > 1, "spans from one shard only: {shards_seen:?}");
-        let snap = sink.snapshot().unwrap();
-        assert_eq!(snap.counter("kvssd_puts"), 400);
-        assert_eq!(snap.counter("kvssd_gets"), 400);
-        // Per-shard gauges exist for every shard that saw traffic.
-        for s in &shards_seen {
-            assert!(snap.gauge(&format!("shard{s}_index_occupancy")).is_some());
+    }
+
+    #[test]
+    fn metrics_sum_the_shards_and_gauge_each_one() {
+        let dev = sharded(4);
+        for i in 0..400u64 {
+            dev.put(format!("obs-{i}").as_bytes(), b"v").unwrap();
+            dev.get(format!("obs-{i}").as_bytes()).unwrap();
         }
+        let m = dev.metrics();
+        assert_eq!(m.counter("kvssd_puts"), 400);
+        assert_eq!(m.counter("kvssd_gets"), 400);
+        assert_eq!(m.histogram("get_latency_ns").map(|h| h.count()), Some(400));
+        let programs: u64 =
+            (0..4).map(|s| dev.with_shard(s, |d| d.ftl().nand_stats().page_programs)).sum();
+        assert_eq!(m.counter("nand_page_programs"), programs);
+        // Each shard's gauges, computed from its live state.
+        for s in 0..4 {
+            let occupancy =
+                dev.with_shard(s, |d| d.key_count() as f64 / d.index().capacity().unwrap() as f64);
+            assert_eq!(m.gauge(&format!("shard{s}_index_occupancy")), Some(occupancy));
+            assert_eq!(m.gauge(&format!("shard{s}_queue_depth")), Some(0.0));
+        }
+        // No hot cache, no hot-cache metrics.
+        assert_eq!(m.gauge("hot_cache_bytes"), None);
     }
 
     #[test]
@@ -1219,7 +1268,7 @@ mod tests {
 
     /// Gets that end in the hot cache, on the lock-free path (hit and
     /// miss) and in the locked pass are each counted once, in every view
-    /// of the device: stats, latency histogram, telemetry, and the
+    /// of the device: stats, latency histogram, metrics, spans, and the
     /// cache / lock-free split.
     #[test]
     fn every_get_path_is_counted_once() {
@@ -1239,7 +1288,7 @@ mod tests {
         for (i, key) in buffered.iter().enumerate() {
             dev.put(key.as_bytes(), value(100 + i as u64).as_bytes()).unwrap();
         }
-        let put_ops = sink.snapshot().unwrap();
+        let put_ops = dev.metrics();
 
         let mut gets = [0u64; 4];
         let mut bytes = [0u64; 4];
@@ -1274,8 +1323,9 @@ mod tests {
         assert_eq!(total.bytes_read, bytes.iter().sum::<u64>());
         assert_eq!(total.not_found, misses);
         assert_eq!(dev.get_latencies().count(), issued);
-        let snap = sink.snapshot().unwrap().since(&put_ops);
+        let snap = dev.metrics().since(&put_ops);
         assert_eq!(snap.counter("kvssd_gets"), issued);
+        assert_eq!(snap.histogram("get_latency_ns").map(|h| h.count()), Some(issued));
         let spans = sink.spans();
         for shard in 0..4 {
             let stats = dev.shard_stats(shard);
@@ -1337,11 +1387,39 @@ mod tests {
     }
 
     #[test]
+    fn audit_joins_the_read_view_against_the_index() {
+        let dev = sharded(2);
+        for i in 0..50u64 {
+            dev.put(format!("view-{i:02}").as_bytes(), b"v").unwrap();
+        }
+        assert!(dev.audit(&mut rhik_audit::DeviceAuditor::new()).is_ok());
+        let sig = dev.hasher.sign(b"view-07");
+        let shard = dev.shard_of(sig);
+        let head = dev.with_shard(shard, |d| d.locate(b"view-07")).unwrap().expect("indexed");
+        let diverged = |view: Option<Ppa>| {
+            vec![rhik_audit::InvariantViolation::ReadViewDiverged {
+                shard: shard as u32,
+                sig: sig.0,
+                view: view.map(|p| (p.block, p.page)),
+                index: Some((head.block, head.page)),
+            }]
+        };
+        // A view entry pointing at another head page.
+        let wrong = Ppa::new(head.block + 1, head.page);
+        dev.fast[shard].view.upsert(sig.0, wrong);
+        assert_eq!(
+            dev.audit(&mut rhik_audit::DeviceAuditor::new()).violations,
+            diverged(Some(wrong))
+        );
+        // A missing one.
+        dev.fast[shard].view.remove(sig.0);
+        assert_eq!(dev.audit(&mut rhik_audit::DeviceAuditor::new()).violations, diverged(None));
+    }
+
+    #[test]
     fn hot_cache_hits_skip_flash_and_stay_coherent() {
         let dev =
             ShardedKvssd::rhik(DeviceConfig::small().with_shards(4).with_hot_cache(128 * 1024));
-        let sink = rhik_telemetry::TelemetrySink::enabled();
-        dev.set_telemetry(sink.clone());
         for i in 0..100u64 {
             dev.put(format!("hc-{i:03}").as_bytes(), format!("v0-{i}").as_bytes()).unwrap();
         }
@@ -1356,10 +1434,12 @@ mod tests {
         let stats = dev.hot_cache_stats().expect("cache enabled");
         assert!(stats.admits > 0, "pass 1 should admit: {stats:?}");
         assert_eq!(stats.hits, 100, "pass 2 should be all hits: {stats:?}");
-        let snap = sink.snapshot().unwrap();
-        assert_eq!(snap.counter("hot_cache_hits"), 100);
-        assert_eq!(snap.counter("kvssd_gets"), 200, "hits still count as gets");
-        assert!(snap.gauge("hot_cache_bytes").unwrap() > 0.0);
+        let m = dev.metrics();
+        assert_eq!(m.counter("hot_cache_hits"), 100);
+        assert_eq!(m.counter("kvssd_gets"), 200, "hits still count as gets");
+        assert!(stats.bytes > 0);
+        assert_eq!(m.gauge("hot_cache_bytes"), Some(stats.bytes as f64));
+        assert_eq!(m.gauge("hot_cache_entries"), Some(stats.entries as f64));
 
         // Every mutation invalidates its cached entry.
         for i in 0..100u64 {

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use rhik_kvssd::{DeviceConfig, KvError, ShardedKvssd, TelemetrySink};
+use rhik_kvssd::{DeviceConfig, KvError, ShardedKvssd, Stage, TelemetrySink};
 
 const BUDGET: u64 = 32 * 1024;
 
@@ -210,9 +210,9 @@ fn cache_stays_coherent_under_gc_and_concurrent_audit() {
     assert!(report.is_ok(), "final audit:\n{report}");
 }
 
-/// Cache hits must report zero flash reads into the telemetry
-/// distribution: the ≤ 1-read-per-lookup bound (the paper's headline
-/// invariant) holds with the DRAM tier in front of the index.
+/// Cache hits are traced as gets with zero flash reads, and the ≤ 1-read-
+/// per-lookup bound (the paper's headline invariant) holds for every
+/// lookup the index served behind the DRAM tier.
 #[test]
 fn cache_hits_preserve_the_one_read_lookup_bound() {
     let dev = cached(2);
@@ -229,10 +229,17 @@ fn cache_hits_preserve_the_one_read_lookup_bound() {
             assert_eq!(&got[..], format!("v{k}").as_bytes());
         }
     }
-    let rpl = sink.reads_per_lookup().expect("sink enabled");
+    let rpl = dev.reads_per_lookup();
     assert!(rpl.invariant_ok(), "lookup read bound violated: max {} flash reads", rpl.max);
     assert_eq!(rpl.pct_within(1), 100.0);
-    let snap = sink.snapshot().expect("sink enabled");
-    assert!(snap.counter("hot_cache_hits") >= 200, "second and third passes should hit");
-    assert_eq!(snap.counter("kvssd_gets"), 600, "hits count as gets");
+    let hot_hits = sink
+        .spans()
+        .iter()
+        .filter(|s| s.stages.iter().any(|e| e.stage == Stage::CacheHotHit))
+        .inspect(|s| assert_eq!(s.lookup_flash_reads, 0, "a cache hit read flash"))
+        .count() as u64;
+    let m = dev.metrics();
+    assert!(m.counter("hot_cache_hits") >= 200, "second and third passes should hit");
+    assert_eq!(m.counter("hot_cache_hits"), hot_hits);
+    assert_eq!(m.counter("kvssd_gets"), 600, "hits count as gets");
 }

@@ -2,7 +2,6 @@
 //! discipline.
 
 use bytes::Bytes;
-use rhik_telemetry::TelemetrySink;
 
 use crate::block::{Block, BlockState};
 use crate::fault::FaultPlan;
@@ -34,7 +33,6 @@ pub struct NandArray {
     pages: Vec<Option<PageStore>>,
     stats: NandStats,
     faults: FaultPlan,
-    telemetry: TelemetrySink,
 }
 
 impl NandArray {
@@ -44,20 +42,7 @@ impl NandArray {
         geometry.validate().expect("invalid NAND geometry");
         let blocks = (0..geometry.blocks).map(|_| Block::new(geometry.pages_per_block)).collect();
         let pages = vec![None; geometry.total_pages() as usize];
-        NandArray {
-            geometry,
-            blocks,
-            pages,
-            stats: NandStats::default(),
-            faults: FaultPlan::new(),
-            telemetry: TelemetrySink::disabled(),
-        }
-    }
-
-    /// Install a telemetry sink; media ops are mirrored into it as
-    /// `nand_*` counters.
-    pub fn set_telemetry(&mut self, sink: TelemetrySink) {
-        self.telemetry = sink;
+        NandArray { geometry, blocks, pages, stats: NandStats::default(), faults: FaultPlan::new() }
     }
 
     #[inline]
@@ -135,7 +120,6 @@ impl NandArray {
         }
         if !self.faults.is_empty() && self.faults.take_program_fault(ppa) {
             self.stats.program_failures += 1;
-            self.telemetry.counter_add("nand_program_failures", 1);
             // A failed program still consumes the page: real NAND marks it
             // unusable until erase, and the FTL must move on.
             self.blocks[ppa.block as usize].advance();
@@ -144,7 +128,6 @@ impl NandArray {
 
         self.stats.page_programs += 1;
         self.stats.bytes_programmed += (data.len() + spare.len()) as u64;
-        self.telemetry.counter_add("nand_page_programs", 1);
         let idx = self.page_index(ppa);
         self.pages[idx] = Some(PageStore { data, spare });
         self.blocks[ppa.block as usize].advance();
@@ -158,7 +141,6 @@ impl NandArray {
         }
         if !self.faults.is_empty() && self.faults.has_read_fault(ppa) {
             self.stats.read_failures += 1;
-            self.telemetry.counter_add("nand_read_failures", 1);
             return Err(NandError::ReadFailed(ppa));
         }
         let idx = self.page_index(ppa);
@@ -166,7 +148,6 @@ impl NandArray {
             Some(store) => {
                 self.stats.page_reads += 1;
                 self.stats.bytes_read += (store.data.len() + store.spare.len()) as u64;
-                self.telemetry.counter_add("nand_page_reads", 1);
                 Ok((store.data.clone(), store.spare.clone()))
             }
             None => Err(NandError::ReadUnwritten(ppa)),
@@ -193,7 +174,6 @@ impl NandArray {
         }
         self.blocks[block as usize].erase();
         self.stats.block_erases += 1;
-        self.telemetry.counter_add("nand_block_erases", 1);
         Ok(())
     }
 
@@ -388,25 +368,6 @@ mod tests {
         assert_eq!(a.stats().read_failures, 2);
         a.faults_mut().clear_read(ppa);
         assert!(a.read(ppa).is_ok());
-    }
-
-    #[test]
-    fn telemetry_mirrors_media_ops() {
-        let mut a = array();
-        let sink = rhik_telemetry::TelemetrySink::enabled();
-        a.set_telemetry(sink.clone());
-        let ppa = Ppa::new(0, 0);
-        a.program(ppa, bytes(b"x"), Bytes::new()).unwrap();
-        a.read(ppa).unwrap();
-        a.erase(0).unwrap();
-        a.faults_mut().fail_read(ppa);
-        a.program(ppa, bytes(b"x"), Bytes::new()).unwrap();
-        assert!(a.read(ppa).is_err());
-        let snap = sink.snapshot().unwrap();
-        assert_eq!(snap.counter("nand_page_programs"), 2);
-        assert_eq!(snap.counter("nand_page_reads"), 1);
-        assert_eq!(snap.counter("nand_block_erases"), 1);
-        assert_eq!(snap.counter("nand_read_failures"), 1);
     }
 
     #[test]

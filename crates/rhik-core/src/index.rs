@@ -356,6 +356,13 @@ impl RhikIndex {
         self.dir_snapshot.iter().enumerate().map(|(i, &ppa)| (DIR_PAGE_KEY | i as u64, ppa))
     }
 
+    /// Every stored `signature → head` pair, read from the cached or flash
+    /// copy of each live table without charging a flash read — the
+    /// authoritative side of the auditor's read-view and hot-cache joins.
+    pub fn peek_records(&self, ftl: &Ftl) -> std::collections::HashMap<u64, Ppa> {
+        pages::peek_records(self, ftl)
+    }
+
     /// Snapshot the index's cross-layer claims for the invariant auditor:
     /// every flash page the directory owns (with the spare-area kind the
     /// auditor should find there, and whether a clean cached copy differs
@@ -533,9 +540,7 @@ impl IndexBackend for RhikIndex {
                 return Err(FtlError::TableFull { table: slot as u64 });
             }
         };
-        if displacements > 0 {
-            ftl.telemetry().counter_add("rhik_hopscotch_displacements", displacements);
-        }
+        self.stats.hopscotch_displacements += displacements;
         self.maybe_resize(ftl)?;
         self.maybe_flush_directory(ftl)?;
         Ok(outcome)
@@ -559,7 +564,7 @@ impl IndexBackend for RhikIndex {
             reads += r2;
             hit = overflow.lookup(ftl, sig);
         }
-        self.stats.note_lookup_reads(reads);
+        self.stats.count_lookup(reads);
         Ok(hit)
     }
 
@@ -1080,13 +1085,13 @@ mod tests {
             idx.insert(&mut ftl, sig(i ^ 0xF00D_0000), Ppa::new(0, (i % 8) as u32)).unwrap();
             if i % 50 == 0 {
                 let report =
-                    auditor.check_device(&ftl.audit_flash(0), &idx.audit_snapshot(&ftl, 0), &[]);
+                    auditor.check_device(&ftl.audit_flash(0), &idx.audit_snapshot(&ftl, 0));
                 assert!(report.is_ok(), "mid-fill audit failed: {report}");
             }
         }
         assert!(idx.stats().resizes.len() >= 2, "audit must cover post-resize state");
         idx.flush(&mut ftl).unwrap();
-        let report = auditor.check_device(&ftl.audit_flash(0), &idx.audit_snapshot(&ftl, 0), &[]);
+        let report = auditor.check_device(&ftl.audit_flash(0), &idx.audit_snapshot(&ftl, 0));
         assert!(report.is_ok(), "post-flush audit failed: {report}");
         let snap = idx.audit_snapshot(&ftl, 0);
         assert_eq!(snap.len, idx.len());
@@ -1117,7 +1122,7 @@ mod tests {
                 let snap = idx.audit_snapshot(&ftl, 0);
                 let m = snap.migration.as_ref().expect("migration reported");
                 assert_eq!(m.migrated + m.pending, m.keys_before, "accounting broke mid-split");
-                let report = auditor.check_device(&ftl.audit_flash(0), &snap, &[]);
+                let report = auditor.check_device(&ftl.audit_flash(0), &snap);
                 assert!(report.is_ok(), "mid-migration audit failed: {report}");
             }
         }
@@ -1191,12 +1196,12 @@ mod tests {
 
         let mut auditor = rhik_audit::DeviceAuditor::new();
         assert_eq!(idx.lookup(&mut ftl, x).unwrap(), Some(new), "mid-doubling");
-        let report = auditor.check_device(&ftl.audit_flash(0), &idx.audit_snapshot(&ftl, 0), &[]);
+        let report = auditor.check_device(&ftl.audit_flash(0), &idx.audit_snapshot(&ftl, 0));
         assert!(report.is_ok(), "mid-doubling audit: {report}");
         while idx.maintain_step(&mut ftl).unwrap() {}
         assert!(!idx.resize_in_progress());
         assert_eq!(idx.lookup(&mut ftl, x).unwrap(), Some(new), "after the doubling");
-        let report = auditor.check_device(&ftl.audit_flash(0), &idx.audit_snapshot(&ftl, 0), &[]);
+        let report = auditor.check_device(&ftl.audit_flash(0), &idx.audit_snapshot(&ftl, 0));
         assert!(report.is_ok(), "post-doubling audit: {report}");
     }
 

@@ -28,7 +28,10 @@
 //!   repoint the table, retire the copy it replaces. [`retire`] drops a
 //!   table for good;
 //! * [`live_pages_in`], [`relocate`] and [`scan_records`] walk the live
-//!   tables in the index's fixed order for GC and iterators.
+//!   tables in the index's fixed order for GC and iterators;
+//!   [`peek_records`] reads them for the auditor, charging nothing.
+
+use std::collections::HashMap;
 
 use bytes::Bytes;
 use rhik_ftl::cache::Evicted;
@@ -191,6 +194,23 @@ pub fn live_pages_in<I: CachedTables>(index: &I, block: u32) -> Vec<(u64, Ppa)> 
         .tables()
         .filter_map(|(key, ppa, _)| ppa.filter(|p| p.block == block).map(|p| (key, p)))
         .collect()
+}
+
+/// Every stored `signature → ppa`, read without a flash read and without
+/// touching the cache's counters or order: each live table's resident
+/// copy, or else its flash copy (for the auditor's joins).
+pub fn peek_records<I: CachedTables>(index: &I, ftl: &Ftl) -> HashMap<u64, Ppa> {
+    let (records, hop_width) = index.table_shape();
+    let mut heads = HashMap::new();
+    for (key, ppa, _) in index.tables() {
+        let cached = ftl.cache_ref().peek(key).cloned();
+        let Some(page) = cached.or_else(|| ppa.and_then(|p| ftl.peek_page(p)).map(|(d, _)| d))
+        else {
+            continue;
+        };
+        heads.extend(TablePage::new(&page[..], records, hop_width).iter().map(|(s, p)| (s.0, p)));
+    }
+    heads
 }
 
 /// Visit every stored `(signature, ppa)`, table by table in table order,

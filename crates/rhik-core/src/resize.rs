@@ -177,7 +177,7 @@ pub(crate) fn begin(idx: &mut RhikIndex, ftl: &mut Ftl) -> Result<(), FtlError> 
         steps: 0,
         max_step_media_ns: 0,
     });
-    ftl.telemetry().counter_add("rhik_resizes_started", 1);
+    idx.stats_mut().resizes_started += 1;
     Ok(())
 }
 
@@ -213,15 +213,10 @@ pub(crate) fn step(
     m.media_ns += step_media;
     m.steps += 1;
     m.max_step_media_ns = m.max_step_media_ns.max(step_media);
-    let telemetry = ftl.telemetry();
-    if telemetry.is_enabled() {
-        telemetry.counter_add("rhik_resize_steps", 1);
-        if let Ok(split) = &result {
-            telemetry.counter_add("rhik_resize_slots_migrated", *split as u64);
-        }
-        if m.finalized {
-            telemetry.counter_add("rhik_resizes_completed", 1);
-        }
+    let stats = idx.stats_mut();
+    stats.resize_steps += 1;
+    if let Ok(split) = &result {
+        stats.resize_slots_migrated += *split as u64;
     }
     if m.finalized {
         debug_assert_eq!(m.migrated, m.keys_before, "resize lost records");

@@ -87,17 +87,13 @@ pub struct TenantStats {
     pub lane_full: Counter,
 }
 
-/// One tenant: quota buckets + stats + pre-formatted telemetry names
-/// (formatted once here so the per-op path never allocates for a label).
+/// One tenant: quota buckets + stats.
 pub struct Tenant {
     pub id: usize,
     pub spec: TenantSpec,
     op_bucket: Option<Mutex<TokenBucket>>,
     byte_bucket: Option<Mutex<TokenBucket>>,
     pub stats: TenantStats,
-    pub metric_ops: String,
-    pub metric_bytes: String,
-    pub metric_throttled: String,
 }
 
 impl Tenant {
@@ -106,19 +102,7 @@ impl Tenant {
             (spec.ops_per_sec > 0).then(|| Mutex::new(TokenBucket::new(spec.ops_per_sec)));
         let byte_bucket =
             (spec.bytes_per_sec > 0).then(|| Mutex::new(TokenBucket::new(spec.bytes_per_sec)));
-        let metric_ops = format!("server.tenant.{}.ops", spec.name);
-        let metric_bytes = format!("server.tenant.{}.bytes", spec.name);
-        let metric_throttled = format!("server.tenant.{}.throttled", spec.name);
-        Tenant {
-            id,
-            spec,
-            op_bucket,
-            byte_bucket,
-            stats: TenantStats::default(),
-            metric_ops,
-            metric_bytes,
-            metric_throttled,
-        }
+        Tenant { id, spec, op_bucket, byte_bucket, stats: TenantStats::default() }
     }
 
     /// Admit one op carrying `payload_bytes` of key+value, or defer it.

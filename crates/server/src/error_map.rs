@@ -7,7 +7,7 @@
 //! answers the nil bulk and DEL/EXISTS answer `:0`, exactly like Redis.
 
 use bytes::Bytes;
-use rhik_kvssd::{BatchOp, BatchReply, KvError};
+use rhik_kvssd::{BatchReply, KvError};
 
 /// One wire-level reply, in the order the commands arrived. `Value`
 /// keeps the payload as shared [`Bytes`] so a cache-tier hit is written
@@ -88,16 +88,6 @@ pub fn reply_for(reply: &BatchReply) -> Reply {
             Reply::Int(0)
         }
         BatchReply::Exists(Err(e)) => Reply::Error(error_text(e)),
-    }
-}
-
-/// Debug-readable op name for telemetry labels.
-pub fn op_name(op: &BatchOp) -> &'static str {
-    match op {
-        BatchOp::Get { .. } => "get",
-        BatchOp::Put { .. } => "set",
-        BatchOp::Delete { .. } => "del",
-        BatchOp::Exists { .. } => "exists",
     }
 }
 

@@ -29,15 +29,23 @@ use std::time::Duration;
 use rhik_ftl::sync::{Counter, Mutex};
 use rhik_ftl::IndexBackend;
 use rhik_kvssd::{BatchOp, ShardedKvssd};
-use rhik_telemetry::TelemetrySink;
 
 use crate::admission::{DrrQueue, TenantRegistry, TenantSpec};
 use crate::conn::{Connection, Mailbox};
 use crate::error_map::{reply_for, Reply};
 use crate::resp::{self, Cmd, Limits, Parse};
 
-/// Everything tunable about one server instance. Defaults suit tests
-/// and the loopback bench; the binary exposes the interesting ones.
+/// Max ops per `submit_batch` call.
+const MAX_BATCH: usize = 64;
+/// DRR quantum in payload bytes per lane visit.
+const QUANTUM_BYTES: usize = 2048;
+/// Accepted connections per worker; beyond this, accepts are refused.
+const MAX_CONNS: usize = 1024;
+/// Sleep for a fully idle poll pass.
+const IDLE_SLEEP: Duration = Duration::from_micros(50);
+
+/// Everything a caller sets about one server instance. Defaults suit
+/// tests and the loopback bench; the binary exposes the interesting ones.
 #[derive(Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks a free port (read it back via
@@ -56,18 +64,8 @@ pub struct ServerConfig {
     pub write_budget: usize,
     /// Per-tenant per-shard submission-lane capacity (ops).
     pub lane_cap: usize,
-    /// Max ops per `submit_batch` call.
-    pub max_batch: usize,
-    /// DRR quantum in payload bytes per lane visit.
-    pub quantum_bytes: usize,
-    /// Accepted connections per worker; beyond this, accepts are refused.
-    pub max_conns: usize,
-    /// Sleep for a fully idle poll pass.
-    pub idle_sleep_us: u64,
     /// Tenant set; a `default` unlimited tenant is added if absent.
     pub tenants: Vec<TenantSpec>,
-    /// Sink for per-tenant counters (disabled by default).
-    pub telemetry: TelemetrySink,
 }
 
 impl Default for ServerConfig {
@@ -80,12 +78,7 @@ impl Default for ServerConfig {
             read_high: 64 * 1024,
             write_budget: 256 * 1024,
             lane_cap: 256,
-            max_batch: 64,
-            quantum_bytes: 2048,
-            max_conns: 1024,
-            idle_sleep_us: 50,
             tenants: Vec::new(), // bounded-by: fixed config-time tenant list; never grows after startup
-            telemetry: TelemetrySink::disabled(),
         }
     }
 }
@@ -118,7 +111,6 @@ struct QueuedOp {
     op: BatchOp,
     slot: u64,
     mailbox: Arc<Mailbox>,
-    tenant: usize,
 }
 
 /// State shared by all workers and the handle.
@@ -165,7 +157,7 @@ pub fn start<I: IndexBackend + Send + 'static>(
     let registry = TenantRegistry::new(cfg.tenants.clone());
     let weights: Vec<u32> = registry.all().iter().map(|t| t.spec.weight).collect();
     let queues = (0..device.shard_count())
-        .map(|_| Mutex::new(DrrQueue::new(cfg.quantum_bytes, cfg.lane_cap, &weights)))
+        .map(|_| Mutex::new(DrrQueue::new(QUANTUM_BYTES, cfg.lane_cap, &weights)))
         .collect();
     let drain_claims = (0..device.shard_count()).map(|_| Mutex::new(())).collect();
 
@@ -242,12 +234,6 @@ impl<I: IndexBackend + Send + 'static> ServerHandle<I> {
         for j in self.joins.drain(..) {
             let _ = j.join();
         }
-        // Final per-tenant counter publication so short-lived servers
-        // still leave a telemetry trace.
-        let sink = &self.shared.cfg.telemetry;
-        for t in self.shared.registry.all() {
-            sink.counter_add(&t.metric_throttled, t.stats.throttled.get());
-        }
     }
 }
 
@@ -260,9 +246,9 @@ impl<I: IndexBackend + Send + 'static> Drop for ServerHandle<I> {
 fn worker_loop<I: IndexBackend + Send>(listener: Arc<TcpListener>, shared: Arc<Shared<I>>) {
     let cfg = &shared.cfg;
     let mut conns: Vec<Connection> = Vec::new();
-    let mut batch: Vec<QueuedOp> = Vec::with_capacity(cfg.max_batch);
-    let mut ops: Vec<BatchOp> = Vec::with_capacity(cfg.max_batch);
-    let mut meta: Vec<(u64, Arc<Mailbox>, usize)> = Vec::with_capacity(cfg.max_batch);
+    let mut batch: Vec<QueuedOp> = Vec::with_capacity(MAX_BATCH);
+    let mut ops: Vec<BatchOp> = Vec::with_capacity(MAX_BATCH);
+    let mut meta: Vec<(u64, Arc<Mailbox>)> = Vec::with_capacity(MAX_BATCH);
 
     while shared.shutdown.get() == 0 {
         let mut progress = false;
@@ -273,7 +259,7 @@ fn worker_loop<I: IndexBackend + Send>(listener: Arc<TcpListener>, shared: Arc<S
             match listener.accept() {
                 Ok((stream, _)) => {
                     progress = true;
-                    if conns.len() >= cfg.max_conns {
+                    if conns.len() >= MAX_CONNS {
                         shared.conns_refused.incr();
                         drop(stream);
                         continue;
@@ -323,7 +309,7 @@ fn worker_loop<I: IndexBackend + Send>(listener: Arc<TcpListener>, shared: Arc<S
             batch.clear();
             {
                 let mut q = shared.queues[shard].lock().unwrap_or_else(|p| p.into_inner());
-                q.assemble(cfg.max_batch, &mut batch);
+                q.assemble(MAX_BATCH, &mut batch);
             }
             if batch.is_empty() {
                 continue;
@@ -332,24 +318,18 @@ fn worker_loop<I: IndexBackend + Send>(listener: Arc<TcpListener>, shared: Arc<S
             ops.clear();
             meta.clear();
             for qop in batch.drain(..) {
-                meta.push((qop.slot, qop.mailbox, qop.tenant));
+                meta.push((qop.slot, qop.mailbox));
                 ops.push(qop.op);
             }
             let replies = shared.device.submit_batch(shard, &ops);
             shared.ops_served.add(replies.len() as u64);
-            let sink = &cfg.telemetry;
-            for (((slot, mailbox, tenant), reply), op) in
-                meta.drain(..).zip(replies).zip(ops.iter())
-            {
-                let t = &shared.registry.all()[tenant];
-                sink.counter_add(&t.metric_ops, 1);
-                sink.counter_add(&t.metric_bytes, op.payload_bytes() as u64);
+            for ((slot, mailbox), reply) in meta.drain(..).zip(replies) {
                 mailbox.post(slot, reply_for(&reply));
             }
         }
 
         if !progress {
-            thread::sleep(Duration::from_micros(cfg.idle_sleep_us));
+            thread::sleep(IDLE_SLEEP);
         }
     }
 }
@@ -489,7 +469,7 @@ fn enqueue_kv<I: IndexBackend + Send>(
         Cmd::Ping | Cmd::Auth { .. } | Cmd::Quit => return true,
     };
     let slot = pending.alloc();
-    let queued = QueuedOp { op, slot, mailbox: Arc::clone(mailbox), tenant: tenant_id };
+    let queued = QueuedOp { op, slot, mailbox: Arc::clone(mailbox) };
     if q.push(tenant_id, payload.max(64), queued).is_err() {
         // Unreachable given the room check above, but degrade to an
         // error reply rather than losing the slot.

@@ -1,81 +1,17 @@
-//! Named metric registry: monotonic counters, point-in-time gauges, and
+//! A point-in-time set of named metrics: monotonic counters, gauges and
 //! log-bucketed latency histograms, with snapshot-and-diff plus JSON and
-//! Prometheus text export. Hand-rolled serialization keeps the crate
-//! dependency-free.
+//! Prometheus text export. Devices build one from the stats their layers
+//! keep (`KvssdDevice::metrics`); hand-rolled serialization keeps the
+//! crate dependency-free.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::histogram::LatencyHistogram;
 
-/// Registry of named metrics. Names are free-form; the Prometheus exporter
-/// sanitizes them to `[a-zA-Z0-9_:]`.
-#[derive(Clone, Debug, Default)]
-pub struct MetricRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, LatencyHistogram>,
-}
-
-impl MetricRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `delta` to the named monotonic counter, creating it at zero.
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += delta;
-        } else {
-            self.counters.insert(name.to_string(), delta);
-        }
-    }
-
-    /// Set the named gauge to `value`.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        if let Some(g) = self.gauges.get_mut(name) {
-            *g = value;
-        } else {
-            self.gauges.insert(name.to_string(), value);
-        }
-    }
-
-    /// Record one sample into the named histogram, creating it if needed.
-    pub fn histogram_record(&mut self, name: &str, ns: u64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(ns);
-        } else {
-            let mut h = LatencyHistogram::new();
-            h.record(ns);
-            self.histograms.insert(name.to_string(), h);
-        }
-    }
-
-    /// Current counter value (zero if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
-        self.histograms.get(name)
-    }
-
-    /// Point-in-time copy of every metric.
-    pub fn snapshot(&self) -> MetricSnapshot {
-        MetricSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
-        }
-    }
-}
-
-/// Immutable copy of a registry, diffable against an earlier snapshot and
-/// exportable as JSON or Prometheus text.
+/// Named metrics at one instant, diffable against an earlier snapshot and
+/// exportable as JSON or Prometheus text. Names are free-form; the
+/// Prometheus exporter sanitizes them to `[a-zA-Z0-9_:]`.
 #[derive(Clone, Debug, Default)]
 pub struct MetricSnapshot {
     pub counters: BTreeMap<String, u64>,
@@ -240,72 +176,65 @@ fn sanitize_prom(name: &str) -> String {
 mod tests {
     use super::*;
 
+    fn snapshot(ops: u64, depth: f64, lat: &[u64]) -> MetricSnapshot {
+        let mut s = MetricSnapshot::default();
+        s.counters.insert("ops".into(), ops);
+        s.gauges.insert("depth".into(), depth);
+        let h = s.histograms.entry("lat".into()).or_default();
+        for &ns in lat {
+            h.record(ns);
+        }
+        s
+    }
+
     #[test]
-    fn counters_gauges_histograms() {
-        let mut r = MetricRegistry::new();
-        r.counter_add("ops", 2);
-        r.counter_add("ops", 3);
-        r.gauge_set("depth", 4.0);
-        r.gauge_set("depth", 7.5);
-        r.histogram_record("lat", 1_000);
-        r.histogram_record("lat", 2_000);
-        assert_eq!(r.counter("ops"), 5);
-        assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.gauge("depth"), Some(7.5));
-        assert_eq!(r.histogram("lat").unwrap().count(), 2);
+    fn accessors() {
+        let s = snapshot(5, 7.5, &[1_000, 2_000]);
+        assert_eq!(s.counter("ops"), 5);
+        assert_eq!(s.counter("missing"), 0);
+        assert_eq!(s.gauge("depth"), Some(7.5));
+        assert_eq!(s.gauge("missing"), None);
+        assert_eq!(s.histogram("lat").unwrap().count(), 2);
     }
 
     #[test]
     fn snapshot_diff() {
-        let mut r = MetricRegistry::new();
-        r.counter_add("ops", 5);
-        r.histogram_record("lat", 100);
-        let early = r.snapshot();
-        r.counter_add("ops", 7);
-        r.histogram_record("lat", 100);
-        r.histogram_record("lat", 100);
-        r.gauge_set("depth", 3.0);
-        let d = r.snapshot().since(&early);
+        let early = snapshot(5, 1.0, &[100]);
+        let late = snapshot(12, 3.0, &[100, 100, 100]);
+        let d = late.since(&early);
         assert_eq!(d.counter("ops"), 7);
         assert_eq!(d.histogram("lat").unwrap().count(), 2);
         assert_eq!(d.gauge("depth"), Some(3.0));
         // Diff against a later snapshot saturates instead of wrapping.
-        let rewound = early.since(&r.snapshot());
+        let rewound = early.since(&late);
         assert_eq!(rewound.counter("ops"), 0);
     }
 
     #[test]
     fn json_export_is_wellformed() {
-        let mut r = MetricRegistry::new();
-        r.counter_add("nand_page_reads", 12);
-        r.gauge_set("shard0_queue_depth", 2.0);
-        r.histogram_record("get_latency_ns", 90_000);
-        let json = r.snapshot().to_json();
+        let mut s = snapshot(12, 2.0, &[90_000]);
+        s.counters.insert("nand_page_reads".into(), 12);
+        let json = s.to_json();
         assert!(json.contains("\"nand_page_reads\": 12"));
-        assert!(json.contains("\"shard0_queue_depth\": 2.0"));
-        assert!(json.contains("\"get_latency_ns\""));
+        assert!(json.contains("\"depth\": 2.0"));
+        assert!(json.contains("\"lat\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
     fn prometheus_export() {
-        let mut r = MetricRegistry::new();
-        r.counter_add("ops", 3);
-        r.gauge_set("occupancy", 0.5);
-        r.histogram_record("lat", 1_000);
-        let text = r.snapshot().to_prometheus_text();
+        let text = snapshot(3, 0.5, &[1_000]).to_prometheus_text();
         assert!(text.contains("# TYPE ops_total counter"));
         assert!(text.contains("ops_total 3"));
-        assert!(text.contains("occupancy 0.5"));
+        assert!(text.contains("depth 0.5"));
         assert!(text.contains("lat_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("lat_count 1"));
     }
 
     #[test]
     fn prometheus_sanitizes_names() {
-        let mut r = MetricRegistry::new();
-        r.counter_add("weird name-with.bits", 1);
-        let text = r.snapshot().to_prometheus_text();
-        assert!(text.contains("weird_name_with_bits_total 1"));
+        let mut s = MetricSnapshot::default();
+        s.counters.insert("weird name-with.bits".into(), 1);
+        assert!(s.to_prometheus_text().contains("weird_name_with_bits_total 1"));
     }
 }

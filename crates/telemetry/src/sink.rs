@@ -1,102 +1,55 @@
 //! The handle the rest of the stack holds. A disabled sink is a `None` —
 //! every recording call is one branch and returns. An enabled sink shares
-//! one mutex-guarded state (registry + trace ring + invariant distribution)
-//! across clones, so sharded engines report into a single place.
+//! one mutex-guarded span ring across clones, so sharded engines trace
+//! into a single place. The sink keeps only the trace: counts live in
+//! the stats each layer keeps, and devices read them into a
+//! [`crate::MetricSnapshot`] when asked.
 //!
 //! # Hot-path buffering
 //!
-//! The two recording calls that sit on per-command paths — [`record_op`]
-//! (one per host command) and [`counter_add`] (one per media op) — do
-//! *not* take the shared mutex. They stage into a thread-local
-//! [`OpBuffer`] bound to the sink's state, which drains into the shared
-//! registry when it reaches [`OP_BUFFER_CAPACITY`] staged events, when
-//! the same thread calls any read or non-buffered write API, or when the
-//! thread exits (the buffer's `Drop` flushes). Consequence: a reader on
-//! thread A sees every event thread A recorded (reads flush the local
-//! buffer first) and every event recorded by threads that have flushed
-//! or exited; events still staged on other live threads lag by at most
-//! one buffer. Benches join their workers before reporting, and audits
-//! run between command batches, so both observe complete totals.
+//! [`record_span`] sits on per-command paths, so it does *not* take the
+//! shared mutex. It stages into a thread-local [`SpanBuffer`] bound to
+//! the sink's ring, which drains into the ring when it holds
+//! [`SPAN_BUFFER_CAPACITY`] spans, when the same thread calls any read
+//! API, or when the thread exits (the buffer's `Drop` flushes).
+//! Consequence: a reader on thread A sees every span thread A recorded
+//! (reads flush the local buffer first) and every span recorded by
+//! threads that have flushed or exited; spans still staged on other live
+//! threads lag by at most one buffer. Benches join their workers before
+//! reporting, so they observe complete traces.
 //!
-//! [`record_op`]: TelemetrySink::record_op
-//! [`counter_add`]: TelemetrySink::counter_add
+//! [`record_span`]: TelemetrySink::record_span
 
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::registry::{MetricRegistry, MetricSnapshot};
 use crate::trace::{OpSpan, TraceRing};
-use crate::views::{Attribution, ReadsPerLookup};
+use crate::views::Attribution;
 
-/// Staged events per thread before the buffer drains into the shared
-/// state. 64 commands of lag bounds both memory and staleness while
-/// cutting mutex acquisitions by ~64× on the hot path.
-pub const OP_BUFFER_CAPACITY: usize = 64;
+/// Spans staged per thread before the buffer drains into the ring. 64
+/// commands of lag bounds both memory and staleness while cutting mutex
+/// acquisitions by ~64× on the hot path.
+pub const SPAN_BUFFER_CAPACITY: usize = 64;
 
-/// One buffered [`TelemetrySink::record_op`] call. Counter and histogram
-/// names are `'static` so staging never allocates for them; the span's
-/// stage vector is the only owned payload (and was built regardless).
-struct BufferedOp {
-    span: OpSpan,
-    op_counter: &'static str,
-    latency: Option<(&'static str, u64)>,
-    lookup_reads: Option<u64>,
+/// Per-thread staging area, bound to one sink's ring.
+struct SpanBuffer {
+    ring: Arc<Mutex<TraceRing>>,
+    spans: Vec<OpSpan>,
 }
 
-/// Per-thread staging area, bound to one sink state. Counter deltas and
-/// gauge values coalesce in place (names allocate once per thread), so
-/// steady-state staging is allocation-free.
-struct OpBuffer {
-    state: Arc<Mutex<TelemetryState>>,
-    ops: Vec<BufferedOp>,
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
-    /// Events staged since the last drain (ops + counter calls).
-    staged: usize,
-}
-
-impl OpBuffer {
-    fn new(state: Arc<Mutex<TelemetryState>>) -> Self {
-        OpBuffer {
-            state,
-            ops: Vec::with_capacity(OP_BUFFER_CAPACITY),
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            staged: 0,
-        }
-    }
-
+impl SpanBuffer {
     fn flush(&mut self) {
-        if self.staged == 0 && self.gauges.is_empty() {
+        if self.spans.is_empty() {
             return;
         }
-        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        for op in self.ops.drain(..) {
-            s.registry.counter_add(op.op_counter, 1);
-            if let Some((name, ns)) = op.latency {
-                s.registry.histogram_record(name, ns);
-            }
-            if let Some(reads) = op.lookup_reads {
-                s.reads_per_lookup.note(reads);
-            }
-            s.trace.push(op.span);
+        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+        for span in self.spans.drain(..) {
+            ring.push(span);
         }
-        for (name, delta) in &mut self.counters {
-            if *delta > 0 {
-                s.registry.counter_add(name, *delta);
-                *delta = 0;
-            }
-        }
-        // Gauges are last-write-wins; applying the latest staged value
-        // at drain time matches unbuffered semantics between drains.
-        for (name, value) in self.gauges.drain(..) {
-            s.registry.gauge_set(&name, value);
-        }
-        self.staged = 0;
     }
 }
 
-impl Drop for OpBuffer {
+impl Drop for SpanBuffer {
     fn drop(&mut self) {
         self.flush();
     }
@@ -104,24 +57,16 @@ impl Drop for OpBuffer {
 
 thread_local! {
     /// The current thread's staging buffer (bound to whichever enabled
-    /// sink state this thread last recorded into; rebinding flushes).
-    static OP_BUFFER: RefCell<Option<OpBuffer>> = const { RefCell::new(None) };
-}
-
-/// Everything an enabled sink accumulates.
-#[derive(Debug)]
-pub struct TelemetryState {
-    pub registry: MetricRegistry,
-    pub trace: TraceRing,
-    pub reads_per_lookup: ReadsPerLookup,
+    /// sink this thread last recorded into; rebinding flushes).
+    static SPAN_BUFFER: RefCell<Option<SpanBuffer>> = const { RefCell::new(None) };
 }
 
 /// Cloneable telemetry handle. [`TelemetrySink::disabled`] (the default)
 /// is a no-op: recording costs one branch. Clones of an enabled sink share
-/// the same state.
+/// the same span ring.
 #[derive(Clone, Debug, Default)]
 pub struct TelemetrySink {
-    inner: Option<Arc<Mutex<TelemetryState>>>,
+    inner: Option<Arc<Mutex<TraceRing>>>,
 }
 
 /// Default span-ring capacity for [`TelemetrySink::enabled`].
@@ -140,214 +85,79 @@ impl TelemetrySink {
 
     /// An enabled sink retaining at most `capacity` spans.
     pub fn with_trace_capacity(capacity: usize) -> Self {
-        TelemetrySink {
-            inner: Some(Arc::new(Mutex::new(TelemetryState {
-                registry: MetricRegistry::new(),
-                trace: TraceRing::with_capacity(capacity),
-                reads_per_lookup: ReadsPerLookup::default(),
-            }))),
-        }
+        TelemetrySink { inner: Some(Arc::new(Mutex::new(TraceRing::with_capacity(capacity)))) }
     }
 
     /// Whether recording calls do anything. Layers use this to skip the
-    /// work of *building* events, not just recording them.
+    /// work of *building* spans, not just recording them.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
-    /// Drain the *current thread's* staging buffer if it is bound to this
-    /// sink's state. Every read and non-buffered write path goes through
-    /// here first, so a thread always observes its own recordings.
-    fn flush_local(&self) {
-        let Some(state) = &self.inner else { return };
-        let _ = OP_BUFFER.try_with(|cell| {
-            if let Ok(mut slot) = cell.try_borrow_mut() {
-                if let Some(buf) = slot.as_mut() {
-                    if Arc::ptr_eq(&buf.state, state) {
-                        buf.flush();
-                    }
-                }
-            }
-        });
-    }
-
-    /// Run `f` against this thread's buffer bound to `state`, rebinding
-    /// (and thereby flushing) a buffer that belongs to a different sink.
-    /// Falls back to `direct` when thread-local storage is unavailable
-    /// (thread teardown) or the buffer is already borrowed.
-    fn with_buffer(
-        state: &Arc<Mutex<TelemetryState>>,
-        f: impl FnOnce(&mut OpBuffer),
-        direct: impl FnOnce(&mut TelemetryState),
-    ) {
-        let staged = OP_BUFFER.try_with(|cell| match cell.try_borrow_mut() {
-            Ok(mut slot) => {
-                let rebind = match slot.as_ref() {
-                    Some(buf) => !Arc::ptr_eq(&buf.state, state),
-                    None => true,
-                };
-                if rebind {
-                    // Dropping the old buffer flushes it into its own
-                    // (different) sink state.
-                    *slot = Some(OpBuffer::new(Arc::clone(state)));
-                }
-                let buf = slot.as_mut().expect("buffer bound above");
-                f(buf);
-                if buf.staged >= OP_BUFFER_CAPACITY {
-                    buf.flush();
-                }
-                true
-            }
-            Err(_) => false,
-        });
-        if !matches!(staged, Ok(true)) {
-            let mut s = state.lock().unwrap_or_else(|e| e.into_inner());
-            direct(&mut s);
-        }
-    }
-
-    fn lock(&self) -> Option<MutexGuard<'_, TelemetryState>> {
-        self.flush_local();
-        self.inner.as_ref().map(|m| m.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    /// Add to a named counter. Hot path: stages into the thread-local
-    /// buffer (deltas coalesce per name) instead of taking the mutex.
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        let Some(state) = &self.inner else { return };
-        Self::with_buffer(
-            state,
-            |buf| {
-                buf.staged += 1;
-                match buf.counters.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, d)) => *d += delta,
-                    None => buf.counters.push((name.to_owned(), delta)),
-                }
-            },
-            |s| s.registry.counter_add(name, delta),
-        );
-    }
-
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        if let Some(mut s) = self.lock() {
-            s.registry.gauge_set(name, value);
-        }
-    }
-
-    pub fn histogram_record(&self, name: &str, ns: u64) {
-        if let Some(mut s) = self.lock() {
-            s.registry.histogram_record(name, ns);
-        }
-    }
-
-    /// Push a completed op span into the trace ring.
+    /// Record one completed span. Hot path: stages into the thread-local
+    /// buffer instead of taking the ring's mutex. Falls back to a direct
+    /// push when thread-local storage is unavailable (thread teardown) or
+    /// the buffer is already borrowed.
     pub fn record_span(&self, span: OpSpan) {
-        if let Some(mut s) = self.lock() {
-            s.trace.push(span);
-        }
-    }
-
-    /// Record one completed command: its span, per-op counter, optional
-    /// latency histogram sample, optional lookup-read observation, and
-    /// any gauge refreshes. Device hot paths use this instead of six
-    /// separate recording calls. The whole record stages into the
-    /// thread-local buffer — no shared mutex until the buffer drains —
-    /// so per-op observability cost is a few thread-local writes.
-    pub fn record_op(
-        &self,
-        span: OpSpan,
-        op_counter: &'static str,
-        latency: Option<(&'static str, u64)>,
-        lookup_reads: Option<u64>,
-        gauges: &[(&str, f64)],
-    ) {
-        let Some(state) = &self.inner else { return };
+        let Some(ring) = &self.inner else { return };
         // `span` shuttles through an Option so exactly one of the two
         // paths (staged / direct) takes it by value.
         let mut span = Some(span);
-        let staged = OP_BUFFER.try_with(|cell| match cell.try_borrow_mut() {
-            Ok(mut slot) => {
-                let rebind = match slot.as_ref() {
-                    Some(buf) => !Arc::ptr_eq(&buf.state, state),
-                    None => true,
-                };
-                if rebind {
-                    *slot = Some(OpBuffer::new(Arc::clone(state)));
-                }
-                let buf = slot.as_mut().expect("buffer bound above");
-                buf.staged += 1;
-                buf.ops.push(BufferedOp {
-                    span: span.take().expect("staged path runs once"),
-                    op_counter,
-                    latency,
-                    lookup_reads,
+        let _ = SPAN_BUFFER.try_with(|cell| {
+            let Ok(mut slot) = cell.try_borrow_mut() else { return };
+            if !slot.as_ref().is_some_and(|buf| Arc::ptr_eq(&buf.ring, ring)) {
+                // Dropping the old buffer flushes it into its own
+                // (different) ring.
+                *slot = Some(SpanBuffer {
+                    ring: Arc::clone(ring),
+                    spans: Vec::with_capacity(SPAN_BUFFER_CAPACITY),
                 });
-                for &(name, value) in gauges {
-                    match buf.gauges.iter_mut().find(|(n, _)| n == name) {
-                        Some((_, v)) => *v = value,
-                        None => buf.gauges.push((name.to_owned(), value)),
-                    }
-                }
-                if buf.staged >= OP_BUFFER_CAPACITY {
+            }
+            let buf = slot.as_mut().expect("buffer bound above");
+            buf.spans.extend(span.take());
+            if buf.spans.len() >= SPAN_BUFFER_CAPACITY {
+                buf.flush();
+            }
+        });
+        if let Some(span) = span {
+            ring.lock().unwrap_or_else(|e| e.into_inner()).push(span);
+        }
+    }
+
+    /// The ring, after draining the *current thread's* staging buffer if
+    /// it is bound to it — so a thread always observes its own spans.
+    fn lock(&self) -> Option<MutexGuard<'_, TraceRing>> {
+        let ring = self.inner.as_ref()?;
+        let _ = SPAN_BUFFER.try_with(|cell| {
+            if let Ok(mut slot) = cell.try_borrow_mut() {
+                if let Some(buf) = slot.as_mut().filter(|buf| Arc::ptr_eq(&buf.ring, ring)) {
                     buf.flush();
                 }
-                true
             }
-            Err(_) => false,
         });
-        if !matches!(staged, Ok(true)) {
-            let mut s = state.lock().unwrap_or_else(|e| e.into_inner());
-            s.registry.counter_add(op_counter, 1);
-            if let Some((name, ns)) = latency {
-                s.registry.histogram_record(name, ns);
-            }
-            if let Some(reads) = lookup_reads {
-                s.reads_per_lookup.note(reads);
-            }
-            for &(name, value) in gauges {
-                s.registry.gauge_set(name, value);
-            }
-            s.trace.push(span.take().expect("direct path runs once"));
-        }
-    }
-
-    /// Feed one observed lookup into the ≤1-flash-read distribution.
-    pub fn note_lookup_reads(&self, reads: u64) {
-        if let Some(mut s) = self.lock() {
-            s.reads_per_lookup.note(reads);
-        }
-    }
-
-    /// Point-in-time copy of the registry (None when disabled).
-    pub fn snapshot(&self) -> Option<MetricSnapshot> {
-        self.lock().map(|s| s.registry.snapshot())
-    }
-
-    /// Copy of the live reads-per-lookup distribution (None when disabled).
-    pub fn reads_per_lookup(&self) -> Option<ReadsPerLookup> {
-        self.lock().map(|s| s.reads_per_lookup)
+        Some(ring.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Retained spans, oldest first (empty when disabled).
     pub fn spans(&self) -> Vec<OpSpan> {
-        self.lock().map(|s| s.trace.to_vec()).unwrap_or_default()
+        self.lock().map(|ring| ring.to_vec()).unwrap_or_default()
     }
 
     /// Spans overwritten because the ring was full.
     pub fn trace_dropped(&self) -> u64 {
-        self.lock().map(|s| s.trace.dropped()).unwrap_or(0)
+        self.lock().map(|ring| ring.dropped()).unwrap_or(0)
     }
 
     /// Per-stage attribution over the currently retained spans.
     pub fn attribution(&self) -> Attribution {
-        self.lock().map(|s| Attribution::from_spans(s.trace.iter())).unwrap_or_default()
+        self.lock().map(|ring| Attribution::from_spans(ring.iter())).unwrap_or_default()
     }
 
-    /// Drop all retained spans (the registry is left intact).
+    /// Drop all retained spans.
     pub fn clear_trace(&self) {
-        if let Some(mut s) = self.lock() {
-            s.trace.clear();
+        if let Some(mut ring) = self.lock() {
+            ring.clear();
         }
     }
 }
@@ -356,32 +166,6 @@ impl TelemetrySink {
 mod tests {
     use super::*;
     use crate::trace::{OpKind, Stage, StageEvent};
-
-    #[test]
-    fn disabled_sink_is_inert() {
-        let sink = TelemetrySink::disabled();
-        assert!(!sink.is_enabled());
-        sink.counter_add("ops", 1);
-        sink.note_lookup_reads(5);
-        assert!(sink.snapshot().is_none());
-        assert!(sink.reads_per_lookup().is_none());
-        assert!(sink.spans().is_empty());
-        assert_eq!(sink.attribution().ops, 0);
-        assert!(!TelemetrySink::default().is_enabled());
-    }
-
-    #[test]
-    fn clones_share_state() {
-        let sink = TelemetrySink::with_trace_capacity(8);
-        let other = sink.clone();
-        other.counter_add("ops", 3);
-        sink.counter_add("ops", 2);
-        other.gauge_set("depth", 1.5);
-        other.histogram_record("lat", 500);
-        assert_eq!(sink.snapshot().unwrap().counter("ops"), 5);
-        assert_eq!(sink.snapshot().unwrap().gauge("depth"), Some(1.5));
-        assert_eq!(sink.snapshot().unwrap().histogram("lat").unwrap().count(), 1);
-    }
 
     fn put_span(ns: u64) -> OpSpan {
         OpSpan {
@@ -395,21 +179,36 @@ mod tests {
     }
 
     #[test]
-    fn same_thread_reads_see_buffered_events() {
+    fn disabled_sink_is_inert() {
+        let sink = TelemetrySink::disabled();
+        assert!(!sink.is_enabled());
+        sink.record_span(put_span(0));
+        assert!(sink.spans().is_empty());
+        assert_eq!(sink.trace_dropped(), 0);
+        assert_eq!(sink.attribution().ops, 0);
+        assert!(!TelemetrySink::default().is_enabled());
+    }
+
+    #[test]
+    fn clones_share_the_ring() {
+        let sink = TelemetrySink::with_trace_capacity(8);
+        let other = sink.clone();
+        other.record_span(put_span(0));
+        sink.record_span(put_span(1));
+        assert_eq!(sink.spans().len(), 2);
+        assert_eq!(other.spans().len(), 2);
+    }
+
+    #[test]
+    fn same_thread_reads_see_staged_spans() {
         let sink = TelemetrySink::enabled();
-        // Fewer events than the buffer capacity: nothing has drained on
+        // Fewer spans than the buffer capacity: nothing has drained on
         // its own, but a same-thread read must still see everything.
         for i in 0..5 {
-            sink.record_op(put_span(i), "ops", Some(("lat", 10)), Some(1), &[("g", i as f64)]);
+            sink.record_span(put_span(i));
         }
-        sink.counter_add("media", 7);
-        let snap = sink.snapshot().unwrap();
-        assert_eq!(snap.counter("ops"), 5);
-        assert_eq!(snap.counter("media"), 7);
-        assert_eq!(snap.gauge("g"), Some(4.0));
-        assert_eq!(snap.histogram("lat").unwrap().count(), 5);
         assert_eq!(sink.spans().len(), 5);
-        assert_eq!(sink.reads_per_lookup().unwrap().lookups, 5);
+        assert_eq!(sink.attribution().ops, 5);
     }
 
     #[test]
@@ -417,32 +216,31 @@ mod tests {
         let sink = TelemetrySink::enabled();
         let worker = sink.clone();
         std::thread::spawn(move || {
-            for i in 0..(OP_BUFFER_CAPACITY as u64 + 3) {
-                worker.record_op(put_span(i), "ops", None, None, &[]);
+            for i in 0..(SPAN_BUFFER_CAPACITY as u64 + 3) {
+                worker.record_span(put_span(i));
             }
-            // The first OP_BUFFER_CAPACITY staged events drained at the
+            // The first SPAN_BUFFER_CAPACITY spans drained at the
             // capacity trigger; the remaining 3 drain when this thread
             // exits and the buffer drops.
         })
         .join()
         .unwrap();
-        assert_eq!(sink.snapshot().unwrap().counter("ops"), OP_BUFFER_CAPACITY as u64 + 3);
-        assert_eq!(sink.spans().len(), OP_BUFFER_CAPACITY + 3);
+        assert_eq!(sink.spans().len(), SPAN_BUFFER_CAPACITY + 3);
     }
 
     #[test]
     fn rebinding_to_another_sink_flushes_the_first() {
         let a = TelemetrySink::enabled();
         let b = TelemetrySink::enabled();
-        a.record_op(put_span(0), "ops", None, None, &[]);
+        a.record_span(put_span(0));
         // Recording into a different sink rebinds this thread's buffer,
-        // flushing the staged event into `a` en route.
-        b.record_op(put_span(1), "ops", None, None, &[]);
+        // flushing the staged span into `a` en route.
+        b.record_span(put_span(1));
         // Read `a` through a clone WITHOUT touching this thread's buffer
         // binding (which now belongs to `b`).
         let a2 = a.clone();
-        assert_eq!(a2.snapshot().unwrap().counter("ops"), 1);
-        assert_eq!(b.snapshot().unwrap().counter("ops"), 1);
+        assert_eq!(a2.spans().len(), 1);
+        assert_eq!(b.spans().len(), 1);
     }
 
     #[test]
@@ -456,12 +254,10 @@ mod tests {
             lookup_flash_reads: 0,
             stages: vec![StageEvent { stage: Stage::FlashProgram, count: 1, dur_ns: 100 }],
         });
-        sink.note_lookup_reads(1);
         assert_eq!(sink.spans().len(), 1);
         assert_eq!(sink.trace_dropped(), 0);
         let a = sink.attribution();
         assert_eq!(a.row(Stage::FlashProgram).total_ns, 100);
-        assert!(sink.reads_per_lookup().unwrap().invariant_ok());
         sink.clear_trace();
         assert!(sink.spans().is_empty());
     }

@@ -1,10 +1,11 @@
-//! Derived views over the raw trace: per-stage latency attribution and the
-//! flash-reads-per-lookup distribution that checks RHIK's ≤1-read
-//! invariant (Fig. 5b) on live traffic, including mid-resize.
+//! Derived views: per-stage latency attribution over the raw trace, and
+//! the flash-reads-per-lookup distribution, read from the index's own
+//! histogram, that checks RHIK's ≤1-read invariant (Fig. 5b) on live
+//! traffic, including mid-resize.
 
 use std::fmt::Write as _;
 
-use crate::registry::{escape_json, fmt_f64};
+use crate::metrics::{escape_json, fmt_f64};
 use crate::trace::{OpSpan, Stage};
 
 /// Aggregate for one stage across a set of spans.
@@ -99,26 +100,31 @@ impl Attribution {
     }
 }
 
-/// Distribution of flash reads needed per index lookup, observed at the
-/// device layer. RHIK's headline guarantee is that the maximum stays ≤ 1
-/// — including while a resize migration is in flight.
+/// Distribution of flash reads needed per index lookup, read from the
+/// index's own per-lookup histogram (`IndexStats::reads_per_lookup_histo`:
+/// gets, puts' exist checks, deletes and GC liveness checks). RHIK's
+/// headline guarantee is that the maximum stays ≤ 1 — including while a
+/// resize migration is in flight.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReadsPerLookup {
     /// `histo[n]` = lookups that needed exactly `n` flash reads
     /// (clamped at 15+).
     pub histo: [u64; 16],
     pub lookups: u64,
+    /// Highest bucket with a lookup in it.
     pub max: u64,
 }
 
 impl ReadsPerLookup {
-    pub fn note(&mut self, reads: u64) {
-        self.histo[reads.min(15) as usize] += 1;
-        self.lookups += 1;
-        self.max = self.max.max(reads);
+    pub fn from_histo(histo: [u64; 16]) -> Self {
+        ReadsPerLookup {
+            histo,
+            lookups: histo.iter().sum(),
+            max: histo.iter().rposition(|&n| n > 0).unwrap_or(0) as u64,
+        }
     }
 
-    /// Does the live trace uphold the ≤1-flash-read-per-lookup invariant?
+    /// Do the lookups uphold the ≤1-flash-read-per-lookup invariant?
     pub fn invariant_ok(&self) -> bool {
         self.max <= 1
     }
@@ -130,34 +136,6 @@ impl ReadsPerLookup {
         }
         let within: u64 = self.histo.iter().take(n as usize + 1).sum();
         100.0 * within as f64 / self.lookups as f64
-    }
-
-    pub fn merge(&mut self, other: &ReadsPerLookup) {
-        for (a, b) in self.histo.iter_mut().zip(other.histo.iter()) {
-            *a += b;
-        }
-        self.lookups += other.lookups;
-        self.max = self.max.max(other.max);
-    }
-
-    pub fn to_json(&self) -> String {
-        let top = (0..16).rev().find(|&i| self.histo[i] > 0).unwrap_or(0);
-        let mut out = String::from("{\"histo\": [");
-        for (i, c) in self.histo.iter().take(top + 1).enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{c}");
-        }
-        let _ = write!(
-            out,
-            "], \"lookups\": {}, \"max\": {}, \"pct_within_1\": {}, \"invariant_ok\": {}}}",
-            self.lookups,
-            self.max,
-            fmt_f64(self.pct_within(1)),
-            self.invariant_ok()
-        );
-        out
     }
 }
 
@@ -209,33 +187,19 @@ mod tests {
 
     #[test]
     fn reads_per_lookup_invariant() {
-        let mut d = ReadsPerLookup::default();
-        for _ in 0..90 {
-            d.note(0);
-        }
-        for _ in 0..10 {
-            d.note(1);
-        }
+        let mut histo = [0; 16];
+        histo[0] = 90;
+        histo[1] = 10;
+        let d = ReadsPerLookup::from_histo(histo);
         assert!(d.invariant_ok());
         assert_eq!(d.lookups, 100);
+        assert_eq!(d.max, 1);
         assert!((d.pct_within(0) - 90.0).abs() < 1e-9);
         assert!((d.pct_within(1) - 100.0).abs() < 1e-9);
-        d.note(2);
+        histo[2] = 1;
+        let d = ReadsPerLookup::from_histo(histo);
         assert!(!d.invariant_ok());
         assert_eq!(d.max, 2);
-        let json = d.to_json();
-        assert!(json.contains("\"invariant_ok\": false"));
-    }
-
-    #[test]
-    fn reads_per_lookup_merge_and_clamp() {
-        let mut a = ReadsPerLookup::default();
-        let mut b = ReadsPerLookup::default();
-        a.note(1);
-        b.note(40); // clamped into the 15+ bucket
-        a.merge(&b);
-        assert_eq!(a.lookups, 2);
-        assert_eq!(a.max, 40);
-        assert_eq!(a.histo[15], 1);
+        assert_eq!(ReadsPerLookup::from_histo([0; 16]).pct_within(1), 100.0);
     }
 }

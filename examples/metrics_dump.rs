@@ -1,8 +1,9 @@
-//! Tour of the telemetry subsystem: install a sink on a RHIK device, run
-//! a small mixed workload, then dump every export the registry and trace
-//! support — snapshot diff, JSON, Prometheus text, per-stage latency
-//! attribution, the live ≤ 1-flash-read-per-lookup distribution, and the
-//! DRAM hot-object cache counters.
+//! Tour of the observability surface: run a small mixed workload on a RHIK
+//! device with a span tracer installed, then dump what the device answers
+//! — its metrics (read from the stats each layer keeps: snapshot diff,
+//! JSON, Prometheus text), per-stage latency attribution from the trace,
+//! the ≤ 1-flash-read-per-lookup distribution, and the DRAM hot-object
+//! cache counters.
 //!
 //! ```sh
 //! cargo run --release --example metrics_dump
@@ -23,7 +24,7 @@ fn main() {
     for i in 0..2_000u64 {
         dev.put(format!("md-{i:08}").as_bytes(), &value).expect("put");
     }
-    let after_load = sink.snapshot().expect("sink is enabled");
+    let after_load = dev.metrics();
 
     // Phase 2: mixed reads/updates/deletes.
     for i in 0..4_000u64 {
@@ -39,7 +40,7 @@ fn main() {
         }
     }
 
-    let now = sink.snapshot().expect("sink is enabled");
+    let now = dev.metrics();
     let phase2 = now.since(&after_load);
     println!("== phase 2 only (snapshot diff: counters/histograms subtract) ==");
     println!(
@@ -80,7 +81,7 @@ fn main() {
     }
     println!("  ({} spans dropped by the ring)", sink.trace_dropped());
 
-    let rpl = sink.reads_per_lookup().expect("sink is enabled");
+    let rpl = dev.reads_per_lookup();
     println!(
         "\n== reads-per-lookup ==\n{} lookups, max {} flash reads ({}), {:.2}% within 1",
         rpl.lookups,
@@ -89,9 +90,9 @@ fn main() {
         rpl.pct_within(1)
     );
 
-    // The hot-object cache exports both through the registry (snake_case
-    // counters/gauges, present in the JSON and Prometheus dumps above)
-    // and through the typed stats accessor.
+    // The hot-object cache's counters and occupancy, as the metrics export
+    // them (snake_case, present in the JSON and Prometheus dumps above)
+    // and through the typed stats accessor they are read from.
     println!("\n== hot-object cache ==");
     println!(
         "hits {}  stale {}  admits {}  rejects {}  evictions {}",

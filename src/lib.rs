@@ -18,8 +18,9 @@
 //!   sync/async engines, GC and resize integration),
 //! * [`workloads`] — key generators, trace synthesizers, and the
 //!   KVBench-style driver,
-//! * [`telemetry`] — metric registry, virtual-clock op tracing, and
-//!   per-stage latency attribution (disabled by default, zero deps).
+//! * [`telemetry`] — virtual-clock op tracing with per-stage latency
+//!   attribution (disabled by default, zero deps), and the metric
+//!   snapshot devices read from their layers' stats.
 //!
 //! ## Quickstart
 //!

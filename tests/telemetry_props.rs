@@ -2,14 +2,16 @@
 //! every traced RHIK get needs at most one flash read — including while
 //! an incremental directory resize is migrating slots underneath it.
 //!
-//! The trace measures the invariant from the outside: the device's
-//! telemetry sink diffs the index's reads-per-lookup distribution around
-//! each get, so migration-batch flash reads (charged to the resize, not
-//! the lookup) cannot hide a lookup that secretly needed two reads.
+//! Two views measure it. Each get's span carries the flash reads its
+//! lookup needed, diffed out of the index's reads-per-lookup histogram
+//! around the command, and the histogram itself covers every lookup the
+//! index served (puts' exist checks included). Migration-batch flash
+//! reads are charged to the resize, not the lookup, and cannot hide a
+//! lookup that secretly needed two reads.
 
 use proptest::prelude::*;
 use rhik::index::RhikConfig;
-use rhik::kvssd::{DeviceConfig, KvssdDevice, Stage, TelemetrySink};
+use rhik::kvssd::{DeviceConfig, KvssdDevice, OpKind, Stage, TelemetrySink};
 
 fn key(i: u32) -> Vec<u8> {
     format!("tp-{i:06}").into_bytes()
@@ -33,7 +35,8 @@ proptest! {
             ..Default::default()
         };
         let mut dev = KvssdDevice::rhik(cfg);
-        let sink = TelemetrySink::enabled();
+        // Room for every span: each put and each get is one.
+        let sink = TelemetrySink::with_trace_capacity(1 << 14);
         dev.set_telemetry(sink.clone());
 
         let mut mid_resize_gets = 0u64;
@@ -54,10 +57,17 @@ proptest! {
         prop_assert!(mid_resize_gets > 0, "no get ever ran mid-resize");
         prop_assert!(sink.attribution().row(Stage::ResizeMigrateBatch).events > 0);
 
-        // The traced distribution IS the invariant, observed live.
-        let rpl = sink.reads_per_lookup().unwrap();
+        // Each traced get's lookup, observed live.
+        let spans = sink.spans();
+        let gets: Vec<_> = spans.iter().filter(|s| s.kind == OpKind::Get).collect();
+        prop_assert_eq!(gets.len() as u64, mid_resize_gets + probes.len() as u64);
+        let worst = gets.iter().map(|s| s.lookup_flash_reads).max().unwrap_or(0);
+        prop_assert!(worst <= 1, "a traced get needed {} flash reads", worst);
+
+        // And every lookup the index served.
+        let rpl = dev.reads_per_lookup();
         prop_assert!(rpl.lookups >= mid_resize_gets + probes.len() as u64);
-        prop_assert!(rpl.invariant_ok(), "a traced lookup needed {} flash reads", rpl.max);
+        prop_assert!(rpl.invariant_ok(), "a lookup needed {} flash reads", rpl.max);
         prop_assert!((rpl.pct_within(1) - 100.0).abs() < 1e-9);
     }
 }
