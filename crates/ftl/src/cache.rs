@@ -21,9 +21,8 @@
 //! Implemented from scratch as a slab-backed doubly-linked list + HashMap,
 //! O(1) for get/insert/remove.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
+use rhik_sigs::SigMap;
 
 const NIL: usize = usize::MAX;
 
@@ -69,7 +68,7 @@ impl CacheStats {
 pub struct IndexPageCache {
     budget: usize,
     used: usize,
-    map: HashMap<u64, usize>,
+    map: SigMap<u64, usize>,
     slab: Vec<Node>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -85,7 +84,7 @@ impl IndexPageCache {
             used: 0,
             // bounded-by: eviction keeps `used <= budget`, capping the
             // resident pages the byte budget admits.
-            map: HashMap::new(),
+            map: SigMap::default(),
             slab: Vec::new(), // bounded-by: one node per resident page (see map)
             free: Vec::new(), // bounded-by: recycled slab slots; never exceeds slab len
             head: NIL,

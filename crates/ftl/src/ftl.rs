@@ -1,16 +1,15 @@
 //! The firmware context: flash + allocator + cache + log writers.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use rhik_nand::{DeviceProfile, NandArray, NandGeometry, NandOp, Ppa};
-use rhik_sigs::KeySignature;
+use rhik_sigs::{KeySignature, SigMap};
 use rhik_telemetry::{Stage, StageEvent};
 
 use crate::alloc::{BlockAllocator, Stream};
 use crate::cache::IndexPageCache;
-use crate::layout::{PageBuilder, SpareMeta, RECORD_PREFIX_LEN, SIG_ENTRY_LEN};
+use crate::layout::{HeadPage, PageBuilder, SpareMeta, RECORD_PREFIX_LEN, SIG_ENTRY_LEN};
 use crate::sync::{FlashPool, Mutex, MutexGuard};
 use crate::traits::TimedOp;
 
@@ -179,7 +178,7 @@ pub struct Ftl {
     /// flush: key, the head fragment of the value (bodies are already on
     /// flash — keeping whole values here would be an unbounded DRAM write
     /// buffer), and where the pair lives.
-    pending: HashMap<KeySignature, (Bytes, Bytes, WrittenExtent)>,
+    pending: SigMap<KeySignature, (Bytes, Bytes, WrittenExtent)>,
 }
 
 impl Ftl {
@@ -211,7 +210,7 @@ impl Ftl {
             data_builder: None,
             // bounded-by: cleared when the head page programs; holds at
             // most one index page's worth of staged pairs.
-            pending: HashMap::new(),
+            pending: SigMap::default(),
         }
     }
 
@@ -521,6 +520,13 @@ impl Ftl {
     }
 
     /// Program the open head page (if any) and clear the pending map.
+    ///
+    /// This is the only place head pages are programmed, and each is
+    /// checked with [`HeadPage::parse`] first; a page that fails is not
+    /// programmed. So every `Head`-tagged page on flash is well formed
+    /// (NAND pages do not change until erased, a failed program stores
+    /// nothing, and power loss drops the unsealed builder), and readers
+    /// take it as one by its spare tag ([`HeadPage::programmed`]).
     pub fn flush_data_builder(&mut self) -> Result<(), FtlError> {
         if let Some((ppa, builder)) = self.data_builder.take() {
             if builder.is_empty() {
@@ -529,6 +535,9 @@ impl Ftl {
                 return Ok(());
             }
             let data = builder.finish();
+            if HeadPage::parse(&data, self.geometry.page_size as usize).is_none() {
+                return Err(FtlError::Corrupt(format!("sealed head page {ppa:?} is malformed")));
+            }
             self.program(ppa, data, SpareMeta::head_page(), false)?;
             self.pending.clear();
         }

@@ -245,17 +245,18 @@ fn clean_head_block<I: IndexBackend>(
         let ppa = Ppa::new(block, page);
         let (data, spare) = ftl.read_data_page(ppa)?;
         report.pages_scanned += 1;
-        let Some(meta) = SpareMeta::decode(&spare) else { continue };
-        if meta.kind != PageKind::Head {
-            continue;
-        }
-        let Some(head) = layout::HeadPage::parse(&data, page_size) else { continue };
+        let Some(head) = layout::HeadPage::programmed(&data, &spare, page_size) else { continue };
         for i in head.newest() {
             let sig = head.sig(i);
             // A refused index write-back (`NeedsGc`) leaves the pair's
             // liveness unknown: the error leaves the victim uncollected.
             if index.lookup(ftl, sig)? == Some(ppa) {
-                live.push((sig, head.entry(i)));
+                // Unreachable: the page passed `HeadPage::parse` when it
+                // was sealed, and erasing the victim would lose the pair.
+                let Some(pair) = head.pair(i) else {
+                    return Err(FtlError::Corrupt(format!("live pair unreadable at {ppa:?}")));
+                };
+                live.push((sig, pair.to_entry()));
             } else {
                 report.pairs_discarded += 1;
             }
@@ -325,13 +326,13 @@ fn clean_extent_block<I: IndexBackend>(
             report.pairs_discarded += 1;
             continue;
         };
-        let (data, _) = ftl.read_data_page(head)?;
-        let Some(entry) = layout::find_in_head(&data, page_size, sig) else {
+        let (data, spare) = ftl.read_data_page(head)?;
+        let Some(pair) = layout::probe_head(&data, &spare, page_size, sig) else {
             report.pairs_discarded += 1;
             continue;
         };
-        match entry.cont_start {
-            Some(c) if c.block == block => relocate.push((sig, head, entry)),
+        match pair.cont_start {
+            Some(c) if c.block == block => relocate.push((sig, head, pair.to_entry())),
             _ => report.pairs_discarded += 1, // body superseded elsewhere
         }
     }

@@ -153,6 +153,19 @@ pub struct PairEntry {
 }
 
 impl PairEntry {
+    /// This entry, borrowed.
+    fn as_pair(&self) -> Pair<'_> {
+        Pair {
+            sig: self.sig,
+            offset: self.offset,
+            val_total_len: self.val_total_len,
+            cont_start: self.cont_start,
+            key: &self.key,
+            value_frag: &self.value_frag,
+            flags: self.flags,
+        }
+    }
+
     /// Value bytes stored in continuation pages (after the head fragment).
     pub fn body_len(&self) -> u32 {
         self.val_total_len - self.frag_len
@@ -175,15 +188,58 @@ impl PairEntry {
     /// Where the pair this entry of the head page at `head` describes
     /// lives on flash.
     pub fn extent(&self, head: Ppa, page_size: u32) -> crate::ftl::WrittenExtent {
+        self.as_pair().extent(head, page_size)
+    }
+}
+
+/// One pair of a head page, borrowed where it lies: what a reader needs
+/// to check the key and copy out the value, with nothing copied yet.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Pair<'a> {
+    pub sig: KeySignature,
+    /// Offset of the pair record within the page data area.
+    pub offset: u16,
+    /// Total value length across head + continuation pages; never less
+    /// than the fragment's.
+    pub val_total_len: u32,
+    /// First continuation page in the extent partition.
+    pub cont_start: Option<Ppa>,
+    pub key: &'a [u8],
+    /// The head-page fragment of the value.
+    pub value_frag: &'a [u8],
+    pub flags: u8,
+}
+
+impl Pair<'_> {
+    /// Value bytes stored in continuation pages (after the head fragment).
+    pub fn body_len(&self) -> u32 {
+        self.val_total_len - self.value_frag.len() as u32
+    }
+
+    /// Where this pair of the head page at `head` lives on flash.
+    pub fn extent(&self, head: Ppa, page_size: u32) -> crate::ftl::WrittenExtent {
+        let body_len = self.body_len();
         crate::ftl::WrittenExtent {
             head,
             cont_start: self.cont_start,
-            cont_pages: self.cont_pages(page_size),
-            head_bytes: (RECORD_PREFIX_LEN
-                + self.key.len()
-                + self.frag_len as usize
-                + SIG_ENTRY_LEN) as u64,
-            cont_bytes: self.body_len() as u64,
+            cont_pages: body_len.div_ceil(page_size),
+            head_bytes: (RECORD_PREFIX_LEN + self.key.len() + self.value_frag.len() + SIG_ENTRY_LEN)
+                as u64,
+            cont_bytes: body_len as u64,
+        }
+    }
+
+    /// An owned copy of the pair (its key and head fragment copied).
+    pub fn to_entry(&self) -> PairEntry {
+        PairEntry {
+            sig: self.sig,
+            offset: self.offset,
+            frag_len: self.value_frag.len() as u32,
+            val_total_len: self.val_total_len,
+            cont_start: self.cont_start,
+            key: Bytes::copy_from_slice(self.key),
+            value_frag: Bytes::copy_from_slice(self.value_frag),
+            flags: self.flags,
         }
     }
 }
@@ -319,9 +375,17 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
-/// A validated head page, read where it lies: parsing checks every pair's
-/// bounds but copies nothing, and [`HeadPage::entry`] builds a
-/// [`PairEntry`] only for the pairs a caller asks for.
+/// A head page, read where it lies: nothing is copied until a caller asks
+/// for a pair.
+///
+/// Two constructors. [`HeadPage::parse`] checks every pair's bounds; the
+/// FTL runs it on each head page when it seals it
+/// ([`Ftl::flush_data_builder`](crate::Ftl::flush_data_builder), the only
+/// place head pages are programmed), and NAND pages do not change until
+/// erased. So a flash reader uses [`HeadPage::programmed`], which trusts
+/// the `Head` tag of the spare read with the page and keeps only the O(1)
+/// header checks; [`HeadPage::pair`] still slices with checks, so no bytes
+/// can make it panic.
 #[derive(Clone, Copy, Debug)]
 pub struct HeadPage<'a> {
     data: &'a [u8],
@@ -331,12 +395,9 @@ pub struct HeadPage<'a> {
 }
 
 impl<'a> HeadPage<'a> {
-    /// Validate `data` as a head page. Returns `None` when it is not well
-    /// formed (defensive: GC scans raw pages): shorter than the header or
-    /// longer than `page_size`, a signature info area that does not fit,
-    /// or any pair whose record runs into the info area or whose head
-    /// fragment exceeds its value.
-    pub fn parse(data: &'a [u8], page_size: usize) -> Option<Self> {
+    /// The header checks: the page length, and the pair count against the
+    /// signature info area it implies.
+    fn header(data: &'a [u8], page_size: usize) -> Option<Self> {
         if data.len() < HEADER_LEN || data.len() > page_size {
             return None;
         }
@@ -345,8 +406,26 @@ impl<'a> HeadPage<'a> {
         if pairs > 0 && data.len() < HEADER_LEN + info_bytes {
             return None;
         }
-        let page = HeadPage { data, info_start: data.len() - info_bytes, pairs };
-        (0..pairs).all(|i| page.well_formed(i)).then_some(page)
+        Some(HeadPage { data, info_start: data.len() - info_bytes, pairs })
+    }
+
+    /// Validate `data` as a head page. Returns `None` when it is not well
+    /// formed: shorter than the header or longer than `page_size`, a
+    /// signature info area that does not fit, or any pair whose record
+    /// runs into the info area or whose head fragment exceeds its value.
+    pub fn parse(data: &'a [u8], page_size: usize) -> Option<Self> {
+        let page = Self::header(data, page_size)?;
+        (0..page.pairs).all(|i| page.pair(i).is_some()).then_some(page)
+    }
+
+    /// A page read off flash with its `spare`: a head page only if the
+    /// spare says `Head` — every such page passed [`HeadPage::parse`] when
+    /// it was sealed — and the header checks hold.
+    pub fn programmed(data: &'a [u8], spare: &[u8], page_size: usize) -> Option<Self> {
+        if SpareMeta::decode(spare)?.kind != PageKind::Head {
+            return None;
+        }
+        Self::header(data, page_size)
     }
 
     /// Pairs on the page, including superseded in-page versions.
@@ -367,43 +446,36 @@ impl<'a> HeadPage<'a> {
         KeySignature(le_u64(self.info(i)))
     }
 
-    /// Whether pair `i`'s record and head fragment stay inside the pair
-    /// area, and the fragment within its value.
-    fn well_formed(&self, i: usize) -> bool {
-        let e = self.info(i);
-        let off = le_u16(&e[8..]) as usize;
-        let frag_len = le_u32(&e[10..]);
-        if off + RECORD_PREFIX_LEN > self.info_start {
-            return false;
+    /// Pair `i`, borrowed: `None` when `i` is out of range, its record or
+    /// head fragment leaves the pair area, or the fragment exceeds its
+    /// value.
+    #[inline]
+    pub fn pair(&self, i: usize) -> Option<Pair<'a>> {
+        if i >= self.pairs {
+            return None;
         }
-        let key_len = le_u16(&self.data[off..]) as usize;
-        let val_total_len = le_u32(&self.data[off + 2..]);
-        off + RECORD_PREFIX_LEN + key_len + frag_len as usize <= self.info_start
-            && frag_len <= val_total_len
-    }
-
-    /// Build pair `i`'s entry, copying its key and head fragment.
-    pub fn entry(&self, i: usize) -> PairEntry {
         let e = self.info(i);
         let off = le_u16(&e[8..]) as usize;
         let frag_len = le_u32(&e[10..]);
-        let rec = &self.data[off..];
+        let area = &self.data[..self.info_start];
+        let rec = area.get(off..off + RECORD_PREFIX_LEN)?;
+        let val_total_len = le_u32(&rec[2..]);
+        if frag_len > val_total_len {
+            return None;
+        }
         let key_start = off + RECORD_PREFIX_LEN;
         let frag_start = key_start + le_u16(rec) as usize;
         let mut cont_raw = [0u8; Ppa::PACKED_LEN];
         cont_raw.copy_from_slice(&rec[7..12]);
-        PairEntry {
-            sig: self.sig(i),
+        Some(Pair {
+            sig: KeySignature(le_u64(e)),
             offset: off as u16,
-            frag_len,
-            val_total_len: le_u32(&rec[2..]),
+            val_total_len,
             cont_start: (cont_raw != [0xff; Ppa::PACKED_LEN]).then(|| Ppa::from_bytes(cont_raw)),
-            key: Bytes::copy_from_slice(&self.data[key_start..frag_start]),
-            value_frag: Bytes::copy_from_slice(
-                &self.data[frag_start..frag_start + frag_len as usize],
-            ),
+            key: area.get(key_start..frag_start)?,
+            value_frag: area.get(frag_start..frag_start.checked_add(frag_len as usize)?)?,
             flags: rec[6],
-        }
+        })
     }
 
     /// Index of the authoritative pair for `sig`: entries are scanned
@@ -412,6 +484,11 @@ impl<'a> HeadPage<'a> {
     /// signature.
     pub fn find(&self, sig: KeySignature) -> Option<usize> {
         (0..self.pairs).rev().find(|&i| self.sig(i) == sig)
+    }
+
+    /// The authoritative pair for `sig`, borrowed.
+    pub fn find_pair(&self, sig: KeySignature) -> Option<Pair<'a>> {
+        self.find(sig).and_then(|i| self.pair(i))
     }
 
     /// Indices of the pairs no later entry supersedes, in page order.
@@ -435,44 +512,57 @@ impl<'a> HeadPage<'a> {
 /// [`HeadPage::parse`]).
 pub fn decode_head(data: &[u8], page_size: usize) -> Option<Vec<PairEntry>> {
     let page = HeadPage::parse(data, page_size)?;
-    Some((0..page.len()).map(|i| page.entry(i)).collect())
+    (0..page.len()).map(|i| page.pair(i).map(|pair| pair.to_entry())).collect()
 }
 
 /// Find the authoritative entry for `sig` in a head page — the same
 /// answer as the newest match in [`decode_head`], building only that one
 /// entry.
 pub fn find_in_head(data: &[u8], page_size: usize, sig: KeySignature) -> Option<PairEntry> {
-    let page = HeadPage::parse(data, page_size)?;
-    page.find(sig).map(|i| page.entry(i))
+    HeadPage::parse(data, page_size)?.find_pair(sig).map(|pair| pair.to_entry())
+}
+
+/// The reader probe: the authoritative pair for `sig`, borrowed from a
+/// page read off flash with its `spare` — `None` unless the spare says
+/// `Head` (see [`HeadPage::programmed`]) and the page holds `sig`.
+pub fn probe_head<'a>(
+    data: &'a [u8],
+    spare: &[u8],
+    page_size: usize,
+    sig: KeySignature,
+) -> Option<Pair<'a>> {
+    HeadPage::programmed(data, spare, page_size)?.find_pair(sig)
 }
 
 /// Assemble a stored value: its head fragment `frag`, then `body_len`
 /// bytes of continuation pages starting at `cont_start`, each read
 /// through `read_page`. Continuation pages are full and consecutive in
-/// their block, so the body is their concatenation cut to `body_len`.
-/// Returns `Ok(None)` when a body is due but no continuation extent is
-/// recorded (a corrupt pair).
+/// their block, so the body is their concatenation cut to `body_len`. A
+/// value without a body is the fragment copied once. Returns `Ok(None)`
+/// when a body is due but no continuation extent is recorded (a corrupt
+/// pair).
 pub fn assemble_value<E>(
     frag: &[u8],
     body_len: usize,
     cont_start: Option<Ppa>,
     mut read_page: impl FnMut(Ppa) -> Result<Bytes, E>,
-) -> Result<Option<Vec<u8>>, E> {
+) -> Result<Option<Bytes>, E> {
+    if body_len == 0 {
+        return Ok(Some(Bytes::copy_from_slice(frag)));
+    }
+    let Some(start) = cont_start else { return Ok(None) };
     let mut value = Vec::with_capacity(frag.len() + body_len);
     value.extend_from_slice(frag);
-    if body_len > 0 {
-        let Some(start) = cont_start else { return Ok(None) };
-        let mut remaining = body_len;
-        let mut page = start.page;
-        while remaining > 0 {
-            let data = read_page(Ppa::new(start.block, page))?;
-            let take = remaining.min(data.len());
-            value.extend_from_slice(&data[..take]);
-            remaining -= take;
-            page += 1;
-        }
+    let mut remaining = body_len;
+    let mut page = start.page;
+    while remaining > 0 {
+        let data = read_page(Ppa::new(start.block, page))?;
+        let take = remaining.min(data.len());
+        value.extend_from_slice(&data[..take]);
+        remaining -= take;
+        page += 1;
     }
-    Ok(Some(value))
+    Ok(Some(Bytes::from(value)))
 }
 
 #[cfg(test)]
@@ -602,6 +692,50 @@ mod tests {
     }
 
     #[test]
+    fn only_a_head_spare_makes_a_head_page() {
+        let mut b = PageBuilder::new(PAGE);
+        b.append_pair(sig(3), b"key", b"value", 0);
+        let page = b.finish();
+        let head = HeadPage::programmed(&page, &SpareMeta::head_page().encode(), PAGE)
+            .expect("a sealed page under a head spare");
+        assert_eq!(head.find_pair(sig(3)).map(|p| p.value_frag), Some(&b"value"[..]));
+        for spare in [
+            SpareMeta::index_page().encode(),
+            SpareMeta::cont_page(sig(3)).encode(),
+            SpareMeta::directory_page().encode(),
+            Bytes::from_static(&[9, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+            Bytes::from_static(&[1, 7, 0, 0, 0, 0, 0, 0, 0, 0]),
+            Bytes::from_static(&[1]),
+            Bytes::new(),
+        ] {
+            assert!(HeadPage::programmed(&page, &spare, PAGE).is_none(), "spare {spare:?}");
+        }
+        // The header checks stay: a page longer than the page size, or
+        // one whose pair count overruns it, is no head page.
+        let head_spare = SpareMeta::head_page().encode();
+        assert!(HeadPage::programmed(&[0u8; PAGE + 1], &head_spare, PAGE).is_none());
+        let mut overrun = vec![0u8; PAGE];
+        overrun[..2].copy_from_slice(&1000u16.to_le_bytes());
+        assert!(HeadPage::programmed(&overrun, &head_spare, PAGE).is_none());
+    }
+
+    #[test]
+    fn pair_slices_with_checks() {
+        // A pair whose offset points into the info area passes the header
+        // checks, but reading it yields `None`, not a panic.
+        let mut bad = vec![0u8; PAGE];
+        bad[..2].copy_from_slice(&1u16.to_le_bytes());
+        let info = PAGE - SIG_ENTRY_LEN;
+        bad[info + 8..info + 10].copy_from_slice(&(PAGE as u16 - 2).to_le_bytes());
+        let head = HeadPage::programmed(&bad, &SpareMeta::head_page().encode(), PAGE)
+            .expect("the header checks hold");
+        assert_eq!(head.len(), 1);
+        assert_eq!(head.pair(0), None);
+        assert_eq!(head.pair(1), None, "out of range");
+        assert_eq!(head.find_pair(KeySignature(0)), None);
+    }
+
+    #[test]
     fn spare_meta_roundtrip() {
         for meta in [
             SpareMeta::head_page(),
@@ -639,12 +773,12 @@ mod tests {
             reads.push(ppa);
             Ok(Bytes::from(vec![b'0' + ppa.page as u8; 4]))
         });
-        assert_eq!(value, Ok(Some(b"ab555566".to_vec())));
+        assert_eq!(value, Ok(Some(Bytes::from_static(b"ab555566"))));
         assert_eq!(reads, [Ppa::new(3, 5), Ppa::new(3, 6)]);
 
         // No body: no reads, even without an extent.
         let none = assemble_value::<()>(b"ab", 0, None, |_| panic!("no page is due"));
-        assert_eq!(none, Ok(Some(b"ab".to_vec())));
+        assert_eq!(none, Ok(Some(Bytes::from_static(b"ab"))));
         // A body without an extent is corrupt; a failed read propagates.
         assert_eq!(assemble_value::<()>(b"ab", 1, None, |_| Err(())), Ok(None));
         assert_eq!(assemble_value(b"ab", 1, Some(Ppa::new(0, 0)), |_| Err("fault")), Err("fault"));

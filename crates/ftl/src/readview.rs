@@ -27,6 +27,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use rhik_nand::Ppa;
+use rhik_sigs::SigMap;
 
 use crate::sync::{Mutex, MutexGuard, VersionTable};
 
@@ -36,7 +37,7 @@ use crate::sync::{Mutex, MutexGuard, VersionTable};
 pub struct ReadView {
     // bounded-by: one entry per key the attached index holds; every
     // insert, update, relocation and delete of the index funnels here.
-    heads: Mutex<HashMap<u64, Ppa>>,
+    heads: Mutex<SigMap<u64, Ppa>>,
     stripes: Arc<VersionTable>,
 }
 
@@ -63,10 +64,10 @@ impl ReadView {
     /// An empty view whose changes bump `stripes`, the device's one
     /// version table.
     pub fn new(stripes: Arc<VersionTable>) -> Self {
-        ReadView { heads: Mutex::new(HashMap::new()), stripes }
+        ReadView { heads: Mutex::new(SigMap::default()), stripes }
     }
 
-    fn heads(&self) -> MutexGuard<'_, HashMap<u64, Ppa>> {
+    fn heads(&self) -> MutexGuard<'_, SigMap<u64, Ppa>> {
         // Every map mutation is a single call, so a panic cannot leave a
         // poisoned map half-updated.
         self.heads.lock().unwrap_or_else(|poison| poison.into_inner())
@@ -110,7 +111,7 @@ impl ReadView {
     /// A copy of every mapping, read-only: what the auditor compares
     /// against the index's own `sig → head` records.
     pub fn entries(&self) -> HashMap<u64, Ppa> {
-        self.heads().clone()
+        self.heads().iter().map(|(&sig, &head)| (sig, head)).collect()
     }
 }
 

@@ -3,7 +3,7 @@
 //! under arbitrary store/stale interleavings.
 
 use proptest::prelude::*;
-use rhik_ftl::layout::{self, PageBuilder};
+use rhik_ftl::layout::{self, HeadPage, PageBuilder, SpareMeta};
 use rhik_ftl::{gc, Ftl, FtlConfig, FtlError, GcConfig, IndexBackend, IndexStats, InsertOutcome};
 use rhik_nand::{NandGeometry, Ppa};
 use rhik_sigs::KeySignature;
@@ -167,6 +167,43 @@ proptest! {
         }
     }
 
+    /// The reader probe — a page taken as a head page by its spare tag,
+    /// then one pair borrowed — returns what `find_in_head` returns for
+    /// every signature on any page `PageBuilder` seals: random pairs,
+    /// signatures repeated by in-page updates, and fragments whose value
+    /// continues in an extent; and `None` for signatures not on the page.
+    #[test]
+    fn reader_probe_matches_find_in_head(
+        pairs in proptest::collection::vec(
+            (0u64..6, proptest::collection::vec(any::<u8>(), 1..12),
+             proptest::collection::vec(any::<u8>(), 0..300), 0usize..300,
+             (0u32..64, 0u32..16), any::<u8>()),
+            0..16,
+        ),
+    ) {
+        const PAGE: usize = 512;
+        let mut builder = PageBuilder::new(PAGE);
+        for (sig, key, value, frag, (block, page), flags) in &pairs {
+            // A fragment shorter than the value continues in an extent.
+            let frag = (*frag).min(value.len());
+            let cont = (frag < value.len()).then(|| Ppa::new(*block, *page));
+            if builder.fits(key.len(), frag) {
+                builder.append_pair_with_frag(KeySignature(*sig), key, value, frag, cont, *flags);
+            }
+        }
+        let page = builder.finish();
+        let spare = SpareMeta::head_page().encode();
+        for sig in (0..8).map(KeySignature) {
+            let probed = layout::probe_head(&page, &spare, PAGE, sig);
+            let found = layout::find_in_head(&page, PAGE, sig);
+            prop_assert_eq!(probed.map(|p| p.to_entry()), found.clone());
+            if let (Some(probed), Some(found)) = (probed, found) {
+                prop_assert_eq!(probed.body_len(), found.body_len());
+                prop_assert_eq!(probed.extent(Ppa::new(1, 2), 512), found.extent(Ppa::new(1, 2), 512));
+            }
+        }
+    }
+
     /// store_pair round-trips arbitrary key/value sizes through the write
     /// buffer, head pages, and the extent partition.
     #[test]
@@ -309,5 +346,58 @@ proptest! {
             prop_assert!(found, "entry vanished from head page");
             prop_assert_eq!(&entry_value, value);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Under a `Head` spare the reader probe answers on arbitrary bytes
+    /// without panicking — sealed pages with flipped bytes, cut or
+    /// extended — and a page it takes is one `HeadPage::parse` accepts
+    /// exactly when every pair reads back.
+    #[test]
+    fn reader_probe_never_panics(
+        pairs in proptest::collection::vec(
+            (0u64..4, proptest::collection::vec(any::<u8>(), 1..12),
+             proptest::collection::vec(any::<u8>(), 0..160)),
+            0..14,
+        ),
+        flips in proptest::collection::vec((any::<bool>(), any::<u16>(), 1u8..=255), 0..8),
+        len in 0usize..520,
+    ) {
+        const PAGE: usize = 512;
+        let mut builder = PageBuilder::new(PAGE);
+        for (sig, key, value) in &pairs {
+            if builder.fits(key.len(), 0) {
+                builder.append_pair(KeySignature(*sig), key, value, 0);
+            }
+        }
+        let mut data = builder.finish().to_vec();
+        let pair_count = u16::from_le_bytes([data[0], data[1]]) as usize;
+        for &(structural, pos, mask) in &flips {
+            // Half the flips land in the header or the info area.
+            let at = if structural {
+                let area = 2 + pair_count * layout::SIG_ENTRY_LEN;
+                let i = pos as usize % area;
+                if i < 2 { i } else { PAGE - (i - 2) - 1 }
+            } else {
+                pos as usize % PAGE
+            };
+            data[at] ^= mask;
+        }
+        data.resize(len, 0xA5);
+        let spare = SpareMeta::head_page().encode();
+        let Some(head) = HeadPage::programmed(&data, &spare, PAGE) else {
+            prop_assert!(HeadPage::parse(&data, PAGE).is_none());
+            return Ok(());
+        };
+        let readable = (0..head.len()).filter(|&i| head.pair(i).is_some()).count();
+        prop_assert!(head.pair(head.len()).is_none());
+        prop_assert_eq!(HeadPage::parse(&data, PAGE).is_some(), readable == head.len());
+        for sig in (0..5).map(KeySignature) {
+            let _ = head.find_pair(sig);
+        }
+        let _ = head.newest();
     }
 }

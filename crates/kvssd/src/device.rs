@@ -451,7 +451,7 @@ impl<I: IndexBackend> KvssdDevice<I> {
         sig: KeySignature,
         head: Ppa,
     ) -> Result<Option<(Bytes, Bytes, WrittenExtent)>> {
-        let (key, frag, extent) = if Some(head) == self.ftl.pending_head() {
+        if Some(head) == self.ftl.pending_head() {
             // The head fragment is in the DRAM buffer; the body (if any)
             // is already on flash and costs real reads.
             let (Some((key, frag)), Some(extent)) =
@@ -459,27 +459,33 @@ impl<I: IndexBackend> KvssdDevice<I> {
             else {
                 return Ok(None);
             };
-            (key, frag, extent)
-        } else {
-            let (data, _) = self.ftl.read_data_page(head)?;
-            let page_size = self.ftl.geometry().page_size;
-            let Some(entry) = layout::find_in_head(&data, page_size as usize, sig) else {
-                return Ok(None);
-            };
-            let extent = entry.extent(head, page_size);
-            (entry.key, entry.value_frag, extent)
+            let value = self.assemble_value(&frag, &extent)?;
+            return Ok(Some((key, value, extent)));
+        }
+        let (data, spare) = self.ftl.read_data_page(head)?;
+        let page_size = self.ftl.geometry().page_size;
+        let Some(pair) = layout::probe_head(&data, &spare, page_size as usize, sig) else {
+            return Ok(None);
         };
+        let extent = pair.extent(head, page_size);
+        let value = self.assemble_value(pair.value_frag, &extent)?;
+        // `Bytes` is one shared buffer with no views into another, so the
+        // borrowed key is copied out of the page.
+        Ok(Some((Bytes::copy_from_slice(pair.key), value, extent)))
+    }
+
+    /// A stored value: its head fragment `frag`, then the continuation
+    /// pages `extent` records, each read (and charged) off flash.
+    fn assemble_value(&mut self, frag: &[u8], extent: &WrittenExtent) -> Result<Bytes> {
         let ftl = &mut self.ftl;
-        let value =
-            layout::assemble_value(&frag, extent.cont_bytes as usize, extent.cont_start, |ppa| {
-                ftl.read_data_page(ppa).map(|(page, _)| page)
-            })?
-            .ok_or_else(|| {
-                KvError::Corrupt(
-                    "stored pair overflows its head page but has no continuation extent".into(),
-                )
-            })?;
-        Ok(Some((key, Bytes::from(value), extent)))
+        layout::assemble_value(frag, extent.cont_bytes as usize, extent.cont_start, |ppa| {
+            ftl.read_data_page(ppa).map(|(page, _)| page)
+        })?
+        .ok_or_else(|| {
+            KvError::Corrupt(
+                "stored pair overflows its head page but has no continuation extent".into(),
+            )
+        })
     }
 
     /// The value stored at `head` for `key`, read for the auditor without
@@ -495,19 +501,18 @@ impl<I: IndexBackend> KvssdDevice<I> {
         if Some(head) == self.ftl.pending_head() {
             return None;
         }
-        let (data, _) = self.ftl.peek_page(head)?;
+        let (data, spare) = self.ftl.peek_page(head)?;
         let page_size = self.ftl.geometry().page_size as usize;
-        let Some(entry) = layout::find_in_head(&data, page_size, sig).filter(|e| e.key == key)
+        let Some(pair) = layout::probe_head(&data, &spare, page_size, sig).filter(|p| p.key == key)
         else {
             return Some(None);
         };
-        let body = entry.body_len() as usize;
-        layout::assemble_value(&entry.value_frag, body, entry.cont_start, |ppa| {
+        layout::assemble_value(pair.value_frag, pair.body_len() as usize, pair.cont_start, |ppa| {
             self.ftl.peek_page(ppa).map(|(page, _)| page).ok_or(())
         })
         .ok()
         .flatten()
-        .map(Some)
+        .map(|value| Some(value.to_vec()))
     }
 
     /// §IV's exist-check with full-key verification: look `sig` up,

@@ -198,26 +198,28 @@ impl FastPath {
     /// the reads. Returns the pages read and `Some(answer)`: the value, or
     /// `None` for an absence. No answer means only the locked path can
     /// decide (head still in the write buffer, failed validation).
-    fn walk(&self, sig: KeySignature, key: &[u8]) -> (u64, Option<Option<Vec<u8>>>) {
+    fn walk(&self, sig: KeySignature, key: &[u8]) -> (u64, Option<Option<Bytes>>) {
         // A miss costs zero flash reads — the §IV-A3 signature-only
         // answer, straight from DRAM.
         let Some(hit) = self.view.lookup(sig.0) else { return (0, Some(None)) };
         // Optimistic flash read: the head may be stale (concurrent
         // update/GC) or still in the DRAM write buffer (unprogrammed
         // page ⇒ the media read errors). Validation decides.
-        let Ok((data, _)) = self.media.read_page(hit.head) else { return (0, None) };
+        let Ok((data, spare)) = self.media.read_page(hit.head) else { return (0, None) };
         let mut pages = 1;
         let page_size = self.media.geometry().page_size as usize;
-        let Some(entry) = layout::find_in_head(&data, page_size, sig) else {
+        // A page erased and reprogrammed since the probe may be of
+        // another kind; its spare tag says so.
+        let Some(pair) = layout::probe_head(&data, &spare, page_size, sig) else {
             return (pages, None);
         };
         // A different stored key is either a true signature collision
         // (absent) or a stale page; validation tells them apart.
-        let value = if entry.key == key {
+        let value = if pair.key == key {
             let read = layout::assemble_value(
-                &entry.value_frag,
-                entry.body_len() as usize,
-                entry.cont_start,
+                pair.value_frag,
+                pair.body_len() as usize,
+                pair.cont_start,
                 |ppa| {
                     self.media.read_page(ppa).map(|(page, _)| {
                         pages += 1;
@@ -257,7 +259,7 @@ impl FastPath {
             None => self.not_found.incr(),
         }
         self.complete(start, latency, false);
-        Some(value.map(Bytes::from))
+        Some(value)
     }
 }
 

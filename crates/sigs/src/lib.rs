@@ -17,14 +17,18 @@
 //! * [`estimate`] — birthday-bound collision estimators used by the Fig. 8a
 //!   analysis and the membership-checking documentation,
 //! * [`prefix_suffix_signature`] — the 4 B-prefix + 4 B-suffix signature the
-//!   paper proposes for iterator support (§VI).
+//!   paper proposes for iterator support (§VI),
+//! * [`SigMap`] — the seeded one-multiply hasher for DRAM maps keyed by
+//!   signatures or table ids.
 
 pub mod estimate;
 mod fnv;
+mod maphash;
 mod murmur;
 mod signature;
 
 pub use fnv::fnv1a_64;
+pub use maphash::{SigBuildHasher, SigMap, SigMapHasher};
 pub use murmur::{murmur2_64a, murmur3_x64_128};
 pub use signature::{prefix_suffix_signature, KeySignature, SigHasher, Signature128};
 
