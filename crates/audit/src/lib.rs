@@ -340,10 +340,11 @@ pub struct CacheCoherenceSample {
     pub current_version: u64,
     /// The bytes the cache would serve.
     pub cached_value: Vec<u8>,
-    /// What the index holds: `None` when its value cannot be read
-    /// without side effects (it still sits in the write buffer) — the
-    /// sample is skipped; `Some(None)` when the key is absent from the
-    /// index (a ghost entry); `Some(Some(v))` the index's value.
+    /// What the index holds, read without charging flash reads, from a
+    /// sealed head page or the write buffer's open one alike: `None` when
+    /// a page of the value is not programmed — the sample is skipped;
+    /// `Some(None)` when the key is absent from the index (a ghost
+    /// entry); `Some(Some(v))` the index's value.
     pub index_value: Option<Option<Vec<u8>>>,
 }
 

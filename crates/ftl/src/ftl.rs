@@ -9,7 +9,9 @@ use rhik_telemetry::{Stage, StageEvent};
 
 use crate::alloc::{BlockAllocator, Stream};
 use crate::cache::IndexPageCache;
-use crate::layout::{HeadPage, PageBuilder, SpareMeta, RECORD_PREFIX_LEN, SIG_ENTRY_LEN};
+use crate::layout::{
+    self, HeadPage, PageBuilder, Pair, SpareMeta, Value, RECORD_PREFIX_LEN, SIG_ENTRY_LEN,
+};
 use crate::sync::{FlashPool, Mutex, MutexGuard};
 use crate::traits::TimedOp;
 
@@ -71,6 +73,10 @@ impl From<rhik_nand::NandError> for FtlError {
         FtlError::Flash(e)
     }
 }
+
+/// A head page as a reader holds it ([`Ftl::read_head`]): a sealed page
+/// read off flash with its spare, or (`None`) the write buffer's open page.
+pub struct HeadRead(Option<(Bytes, Bytes)>);
 
 /// Where a stored KV pair landed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -174,11 +180,15 @@ pub struct Ftl {
 
     /// Open head page being packed (DRAM write buffer).
     data_builder: Option<(Ppa, PageBuilder)>,
-    /// Pairs whose head record is still buffering, retrievable before
-    /// flush: key, the head fragment of the value (bodies are already on
-    /// flash — keeping whole values here would be an unbounded DRAM write
-    /// buffer), and where the pair lives.
-    pending: SigMap<KeySignature, (Bytes, Bytes, WrittenExtent)>,
+    /// The last sealed page's builder, emptied, for the next open page to
+    /// reuse: a fresh page-sized buffer per sealed page let the allocator
+    /// trim the heap after GC erases and fault it back in on later puts.
+    spare_builder: Option<PageBuilder>,
+    /// Pairs whose head record is still buffering, readable before the
+    /// flush: each live signature's entry in the open page, read through
+    /// [`PageBuilder::view`] (bodies are already on flash). A signature
+    /// dropped from the write buffer reads absent until the page seals.
+    pending: SigMap<KeySignature, usize>,
 }
 
 impl Ftl {
@@ -208,6 +218,7 @@ impl Ftl {
             stage_log: Vec::new(), // bounded-by: device drains it every op (drain_stage_log)
             stage_scope: None,
             data_builder: None,
+            spare_builder: None,
             // bounded-by: cleared when the head page programs; holds at
             // most one index page's worth of staged pairs.
             pending: SigMap::default(),
@@ -358,9 +369,10 @@ impl Ftl {
     }
 
     /// Drain the flash ops performed since the last drain, with their media
-    /// durations — consumed by the sync/async timing engines.
-    pub fn drain_timed_ops(&mut self) -> Vec<TimedOp> {
-        std::mem::take(&mut self.timed_ops)
+    /// durations — consumed by the sync/async timing engines. The log
+    /// keeps its buffer for the next command.
+    pub fn drain_timed_ops(&mut self) -> std::vec::Drain<'_, TimedOp> {
+        self.timed_ops.drain(..)
     }
 
     fn charge(&mut self, op: NandOp) {
@@ -481,6 +493,7 @@ impl Ftl {
         let (head, builder) = self.data_builder.as_mut().expect("ensured above");
         let head = *head;
         builder.append_pair_with_frag(sig, key, value, frag, cont_start, flags);
+        self.pending.insert(sig, builder.pair_count() as usize - 1);
         let head_bytes = (overhead + frag) as u64;
         self.alloc.meta_mut(head.block).live_bytes += head_bytes;
         let extent = WrittenExtent {
@@ -490,10 +503,6 @@ impl Ftl {
             head_bytes,
             cont_bytes: body_bytes as u64,
         };
-        self.pending.insert(
-            sig,
-            (Bytes::copy_from_slice(key), Bytes::copy_from_slice(&value[..frag]), extent),
-        );
         if !self.data_builder.as_ref().expect("still staged").1.fits(0, 0) {
             // Page effectively full: flush eagerly so space is visible.
             self.flush_data_builder()?;
@@ -514,7 +523,8 @@ impl Ftl {
         }
         if self.data_builder.is_none() {
             let ppa = self.alloc.next_page(Stream::Data, false)?;
-            self.data_builder = Some((ppa, PageBuilder::new(page)));
+            let builder = self.spare_builder.take().unwrap_or_else(|| PageBuilder::new(page));
+            self.data_builder = Some((ppa, builder));
         }
         Ok(())
     }
@@ -528,13 +538,14 @@ impl Ftl {
     /// nothing, and power loss drops the unsealed builder), and readers
     /// take it as one by its spare tag ([`HeadPage::programmed`]).
     pub fn flush_data_builder(&mut self) -> Result<(), FtlError> {
-        if let Some((ppa, builder)) = self.data_builder.take() {
+        if let Some((ppa, mut builder)) = self.data_builder.take() {
             if builder.is_empty() {
                 // Nothing packed: re-stage the same page for the next pair.
                 self.data_builder = Some((ppa, builder));
                 return Ok(());
             }
             let data = builder.finish();
+            self.spare_builder = Some(builder);
             if HeadPage::parse(&data, self.geometry.page_size as usize).is_none() {
                 return Err(FtlError::Corrupt(format!("sealed head page {ppa:?} is malformed")));
             }
@@ -554,17 +565,23 @@ impl Ftl {
     pub fn simulate_power_loss(&mut self) {
         let budget = self.cache.budget_bytes();
         self.cache = IndexPageCache::new(budget);
-        if let Some((head, _builder)) = self.data_builder.take() {
+        if let Some((head, builder)) = self.data_builder.take() {
+            let page = builder.view();
+            let lost: Vec<WrittenExtent> = self
+                .pending
+                .values()
+                .filter_map(|&i| page.pair(i))
+                .map(|pair| pair.extent(head, self.geometry.page_size))
+                .collect();
             // The buffered head records never reached flash; their bytes
             // (and the reserved head page) are dead weight until the block
             // is erased.
-            let lost: u64 = self.pending.values().map(|(_, _, e)| e.head_bytes).sum();
-            self.alloc.mark_stale(head.block, lost);
-        }
-        // Orphaned bodies of lost pairs become stale garbage.
-        for (_, _, extent) in self.pending.values() {
-            if let Some(cont) = extent.cont_start {
-                self.alloc.mark_stale(cont.block, extent.cont_bytes);
+            self.alloc.mark_stale(head.block, lost.iter().map(|e| e.head_bytes).sum());
+            // Orphaned bodies of lost pairs become stale garbage.
+            for extent in lost {
+                if let Some(cont) = extent.cont_start {
+                    self.alloc.mark_stale(cont.block, extent.cont_bytes);
+                }
             }
         }
         self.pending.clear();
@@ -594,21 +611,54 @@ impl Ftl {
         Ok(())
     }
 
-    /// A pair whose head record is still in the DRAM write buffer: the
-    /// key and the *head fragment* of its value (any page-aligned body is
-    /// on flash; see [`Ftl::pending_extent`] for where).
-    pub fn pending_pair(&self, sig: KeySignature) -> Option<(Bytes, Bytes)> {
-        self.pending.get(&sig).map(|(k, v, _)| (k.clone(), v.clone()))
-    }
-
-    /// The staged extent of a pending pair.
-    pub fn pending_extent(&self, sig: KeySignature) -> Option<WrittenExtent> {
-        self.pending.get(&sig).map(|(_, _, e)| *e)
-    }
-
     /// Head page of the open builder (its pairs are pending).
     pub fn pending_head(&self) -> Option<Ppa> {
         self.data_builder.as_ref().map(|(ppa, _)| *ppa)
+    }
+
+    /// Read the head page at `head` for a reader: off flash, one charged
+    /// read — unless it is the write buffer's open page, which is read in
+    /// place. [`Ftl::find_pair`] then borrows a pair from it.
+    pub fn read_head(&mut self, head: Ppa) -> Result<HeadRead, FtlError> {
+        if Some(head) == self.pending_head() {
+            return Ok(HeadRead(None));
+        }
+        self.read_data_page(head).map(|page| HeadRead(Some(page)))
+    }
+
+    /// [`Ftl::read_head`] without charging a flash read (the auditor's
+    /// view): `None` when the page is not programmed.
+    pub fn peek_head(&self, head: Ppa) -> Option<HeadRead> {
+        if Some(head) == self.pending_head() {
+            return Some(HeadRead(None));
+        }
+        self.peek_page(head).map(|page| HeadRead(Some(page)))
+    }
+
+    /// The pair of `sig` in a head page [`Ftl::read_head`] returned,
+    /// borrowed: from a sealed page by its spare tag
+    /// ([`layout::probe_head`]), or from the open page while `sig` is
+    /// pending there.
+    pub fn find_pair<'a>(&'a self, page: &'a HeadRead, sig: KeySignature) -> Option<Pair<'a>> {
+        match &page.0 {
+            Some((data, spare)) => {
+                layout::probe_head(data, spare, self.geometry.page_size as usize, sig)
+            }
+            None => self.buffered_pair(sig),
+        }
+    }
+
+    /// The pair of `sig` in the write buffer's open page, if `sig` is
+    /// pending there.
+    pub(crate) fn buffered_pair(&self, sig: KeySignature) -> Option<Pair<'_>> {
+        let (_, builder) = self.data_builder.as_ref()?;
+        builder.view().pair(*self.pending.get(&sig)?)
+    }
+
+    /// Read the rest of a value ([`Pair::value`]) off flash, one charged
+    /// read per continuation page.
+    pub fn read_value(&mut self, value: Value) -> Result<Bytes, FtlError> {
+        value.read_body(|ppa| self.read_data_page(ppa).map(|(page, _)| page))
     }
 
     /// Force the buffered head page out of `block` so GC can erase it.
@@ -850,9 +900,10 @@ mod tests {
         assert_eq!(f.stats().pending_pairs, 2);
         assert_eq!(f.stats().data_page_programs, 0, "still buffered");
 
-        let (k, v) = f.pending_pair(sig(1)).unwrap();
-        assert_eq!(&k[..], b"k1");
-        assert_eq!(&v[..], b"v1");
+        let page = f.read_head(e1.head).unwrap();
+        let pair = f.find_pair(&page, sig(1)).unwrap();
+        assert_eq!((pair.key, pair.value_frag), (&b"k1"[..], &b"v1"[..]));
+        assert_eq!(f.stats().data_page_reads, 0, "the open page is read in place");
 
         f.flush_data_builder().unwrap();
         assert_eq!(f.stats().data_page_programs, 1);
@@ -893,8 +944,8 @@ mod tests {
         f.flush_data_builder().unwrap();
         let (d, _) = f.read_data_page(e.head).unwrap();
         let entry = layout::find_in_head(&d, 512, sig(7)).unwrap();
-        assert_eq!(entry.val_total_len as usize, value.len());
-        assert_eq!(entry.cont_start, Some(cont));
+        assert_eq!(entry.value_frag.len() + entry.body_len() as usize, value.len());
+        assert_eq!(entry.cont_start(), Some(cont));
 
         // Body pages are full, carry the owning signature, and reassemble.
         let mut rebuilt = entry.value_frag.to_vec();
@@ -990,10 +1041,10 @@ mod tests {
             ..FtlConfig::tiny()
         });
         f.store_pair(sig(1), b"k", &vec![0u8; 1500], 0).unwrap();
-        let ops = f.drain_timed_ops();
+        let ops: Vec<TimedOp> = f.drain_timed_ops().collect();
         assert!(!ops.is_empty());
         assert!(ops.iter().all(|o| o.duration_ns > 0));
-        assert!(f.drain_timed_ops().is_empty(), "drain clears the queue");
+        assert_eq!(f.drain_timed_ops().len(), 0, "drain clears the queue");
     }
 
     #[test]
@@ -1037,15 +1088,19 @@ mod tests {
     #[test]
     fn power_loss_clears_dram_state() {
         let mut f = ftl();
-        f.store_pair(sig(1), b"k", &[0u8; 64], 0).unwrap();
-        assert_eq!(f.stats().pending_pairs, 1);
+        let small = f.store_pair(sig(1), b"k", &[0u8; 64], 0).unwrap();
+        let long = f.store_pair(sig(2), b"big", &[1u8; 1100], 0).unwrap();
+        assert_eq!((long.head, long.cont_pages), (small.head, 2));
+        assert_eq!(f.stats().pending_pairs, 2);
         f.cache().insert(42, bytes::Bytes::from(vec![0u8; 64]), true);
         f.simulate_power_loss();
         assert_eq!(f.stats().pending_pairs, 0);
         assert!(f.cache_ref().is_empty());
-        assert_eq!(f.pending_pair(sig(1)), None);
-        // The lost pair's bytes are accounted stale so GC can reclaim.
-        assert!(f.total_stale_bytes() > 0);
+        assert_eq!(f.buffered_pair(sig(1)), None);
+        // The lost pairs' bytes, head records and body pages, are
+        // accounted stale so GC can reclaim.
+        assert_eq!(f.total_stale_bytes(), small.bytes() + long.bytes());
+        assert_eq!(f.total_live_bytes(), 0);
     }
 
     #[test]
@@ -1078,6 +1133,6 @@ mod tests {
         let e = f.store_pair(sig(1), b"k", b"v", 0).unwrap();
         f.mark_stale(&e);
         f.drop_pending(sig(1));
-        assert_eq!(f.pending_pair(sig(1)), None);
+        assert_eq!(f.buffered_pair(sig(1)), None);
     }
 }

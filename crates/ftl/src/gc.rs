@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use crate::alloc::Stream;
 use crate::ftl::{Ftl, FtlError};
-use crate::layout::{self, PageKind, SpareMeta};
+use crate::layout::{self, HeadPage, PageKind, Pair, SpareMeta};
 use crate::traits::IndexBackend;
 use rhik_nand::Ppa;
 
@@ -237,26 +237,21 @@ fn clean_head_block<I: IndexBackend>(
     let programmed = ftl.block_write_ptr(block);
     let page_size = ftl.geometry().page_size as usize;
 
-    // Pass 1: collect live pairs in page order. Duplicate signatures
-    // within a page (an in-page update) resolve to the newest entry; only
-    // live pairs are copied out of the page.
-    let mut live: Vec<(rhik_sigs::KeySignature, layout::PairEntry)> = Vec::new();
+    // Pass 1: find the live pairs in page order. Duplicate signatures
+    // within a page (an in-page update) resolve to the newest entry. Each
+    // live pair keeps its page (the flash array's own buffer) to be read
+    // from in pass 2.
+    let mut live = Vec::new();
     for page in 0..programmed {
         let ppa = Ppa::new(block, page);
         let (data, spare) = ftl.read_data_page(ppa)?;
         report.pages_scanned += 1;
-        let Some(head) = layout::HeadPage::programmed(&data, &spare, page_size) else { continue };
+        let Some(head) = HeadPage::programmed(&data, &spare, page_size) else { continue };
         for i in head.newest() {
-            let sig = head.sig(i);
             // A refused index write-back (`NeedsGc`) leaves the pair's
             // liveness unknown: the error leaves the victim uncollected.
-            if index.lookup(ftl, sig)? == Some(ppa) {
-                // Unreachable: the page passed `HeadPage::parse` when it
-                // was sealed, and erasing the victim would lose the pair.
-                let Some(pair) = head.pair(i) else {
-                    return Err(FtlError::Corrupt(format!("live pair unreadable at {ppa:?}")));
-                };
-                live.push((sig, pair.to_entry()));
+            if index.lookup(ftl, head.sig(i))? == Some(ppa) {
+                live.push((data.clone(), spare.clone(), i));
             } else {
                 report.pairs_discarded += 1;
             }
@@ -265,9 +260,15 @@ fn clean_head_block<I: IndexBackend>(
 
     // Pass 2: relocate. The old body pages (extent partition) become
     // stale; the old head bytes vanish with the erase below.
-    for (sig, entry) in live {
-        let old = entry.extent(Ppa::new(block, 0), page_size as u32);
-        relocate_pair(ftl, index, sig, &entry, report)?;
+    for (data, spare, i) in &live {
+        // Unreachable: the page passed `HeadPage::parse` when it was
+        // sealed, and erasing the victim would lose the pair.
+        let Some(pair) = HeadPage::programmed(data, spare, page_size).and_then(|h| h.pair(*i))
+        else {
+            return Err(FtlError::Corrupt(format!("live pair unreadable in block {block}")));
+        };
+        let old = pair.extent(Ppa::new(block, 0), page_size as u32);
+        relocate_pair(ftl, index, &pair, report)?;
         if old.cont_start.is_some() {
             ftl.mark_stale(&old);
         }
@@ -309,12 +310,14 @@ fn clean_extent_block<I: IndexBackend>(
     }
 
     // Resolve each signature to its live pair; relocate the ones whose
-    // current body actually lives in this block.
-    let mut relocate: Vec<(rhik_sigs::KeySignature, Ppa, layout::PairEntry)> = Vec::new();
+    // current body actually lives in this block, reading each from the
+    // head page kept here.
+    let in_block = |pair: &Pair<'_>| pair.cont_start().map(|c| c.block) == Some(block);
+    let mut relocate = Vec::new();
     for sig in sigs {
-        if let Some(pending) = ftl.pending_extent(sig) {
+        if let Some(pair) = ftl.buffered_pair(sig) {
             // The pair's live version is still buffering in DRAM.
-            if pending.cont_start.map(|c| c.block) == Some(block) {
+            if in_block(&pair) {
                 return Ok(false); // its body is here: cannot collect yet
             }
             // Its body lives elsewhere: whatever this block holds for the
@@ -327,20 +330,21 @@ fn clean_extent_block<I: IndexBackend>(
             continue;
         };
         let (data, spare) = ftl.read_data_page(head)?;
-        let Some(pair) = layout::probe_head(&data, &spare, page_size, sig) else {
-            report.pairs_discarded += 1;
-            continue;
-        };
-        match pair.cont_start {
-            Some(c) if c.block == block => relocate.push((sig, head, pair.to_entry())),
-            _ => report.pairs_discarded += 1, // body superseded elsewhere
+        if layout::probe_head(&data, &spare, page_size, sig).is_some_and(|pair| in_block(&pair)) {
+            relocate.push((sig, head, data, spare));
+        } else {
+            report.pairs_discarded += 1; // gone, or its body superseded elsewhere
         }
     }
 
-    for (sig, head, entry) in relocate {
+    for (sig, head, data, spare) in &relocate {
+        // Unreachable: the probe above found it in this page.
+        let Some(pair) = layout::probe_head(data, spare, page_size, *sig) else {
+            return Err(FtlError::Corrupt(format!("relocated pair unreadable at {head:?}")));
+        };
         // The old head entry goes stale in its (still live) head block.
-        let old = entry.extent(head, page_size as u32);
-        relocate_pair(ftl, index, sig, &entry, report)?;
+        let old = pair.extent(*head, page_size as u32);
+        relocate_pair(ftl, index, &pair, report)?;
         ftl.mark_stale(&old);
     }
 
@@ -355,23 +359,12 @@ fn clean_extent_block<I: IndexBackend>(
 fn relocate_pair<I: IndexBackend>(
     ftl: &mut Ftl,
     index: &mut I,
-    sig: rhik_sigs::KeySignature,
-    entry: &layout::PairEntry,
+    pair: &Pair<'_>,
     report: &mut GcReport,
 ) -> Result<(), FtlError> {
-    let value = layout::assemble_value(
-        &entry.value_frag,
-        entry.body_len() as usize,
-        entry.cont_start,
-        |ppa| ftl.read_data_page(ppa).map(|(page, _)| page),
-    )?
-    .ok_or_else(|| {
-        FtlError::Corrupt(
-            "GC victim holds an overflowing pair without a continuation extent".into(),
-        )
-    })?;
-
-    let extent = ftl.store_pair(sig, &entry.key, &value, entry.flags)?;
+    let sig = pair.sig;
+    let value = ftl.read_value(pair.value())?;
+    let extent = ftl.store_pair(sig, pair.key, &value, pair.flags)?;
     if let Err(e) = index.insert(ftl, sig, extent.head) {
         // The index could not repoint (`NeedsGc`: the pool is exhausted
         // even for metadata). Abandon the new copy (it becomes stale
@@ -526,16 +519,11 @@ mod tests {
         // Every live pair is still reachable, with correct contents.
         for &i in &live_ids {
             let head = index.lookup(&mut ftl, sig(i)).unwrap().expect("live pair lost");
-            if Some(head) == ftl.pending_head() {
-                let (k, v) = ftl.pending_pair(sig(i)).expect("pending pair");
-                assert_eq!(&k[..], format!("key{i}").as_bytes());
-                // 120-byte values fit the head page whole.
-                assert_eq!(&v[..], &[i as u8; 120][..]);
-            } else {
-                let (d, _) = ftl.read_data_page(head).unwrap();
-                let e = layout::find_in_head(&d, 512, sig(i)).expect("entry in head page");
-                assert_eq!(&e.key[..], format!("key{i}").as_bytes());
-            }
+            let page = ftl.read_head(head).unwrap();
+            let pair = ftl.find_pair(&page, sig(i)).expect("pair in its head page");
+            assert_eq!(pair.key, format!("key{i}").as_bytes());
+            // 120-byte values fit the head page whole.
+            assert_eq!(pair.value_frag, &[i as u8; 120][..]);
         }
     }
 
@@ -598,7 +586,7 @@ mod tests {
             let head = index.lookup(&mut ftl, sig(id)).unwrap().expect("live pair lost");
             let (d, _) = ftl.read_data_page(head).unwrap();
             let entry = layout::find_in_head(&d, 512, sig(id)).expect("entry in head page");
-            assert_eq!(&entry.key[..], format!("key{id}").as_bytes());
+            assert_eq!(entry.key, format!("key{id}").as_bytes());
         }
     }
 
@@ -677,15 +665,9 @@ mod tests {
 
         // The live pair survives with intact contents.
         let head = index.lookup(&mut ftl, sig(1)).unwrap().expect("pair lost");
-        if Some(head) == ftl.pending_head() {
-            let e = ftl.pending_extent(sig(1)).unwrap();
-            let frag = ftl.pending_pair(sig(1)).unwrap().1;
-            assert_eq!(frag.len() as u64 + e.cont_bytes, big.len() as u64);
-        } else {
-            let (d, _) = ftl.read_data_page(head).unwrap();
-            let entry = layout::find_in_head(&d, 512, sig(1)).unwrap();
-            assert_eq!(entry.val_total_len as usize, big.len());
-        }
+        let page = ftl.read_head(head).unwrap();
+        let value = ftl.find_pair(&page, sig(1)).expect("pair in its head page").value();
+        assert_eq!(ftl.read_value(value).unwrap(), big);
         // The stale pair is gone.
         assert_eq!(index.lookup(&mut ftl, sig(2)).unwrap(), None);
     }

@@ -133,84 +133,34 @@ impl SpareMeta {
     }
 }
 
-/// One decoded pair from a head page.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PairEntry {
-    pub sig: KeySignature,
-    /// Offset of the pair record within the page data area.
-    pub offset: u16,
-    /// Value bytes present in the head page.
-    pub frag_len: u32,
-    /// Total value length across head + continuation pages.
-    pub val_total_len: u32,
-    /// First continuation page in the extent partition (`None` when the
-    /// whole value fits the head page).
-    pub cont_start: Option<Ppa>,
-    pub key: Bytes,
-    /// The head-page fragment of the value.
-    pub value_frag: Bytes,
-    pub flags: u8,
-}
-
-impl PairEntry {
-    /// This entry, borrowed.
-    fn as_pair(&self) -> Pair<'_> {
-        Pair {
-            sig: self.sig,
-            offset: self.offset,
-            val_total_len: self.val_total_len,
-            cont_start: self.cont_start,
-            key: &self.key,
-            value_frag: &self.value_frag,
-            flags: self.flags,
-        }
-    }
-
-    /// Value bytes stored in continuation pages (after the head fragment).
-    pub fn body_len(&self) -> u32 {
-        self.val_total_len - self.frag_len
-    }
-
-    /// Continuation pages needed after the head page.
-    pub fn cont_pages(&self, page_size: u32) -> u32 {
-        self.body_len().div_ceil(page_size)
-    }
-
-    /// Total on-flash footprint of this pair in bytes (record + sig entry +
-    /// continuation bytes).
-    pub fn footprint(&self) -> u64 {
-        RECORD_PREFIX_LEN as u64
-            + self.key.len() as u64
-            + self.val_total_len as u64
-            + SIG_ENTRY_LEN as u64
-    }
-
-    /// Where the pair this entry of the head page at `head` describes
-    /// lives on flash.
-    pub fn extent(&self, head: Ppa, page_size: u32) -> crate::ftl::WrittenExtent {
-        self.as_pair().extent(head, page_size)
-    }
-}
-
-/// One pair of a head page, borrowed where it lies: what a reader needs
-/// to check the key and copy out the value, with nothing copied yet.
+/// One pair of a head page, borrowed where it lies — in a sealed page or
+/// in the write buffer's open one: what a reader needs to check the key
+/// and copy out the value, with nothing copied yet.
+///
+/// Only [`HeadPage::pair`] makes one, and it refuses a record whose value
+/// continues past its head page without a continuation extent, so every
+/// pair with a body knows where the body is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Pair<'a> {
     pub sig: KeySignature,
-    /// Offset of the pair record within the page data area.
-    pub offset: u16,
-    /// Total value length across head + continuation pages; never less
-    /// than the fragment's.
-    pub val_total_len: u32,
-    /// First continuation page in the extent partition.
-    pub cont_start: Option<Ppa>,
     pub key: &'a [u8],
     /// The head-page fragment of the value.
     pub value_frag: &'a [u8],
     pub flags: u8,
+    /// Total value length across head + continuation pages; never less
+    /// than the fragment's.
+    val_total_len: u32,
+    /// First continuation page in the extent partition; present whenever
+    /// the value has a body.
+    cont_start: Option<Ppa>,
 }
 
 impl Pair<'_> {
+    /// First continuation page of the value's body, if it has one.
+    pub fn cont_start(&self) -> Option<Ppa> {
+        self.cont_start
+    }
+
     /// Value bytes stored in continuation pages (after the head fragment).
     pub fn body_len(&self) -> u32 {
         self.val_total_len - self.value_frag.len() as u32
@@ -229,30 +179,69 @@ impl Pair<'_> {
         }
     }
 
-    /// An owned copy of the pair (its key and head fragment copied).
-    pub fn to_entry(&self) -> PairEntry {
-        PairEntry {
-            sig: self.sig,
-            offset: self.offset,
-            frag_len: self.value_frag.len() as u32,
-            val_total_len: self.val_total_len,
-            cont_start: self.cont_start,
-            key: Bytes::copy_from_slice(self.key),
-            value_frag: Bytes::copy_from_slice(self.value_frag),
-            flags: self.flags,
+    /// Start reading the value: the head fragment is copied now — the
+    /// whole value when it has no body — and [`Value::read_body`] reads
+    /// the rest. The result borrows nothing, so a pair borrowed from the
+    /// write buffer can read its body through the FTL that holds the
+    /// buffer.
+    pub fn value(&self) -> Value {
+        match self.cont_start {
+            Some(next) if self.body_len() > 0 => {
+                let remaining = self.body_len() as usize;
+                let mut bytes = Vec::with_capacity(self.value_frag.len() + remaining);
+                bytes.extend_from_slice(self.value_frag);
+                Value::Body { bytes, next, remaining }
+            }
+            _ => Value::Whole(Bytes::copy_from_slice(self.value_frag)),
         }
+    }
+}
+
+/// A value being read ([`Pair::value`]).
+#[derive(Debug)]
+pub enum Value {
+    /// The whole value: it fits its head page.
+    Whole(Bytes),
+    /// The head fragment, in a buffer sized for the whole value, and the
+    /// `remaining` body bytes still on flash from continuation page `next`.
+    Body { bytes: Vec<u8>, next: Ppa, remaining: usize },
+}
+
+impl Value {
+    /// The whole value, reading the body's continuation pages through
+    /// `read_page`. They are full and consecutive in their block, so the
+    /// body is their concatenation cut to its length.
+    pub fn read_body<E>(
+        self,
+        mut read_page: impl FnMut(Ppa) -> Result<Bytes, E>,
+    ) -> Result<Bytes, E> {
+        let (mut bytes, next, mut remaining) = match self {
+            Value::Whole(value) => return Ok(value),
+            Value::Body { bytes, next, remaining } => (bytes, next, remaining),
+        };
+        let mut page = next.page;
+        while remaining > 0 {
+            let data = read_page(Ppa::new(next.block, page))?;
+            let take = remaining.min(data.len());
+            bytes.extend_from_slice(&data[..take]);
+            remaining -= take;
+            page += 1;
+        }
+        Ok(Bytes::from(bytes))
     }
 }
 
 /// Incremental builder for a head page.
 ///
 /// Pairs are appended until [`PageBuilder::fits`] says no; the caller then
-/// seals the page with [`PageBuilder::finish`] and starts a new one.
+/// seals the page with [`PageBuilder::finish`] and starts a new one. Until
+/// then [`PageBuilder::view`] reads the open page in place.
 pub struct PageBuilder {
     page_size: usize,
+    /// The header (patched at [`PageBuilder::finish`]), then the records.
     data: Vec<u8>,
+    /// The signature info area, one entry per pair in append order.
     sig_entries: Vec<u8>,
-    pair_count: u16,
 }
 
 impl PageBuilder {
@@ -262,7 +251,7 @@ impl PageBuilder {
         data.extend_from_slice(&[0u8; HEADER_LEN]);
         // bounded-by: `fits` gates every append so data + sig_entries
         // never exceed page_size.
-        PageBuilder { page_size, data, sig_entries: Vec::new(), pair_count: 0 }
+        PageBuilder { page_size, data, sig_entries: Vec::new() }
     }
 
     /// Bytes still free for pair records (accounting for the sig entry the
@@ -279,33 +268,19 @@ impl PageBuilder {
 
     /// True when no pair has been appended yet.
     pub fn is_empty(&self) -> bool {
-        self.pair_count == 0
+        self.sig_entries.is_empty()
     }
 
     pub fn pair_count(&self) -> u16 {
-        self.pair_count
+        (self.sig_entries.len() / SIG_ENTRY_LEN) as u16
     }
 
-    /// Append a pair, writing as much of `value` as fits. Returns the
-    /// number of value bytes placed in this page (the head fragment).
-    ///
-    /// Panics if even the record prefix + key + sig entry don't fit; callers
-    /// must check [`PageBuilder::fits`] first.
-    /// Append a pair whose value fits entirely in this page. Tests and the
-    /// write path for small pairs use this; overflowing values go through
-    /// [`PageBuilder::append_pair_with_frag`] with an extent address.
-    pub fn append_pair(&mut self, sig: KeySignature, key: &[u8], value: &[u8], flags: u8) -> usize {
-        let frag = value
-            .len()
-            .min(self.free_bytes().saturating_sub(RECORD_PREFIX_LEN + key.len() + SIG_ENTRY_LEN));
-        let cont = if frag < value.len() {
-            // Tests exercising raw truncation use a placeholder address.
-            Some(Ppa::new(0, 0))
-        } else {
-            None
-        };
-        self.append_pair_with_frag(sig, key, value, frag, cont, flags);
-        frag
+    /// The open page as a [`HeadPage`], read in place: its records and its
+    /// signature info area as they stand before [`PageBuilder::finish`]
+    /// moves the info area to the page tail. Record offsets count from the
+    /// page start either way.
+    pub fn view(&self) -> HeadPage<'_> {
+        HeadPage { records: &self.data, info: &self.sig_entries, pairs: self.pair_count() as usize }
     }
 
     /// Append a pair with an exact head fragment length (the extent writer
@@ -340,12 +315,13 @@ impl PageBuilder {
         self.sig_entries.extend_from_slice(&sig.0.to_le_bytes());
         self.sig_entries.extend_from_slice(&(offset as u16).to_le_bytes());
         self.sig_entries.extend_from_slice(&(frag as u32).to_le_bytes());
-        self.pair_count += 1;
     }
 
     /// Seal the page: header patched, sig info area moved to the tail.
-    pub fn finish(mut self) -> Bytes {
-        self.data[..HEADER_LEN].copy_from_slice(&self.pair_count.to_le_bytes());
+    /// The builder is left empty, its buffers kept for the next page.
+    pub fn finish(&mut self) -> Bytes {
+        let pair_count = self.pair_count();
+        self.data[..HEADER_LEN].copy_from_slice(&pair_count.to_le_bytes());
         let gap = self.page_size - self.data.len() - self.sig_entries.len();
         self.data.extend(std::iter::repeat_n(0u8, gap));
         // The info area occupies the last pair_count * SIG_ENTRY_LEN bytes,
@@ -356,7 +332,11 @@ impl PageBuilder {
             self.page_size,
             "sealed head page must fill the flash page exactly"
         );
-        Bytes::from(self.data)
+        let page = Bytes::copy_from_slice(&self.data);
+        self.data.truncate(HEADER_LEN);
+        self.data.fill(0);
+        self.sig_entries.clear();
+        page
     }
 }
 
@@ -378,19 +358,22 @@ fn le_u64(b: &[u8]) -> u64 {
 /// A head page, read where it lies: nothing is copied until a caller asks
 /// for a pair.
 ///
-/// Two constructors. [`HeadPage::parse`] checks every pair's bounds; the
+/// Three constructors. [`HeadPage::parse`] checks every pair's bounds; the
 /// FTL runs it on each head page when it seals it
 /// ([`Ftl::flush_data_builder`](crate::Ftl::flush_data_builder), the only
 /// place head pages are programmed), and NAND pages do not change until
 /// erased. So a flash reader uses [`HeadPage::programmed`], which trusts
 /// the `Head` tag of the spare read with the page and keeps only the O(1)
 /// header checks; [`HeadPage::pair`] still slices with checks, so no bytes
-/// can make it panic.
+/// can make it panic. [`PageBuilder::view`] reads the write buffer's open
+/// page the same way before it is sealed.
 #[derive(Clone, Copy, Debug)]
 pub struct HeadPage<'a> {
-    data: &'a [u8],
-    /// Start of the signature info area (its entries run to the page end).
-    info_start: usize,
+    /// The pair area: the header, then the pair records (record offsets
+    /// count from its start).
+    records: &'a [u8],
+    /// The signature info area, one entry per pair in append order.
+    info: &'a [u8],
     pairs: usize,
 }
 
@@ -406,13 +389,14 @@ impl<'a> HeadPage<'a> {
         if pairs > 0 && data.len() < HEADER_LEN + info_bytes {
             return None;
         }
-        Some(HeadPage { data, info_start: data.len() - info_bytes, pairs })
+        let info_start = data.len() - info_bytes;
+        Some(HeadPage { records: &data[..info_start], info: &data[info_start..], pairs })
     }
 
     /// Validate `data` as a head page. Returns `None` when it is not well
     /// formed: shorter than the header or longer than `page_size`, a
-    /// signature info area that does not fit, or any pair whose record
-    /// runs into the info area or whose head fragment exceeds its value.
+    /// signature info area that does not fit, or any pair
+    /// [`HeadPage::pair`] refuses.
     pub fn parse(data: &'a [u8], page_size: usize) -> Option<Self> {
         let page = Self::header(data, page_size)?;
         (0..page.pairs).all(|i| page.pair(i).is_some()).then_some(page)
@@ -438,7 +422,7 @@ impl<'a> HeadPage<'a> {
     }
 
     fn info(&self, i: usize) -> &'a [u8] {
-        &self.data[self.info_start + i * SIG_ENTRY_LEN..self.info_start + (i + 1) * SIG_ENTRY_LEN]
+        &self.info[i * SIG_ENTRY_LEN..(i + 1) * SIG_ENTRY_LEN]
     }
 
     /// Signature of pair `i` (in append order).
@@ -447,8 +431,9 @@ impl<'a> HeadPage<'a> {
     }
 
     /// Pair `i`, borrowed: `None` when `i` is out of range, its record or
-    /// head fragment leaves the pair area, or the fragment exceeds its
-    /// value.
+    /// head fragment leaves the pair area, the fragment exceeds its value,
+    /// or the value continues past the fragment without a continuation
+    /// extent.
     #[inline]
     pub fn pair(&self, i: usize) -> Option<Pair<'a>> {
         if i >= self.pairs {
@@ -457,24 +442,23 @@ impl<'a> HeadPage<'a> {
         let e = self.info(i);
         let off = le_u16(&e[8..]) as usize;
         let frag_len = le_u32(&e[10..]);
-        let area = &self.data[..self.info_start];
-        let rec = area.get(off..off + RECORD_PREFIX_LEN)?;
+        let rec = self.records.get(off..off + RECORD_PREFIX_LEN)?;
         let val_total_len = le_u32(&rec[2..]);
-        if frag_len > val_total_len {
+        let mut cont_raw = [0u8; Ppa::PACKED_LEN];
+        cont_raw.copy_from_slice(&rec[7..12]);
+        let cont_start = (cont_raw != [0xff; Ppa::PACKED_LEN]).then(|| Ppa::from_bytes(cont_raw));
+        if frag_len > val_total_len || (frag_len < val_total_len && cont_start.is_none()) {
             return None;
         }
         let key_start = off + RECORD_PREFIX_LEN;
         let frag_start = key_start + le_u16(rec) as usize;
-        let mut cont_raw = [0u8; Ppa::PACKED_LEN];
-        cont_raw.copy_from_slice(&rec[7..12]);
         Some(Pair {
             sig: KeySignature(le_u64(e)),
-            offset: off as u16,
-            val_total_len,
-            cont_start: (cont_raw != [0xff; Ppa::PACKED_LEN]).then(|| Ppa::from_bytes(cont_raw)),
-            key: area.get(key_start..frag_start)?,
-            value_frag: area.get(frag_start..frag_start.checked_add(frag_len as usize)?)?,
+            key: self.records.get(key_start..frag_start)?,
+            value_frag: self.records.get(frag_start..frag_start.checked_add(frag_len as usize)?)?,
             flags: rec[6],
+            val_total_len,
+            cont_start,
         })
     }
 
@@ -506,20 +490,19 @@ impl<'a> HeadPage<'a> {
     }
 }
 
-/// Decode a head page into its pair entries.
+/// Every pair of a head page, borrowed, in append order.
 ///
 /// Returns `None` when the page is not a well-formed head page (see
 /// [`HeadPage::parse`]).
-pub fn decode_head(data: &[u8], page_size: usize) -> Option<Vec<PairEntry>> {
+pub fn decode_head(data: &[u8], page_size: usize) -> Option<Vec<Pair<'_>>> {
     let page = HeadPage::parse(data, page_size)?;
-    (0..page.len()).map(|i| page.pair(i).map(|pair| pair.to_entry())).collect()
+    (0..page.len()).map(|i| page.pair(i)).collect()
 }
 
-/// Find the authoritative entry for `sig` in a head page — the same
-/// answer as the newest match in [`decode_head`], building only that one
-/// entry.
-pub fn find_in_head(data: &[u8], page_size: usize, sig: KeySignature) -> Option<PairEntry> {
-    HeadPage::parse(data, page_size)?.find_pair(sig).map(|pair| pair.to_entry())
+/// The authoritative pair for `sig` in a head page, borrowed — the same
+/// answer as the newest match in [`decode_head`].
+pub fn find_in_head(data: &[u8], page_size: usize, sig: KeySignature) -> Option<Pair<'_>> {
+    HeadPage::parse(data, page_size)?.find_pair(sig)
 }
 
 /// The reader probe: the authoritative pair for `sig`, borrowed from a
@@ -534,37 +517,6 @@ pub fn probe_head<'a>(
     HeadPage::programmed(data, spare, page_size)?.find_pair(sig)
 }
 
-/// Assemble a stored value: its head fragment `frag`, then `body_len`
-/// bytes of continuation pages starting at `cont_start`, each read
-/// through `read_page`. Continuation pages are full and consecutive in
-/// their block, so the body is their concatenation cut to `body_len`. A
-/// value without a body is the fragment copied once. Returns `Ok(None)`
-/// when a body is due but no continuation extent is recorded (a corrupt
-/// pair).
-pub fn assemble_value<E>(
-    frag: &[u8],
-    body_len: usize,
-    cont_start: Option<Ppa>,
-    mut read_page: impl FnMut(Ppa) -> Result<Bytes, E>,
-) -> Result<Option<Bytes>, E> {
-    if body_len == 0 {
-        return Ok(Some(Bytes::copy_from_slice(frag)));
-    }
-    let Some(start) = cont_start else { return Ok(None) };
-    let mut value = Vec::with_capacity(frag.len() + body_len);
-    value.extend_from_slice(frag);
-    let mut remaining = body_len;
-    let mut page = start.page;
-    while remaining > 0 {
-        let data = read_page(Ppa::new(start.block, page))?;
-        let take = remaining.min(data.len());
-        value.extend_from_slice(&data[..take]);
-        remaining -= take;
-        page += 1;
-    }
-    Ok(Some(Bytes::from(value)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,12 +527,16 @@ mod tests {
         KeySignature(n)
     }
 
+    /// Append a pair whose value fits the page whole.
+    fn append(b: &mut PageBuilder, sig: KeySignature, key: &[u8], value: &[u8]) {
+        b.append_pair_with_frag(sig, key, value, value.len(), None, 0);
+    }
+
     #[test]
     fn single_pair_roundtrip() {
         let mut b = PageBuilder::new(PAGE);
         assert!(b.is_empty());
-        let frag = b.append_pair(sig(42), b"key-a", b"value-a", 0);
-        assert_eq!(frag, 7);
+        append(&mut b, sig(42), b"key-a", b"value-a");
         assert!(!b.is_empty());
         let page = b.finish();
         assert_eq!(page.len(), PAGE);
@@ -589,11 +545,10 @@ mod tests {
         assert_eq!(entries.len(), 1);
         let e = &entries[0];
         assert_eq!(e.sig, sig(42));
-        assert_eq!(&e.key[..], b"key-a");
-        assert_eq!(&e.value_frag[..], b"value-a");
-        assert_eq!(e.val_total_len, 7);
-        assert_eq!(e.frag_len, 7);
-        assert_eq!(e.cont_pages(PAGE as u32), 0);
+        assert_eq!(e.key, b"key-a");
+        assert_eq!(e.value_frag, b"value-a");
+        assert_eq!(e.body_len(), 0);
+        assert_eq!(e.extent(Ppa::new(0, 0), PAGE as u32).cont_pages, 0);
     }
 
     #[test]
@@ -603,8 +558,7 @@ mod tests {
             let key = format!("key-{i}");
             let val = format!("value-number-{i}");
             assert!(b.fits(key.len(), val.len()));
-            let frag = b.append_pair(sig(i), key.as_bytes(), val.as_bytes(), 0);
-            assert_eq!(frag, val.len());
+            append(&mut b, sig(i), key.as_bytes(), val.as_bytes());
         }
         assert_eq!(b.pair_count(), 5);
         let page = b.finish();
@@ -612,8 +566,8 @@ mod tests {
         assert_eq!(entries.len(), 5);
         for (i, e) in entries.iter().enumerate() {
             assert_eq!(e.sig, sig(i as u64));
-            assert_eq!(e.key, format!("key-{i}"));
-            assert_eq!(e.value_frag, format!("value-number-{i}"));
+            assert_eq!(e.key, format!("key-{i}").as_bytes());
+            assert_eq!(e.value_frag, format!("value-number-{i}").as_bytes());
         }
     }
 
@@ -621,22 +575,24 @@ mod tests {
     fn oversized_value_is_fragmented() {
         let mut b = PageBuilder::new(PAGE);
         let value = vec![7u8; 2000];
-        let frag = b.append_pair(sig(1), b"k", &value, 0);
-        assert!(frag < value.len());
+        let frag = value.len() % PAGE;
+        b.append_pair_with_frag(sig(1), b"k", &value, frag, Some(Ppa::new(4, 0)), 0);
         let page = b.finish();
         let e = find_in_head(&page, PAGE, sig(1)).unwrap();
-        assert_eq!(e.frag_len as usize, frag);
-        assert_eq!(e.val_total_len as usize, value.len());
-        assert_eq!(&e.value_frag[..], &value[..frag]);
+        assert_eq!(e.value_frag, &value[..frag]);
+        assert_eq!(e.cont_start(), Some(Ppa::new(4, 0)));
         let rest = value.len() - frag;
-        assert_eq!(e.cont_pages(PAGE as u32) as usize, rest.div_ceil(PAGE));
+        assert_eq!(e.body_len() as usize, rest);
+        let extent = e.extent(Ppa::new(0, 0), PAGE as u32);
+        assert_eq!(extent.cont_pages as usize, rest.div_ceil(PAGE));
+        assert_eq!(extent.bytes(), (RECORD_PREFIX_LEN + 1 + value.len() + SIG_ENTRY_LEN) as u64);
     }
 
     #[test]
     fn fits_is_exact() {
         let mut b = PageBuilder::new(PAGE);
         // Fill with one pair taking most of the page.
-        b.append_pair(sig(1), b"k", &vec![0u8; 400], 0);
+        append(&mut b, sig(1), b"k", &[0u8; 400]);
         let free = b.free_bytes();
         let need = RECORD_PREFIX_LEN + 3 + SIG_ENTRY_LEN;
         assert!(b.fits(3, free - need));
@@ -646,10 +602,10 @@ mod tests {
     #[test]
     fn zero_length_value_and_empty_page() {
         let mut b = PageBuilder::new(PAGE);
-        b.append_pair(sig(9), b"tombstone", b"", 0x01);
+        b.append_pair_with_frag(sig(9), b"tombstone", b"", 0, None, 0x01);
         let page = b.finish();
         let e = find_in_head(&page, PAGE, sig(9)).unwrap();
-        assert_eq!(e.val_total_len, 0);
+        assert_eq!((e.value_frag, e.body_len()), (&b""[..], 0));
         assert_eq!(e.flags, 0x01);
 
         let empty = PageBuilder::new(PAGE).finish();
@@ -659,19 +615,26 @@ mod tests {
     #[test]
     fn duplicate_sig_latest_entry_wins() {
         // An in-page update appends a second entry with the same signature;
-        // retrieval must return the newest one.
+        // retrieval must return the newest one, from the open page and from
+        // the page it seals alike.
         let mut b = PageBuilder::new(PAGE);
-        b.append_pair(sig(5), b"k", b"old-value", 0);
-        b.append_pair(sig(5), b"k", b"new-value", 0);
+        append(&mut b, sig(5), b"k", b"old-value");
+        append(&mut b, sig(5), b"k", b"new-value");
+        let open = b.view().find_pair(sig(5)).unwrap();
+        assert_eq!(open.value_frag, b"new-value");
+        assert_eq!(b.view().newest(), [1]);
+        let open = (open.key.to_vec(), open.extent(Ppa::new(0, 0), PAGE as u32));
         let page = b.finish();
         let e = find_in_head(&page, PAGE, sig(5)).unwrap();
-        assert_eq!(&e.value_frag[..], b"new-value");
+        assert_eq!(e.value_frag, b"new-value");
+        assert_eq!((e.key.to_vec(), e.extent(Ppa::new(0, 0), PAGE as u32)), open);
     }
 
     #[test]
     fn find_in_head_miss() {
         let mut b = PageBuilder::new(PAGE);
-        b.append_pair(sig(1), b"k", b"v", 0);
+        append(&mut b, sig(1), b"k", b"v");
+        assert!(b.view().find_pair(sig(2)).is_none());
         let page = b.finish();
         assert!(find_in_head(&page, PAGE, sig(2)).is_none());
     }
@@ -694,7 +657,7 @@ mod tests {
     #[test]
     fn only_a_head_spare_makes_a_head_page() {
         let mut b = PageBuilder::new(PAGE);
-        b.append_pair(sig(3), b"key", b"value", 0);
+        append(&mut b, sig(3), b"key", b"value");
         let page = b.finish();
         let head = HeadPage::programmed(&page, &SpareMeta::head_page().encode(), PAGE)
             .expect("a sealed page under a head spare");
@@ -736,6 +699,21 @@ mod tests {
     }
 
     #[test]
+    fn a_body_without_an_extent_is_refused() {
+        // A record whose value runs past its fragment but names no
+        // continuation page reads as no pair, and its page does not parse.
+        let mut b = PageBuilder::new(PAGE);
+        b.append_pair_with_frag(sig(1), b"k", b"abcdef", 2, Some(Ppa::new(3, 5)), 0);
+        let mut page = b.finish().to_vec();
+        assert!(find_in_head(&page, PAGE, sig(1)).is_some());
+        let cont = HEADER_LEN + 7;
+        page[cont..cont + Ppa::PACKED_LEN].fill(0xff);
+        let spare = SpareMeta::head_page().encode();
+        assert_eq!(probe_head(&page, &spare, PAGE, sig(1)), None);
+        assert!(HeadPage::parse(&page, PAGE).is_none());
+    }
+
+    #[test]
     fn spare_meta_roundtrip() {
         for meta in [
             SpareMeta::head_page(),
@@ -750,37 +728,27 @@ mod tests {
     }
 
     #[test]
-    fn footprint_accounts_everything() {
-        let e = PairEntry {
-            sig: sig(1),
-            offset: 2,
-            frag_len: 10,
-            val_total_len: 100,
-            cont_start: Some(Ppa::new(1, 0)),
-            key: Bytes::from_static(b"abc"),
-            value_frag: Bytes::from_static(b"0123456789"),
-            flags: 0,
-        };
-        assert_eq!(e.footprint(), (RECORD_PREFIX_LEN + 3 + 100 + SIG_ENTRY_LEN) as u64);
-    }
-
-    #[test]
-    fn assemble_value_reads_consecutive_full_pages() {
+    fn a_value_reads_consecutive_full_pages() {
         // Two 4-byte continuation pages at (3, 5) and (3, 6); the body is
         // 6 bytes, so only part of the second page belongs to the value.
+        let mut b = PageBuilder::new(PAGE);
+        b.append_pair_with_frag(sig(1), b"k", b"ab------", 2, Some(Ppa::new(3, 5)), 0);
+        append(&mut b, sig(2), b"j", b"ab");
+        let page = b.finish();
+        let long = find_in_head(&page, PAGE, sig(1)).unwrap();
         let mut reads = Vec::new();
-        let value = assemble_value::<()>(b"ab", 6, Some(Ppa::new(3, 5)), |ppa| {
+        let value = long.value().read_body::<()>(|ppa| {
             reads.push(ppa);
             Ok(Bytes::from(vec![b'0' + ppa.page as u8; 4]))
         });
-        assert_eq!(value, Ok(Some(Bytes::from_static(b"ab555566"))));
+        assert_eq!(value, Ok(Bytes::from_static(b"ab555566")));
         assert_eq!(reads, [Ppa::new(3, 5), Ppa::new(3, 6)]);
+        // A failed read propagates.
+        assert_eq!(long.value().read_body(|_| Err("fault")), Err("fault"));
 
-        // No body: no reads, even without an extent.
-        let none = assemble_value::<()>(b"ab", 0, None, |_| panic!("no page is due"));
-        assert_eq!(none, Ok(Some(Bytes::from_static(b"ab"))));
-        // A body without an extent is corrupt; a failed read propagates.
-        assert_eq!(assemble_value::<()>(b"ab", 1, None, |_| Err(())), Ok(None));
-        assert_eq!(assemble_value(b"ab", 1, Some(Ppa::new(0, 0)), |_| Err("fault")), Err("fault"));
+        // No body: the fragment is the value, and no page is read.
+        let short = find_in_head(&page, PAGE, sig(2)).unwrap();
+        let value = short.value().read_body::<()>(|_| panic!("no page is due"));
+        assert_eq!(value, Ok(Bytes::from_static(b"ab")));
     }
 }

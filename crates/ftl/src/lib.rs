@@ -35,7 +35,7 @@ mod traits;
 
 pub use alloc::{AcquireClass, BlockMeta, Stream};
 pub use cache::IndexPageCache;
-pub use ftl::{Ftl, FtlConfig, FtlError, FtlStats, MediaReader, WrittenExtent};
+pub use ftl::{Ftl, FtlConfig, FtlError, FtlStats, HeadRead, MediaReader, WrittenExtent};
 pub use gc::{GcConfig, GcPolicy, GcReport};
 pub use readview::{ReadHit, ReadView};
 pub use sync::{FlashPool, VersionTable};

@@ -1,10 +1,14 @@
 //! Property tests over the FTL: the Fig. 4 layout round-trips arbitrary
-//! pairs, extents account bytes exactly, and GC never loses a live pair
-//! under arbitrary store/stale interleavings.
+//! pairs, extents account bytes exactly, the write buffer reads like the
+//! page it seals, and GC never loses a live pair under arbitrary
+//! store/stale interleavings.
 
+use bytes::Bytes;
 use proptest::prelude::*;
 use rhik_ftl::layout::{self, HeadPage, PageBuilder, SpareMeta};
-use rhik_ftl::{gc, Ftl, FtlConfig, FtlError, GcConfig, IndexBackend, IndexStats, InsertOutcome};
+use rhik_ftl::{
+    gc, Ftl, FtlConfig, FtlError, GcConfig, IndexBackend, IndexStats, InsertOutcome, WrittenExtent,
+};
 use rhik_nand::{NandGeometry, Ppa};
 use rhik_sigs::KeySignature;
 use std::collections::HashMap;
@@ -61,6 +65,27 @@ impl IndexBackend for MapIndex {
     }
 }
 
+/// Append as much of `value` as fits the page; the rest continues at a
+/// placeholder extent (these pages are read, their extents never
+/// followed).
+fn append_fitting(b: &mut PageBuilder, sig: KeySignature, key: &[u8], value: &[u8], flags: u8) {
+    let overhead = layout::RECORD_PREFIX_LEN + key.len() + layout::SIG_ENTRY_LEN;
+    let frag = value.len().min(b.free_bytes().saturating_sub(overhead));
+    let cont = (frag < value.len()).then(|| Ppa::new(0, 0));
+    b.append_pair_with_frag(sig, key, value, frag, cont, flags);
+}
+
+/// The key, value and extent of `sig`'s pair at `head`, read as the device
+/// reads it: the head page (off flash, or the write buffer's open page in
+/// place), then the value's continuation pages.
+fn read(f: &mut Ftl, head: Ppa, sig: KeySignature) -> Option<(Vec<u8>, Bytes, WrittenExtent)> {
+    let page = f.read_head(head).expect("head page reads");
+    let (key, value, extent) = f
+        .find_pair(&page, sig)
+        .map(|pair| (pair.key.to_vec(), pair.value(), pair.extent(head, 512)))?;
+    Some((key, f.read_value(value).expect("body pages read"), extent))
+}
+
 fn ftl() -> Ftl {
     Ftl::new(FtlConfig {
         geometry: NandGeometry {
@@ -92,7 +117,7 @@ proptest! {
             if !builder.fits(key.len(), value.len()) {
                 continue;
             }
-            builder.append_pair(KeySignature(sig_raw), &key, &value, flags);
+            builder.append_pair_with_frag(KeySignature(sig_raw), &key, &value, value.len(), None, flags);
             expected.push((KeySignature(sig_raw), key, value, flags));
         }
         let page = builder.finish();
@@ -101,10 +126,10 @@ proptest! {
         prop_assert_eq!(decoded.len(), expected.len());
         for (entry, (sig, key, value, flags)) in decoded.iter().zip(&expected) {
             prop_assert_eq!(entry.sig, *sig);
-            prop_assert_eq!(&entry.key[..], &key[..]);
-            prop_assert_eq!(&entry.value_frag[..], &value[..]);
+            prop_assert_eq!(entry.key, &key[..]);
+            prop_assert_eq!(entry.value_frag, &value[..]);
             prop_assert_eq!(entry.flags, *flags);
-            prop_assert_eq!(entry.val_total_len as usize, value.len());
+            prop_assert_eq!(entry.body_len(), 0);
         }
     }
 
@@ -126,7 +151,7 @@ proptest! {
         let mut builder = PageBuilder::new(PAGE);
         for (sig, key, value, flags) in &pairs {
             if builder.fits(key.len(), 0) {
-                builder.append_pair(KeySignature(*sig), key, value, *flags);
+                append_fitting(&mut builder, KeySignature(*sig), key, value, *flags);
             }
         }
         let mut page = builder.finish().to_vec();
@@ -154,7 +179,7 @@ proptest! {
         for sig in (0..6).map(KeySignature) {
             let newest = decoded.as_ref().and_then(|es| es.iter().rev().find(|e| e.sig == sig));
             let found = layout::find_in_head(&data, PAGE, sig);
-            prop_assert_eq!(found.as_ref(), newest);
+            prop_assert_eq!(found, newest.copied());
         }
         if let Some(head) = layout::HeadPage::parse(&data, PAGE) {
             let decoded = decoded.expect("parse and decode_head agree on acceptance");
@@ -195,12 +220,7 @@ proptest! {
         let spare = SpareMeta::head_page().encode();
         for sig in (0..8).map(KeySignature) {
             let probed = layout::probe_head(&page, &spare, PAGE, sig);
-            let found = layout::find_in_head(&page, PAGE, sig);
-            prop_assert_eq!(probed.map(|p| p.to_entry()), found.clone());
-            if let (Some(probed), Some(found)) = (probed, found) {
-                prop_assert_eq!(probed.body_len(), found.body_len());
-                prop_assert_eq!(probed.extent(Ppa::new(1, 2), 512), found.extent(Ppa::new(1, 2), 512));
-            }
+            prop_assert_eq!(probed, layout::find_in_head(&page, PAGE, sig));
         }
     }
 
@@ -232,24 +252,44 @@ proptest! {
         f.flush_data_builder().unwrap();
 
         for (sig, key, value, extent) in stored {
-            let (data, _) = f.read_data_page(extent.head).unwrap();
-            let entry = layout::find_in_head(&data, 512, sig).expect("entry present");
-            prop_assert_eq!(&entry.key[..], &key[..]);
-            prop_assert_eq!(entry.val_total_len as usize, value.len());
-            // Reassemble the body.
-            let mut got = entry.value_frag.to_vec();
-            if let Some(start) = entry.cont_start {
-                let mut remaining = (entry.val_total_len - entry.frag_len) as usize;
-                let mut i = 0;
-                while remaining > 0 {
-                    let (cd, _) = f.read_data_page(Ppa::new(start.block, start.page + i)).unwrap();
-                    let take = remaining.min(cd.len());
-                    got.extend_from_slice(&cd[..take]);
-                    remaining -= take;
-                    i += 1;
-                }
+            let got = read(&mut f, extent.head, sig);
+            prop_assert_eq!(got, Some((key, Bytes::from(value), extent)));
+        }
+    }
+
+    /// The write buffer's open page reads like the page it seals: over
+    /// random stores, in-page updates and drops, every signature still
+    /// pending reads the same key, value and extent through the open page
+    /// before `flush_data_builder` as through the sealed page after it,
+    /// and a signature dropped from the buffer reads absent until then.
+    #[test]
+    fn write_buffer_reads_like_its_sealed_page(
+        ops in proptest::collection::vec((0u64..6, 0usize..1200, any::<bool>()), 1..24)
+    ) {
+        let mut f = ftl();
+        // Each key's latest store, and whether it was dropped since.
+        let mut latest = HashMap::new();
+        for (id, vlen, drop) in ops {
+            let (sig, key) = (mix(id), format!("k{id}").into_bytes());
+            let value: Vec<u8> = (0..vlen).map(|j| (id as usize * 31 + j) as u8).collect();
+            let extent = f.store_pair(sig, &key, &value, 0).expect("room for every store");
+            if drop {
+                f.drop_pending(sig);
             }
-            prop_assert_eq!(got, value);
+            latest.insert(id, (key, Bytes::from(value), extent, drop));
+        }
+        let Some(open) = f.pending_head() else { return Ok(()) };
+        let buffered: Vec<_> = latest.into_iter().filter(|(_, (_, _, e, _))| e.head == open).collect();
+        let before: Vec<_> = buffered.iter().map(|&(id, _)| read(&mut f, open, mix(id))).collect();
+        f.flush_data_builder().unwrap();
+        for ((id, (key, value, extent, dropped)), before) in buffered.into_iter().zip(before) {
+            if dropped {
+                prop_assert_eq!(before, None, "a dropped signature reads absent until the flush");
+            } else {
+                let expected = Some((key, value, extent));
+                prop_assert_eq!(&before, &expected);
+                prop_assert_eq!(read(&mut f, open, mix(id)), expected);
+            }
         }
     }
 
@@ -306,45 +346,10 @@ proptest! {
             let sig = KeySignature(raw);
             let head = index.lookup(&mut f, sig).unwrap();
             let head = head.expect("live pair lost by GC");
-            let (entry_value, found) = if Some(head) == f.pending_head() {
-                let frag = f.pending_pair(sig).expect("pending").1.to_vec();
-                let ext = f.pending_extent(sig).expect("pending extent");
-                let mut got = frag;
-                if let Some(start) = ext.cont_start {
-                    let mut remaining = ext.cont_bytes as usize;
-                    let mut i = 0;
-                    while remaining > 0 {
-                        let (cd, _) = f.read_data_page(Ppa::new(start.block, start.page + i)).unwrap();
-                        let take = remaining.min(cd.len());
-                        got.extend_from_slice(&cd[..take]);
-                        remaining -= take;
-                        i += 1;
-                    }
-                }
-                (got, true)
-            } else {
-                let (data, _) = f.read_data_page(head).unwrap();
-                match layout::find_in_head(&data, 512, sig) {
-                    Some(entry) => {
-                        let mut got = entry.value_frag.to_vec();
-                        if let Some(start) = entry.cont_start {
-                            let mut remaining = (entry.val_total_len - entry.frag_len) as usize;
-                            let mut i = 0;
-                            while remaining > 0 {
-                                let (cd, _) = f.read_data_page(Ppa::new(start.block, start.page + i)).unwrap();
-                                let take = remaining.min(cd.len());
-                                got.extend_from_slice(&cd[..take]);
-                                remaining -= take;
-                                i += 1;
-                            }
-                        }
-                        (got, true)
-                    }
-                    None => (Vec::new(), false),
-                }
+            let Some((_, got, _)) = read(&mut f, head, sig) else {
+                return Err(TestCaseError::fail("entry vanished from head page"));
             };
-            prop_assert!(found, "entry vanished from head page");
-            prop_assert_eq!(&entry_value, value);
+            prop_assert_eq!(&got[..], &value[..]);
         }
     }
 }
@@ -370,7 +375,7 @@ proptest! {
         let mut builder = PageBuilder::new(PAGE);
         for (sig, key, value) in &pairs {
             if builder.fits(key.len(), 0) {
-                builder.append_pair(KeySignature(*sig), key, value, 0);
+                append_fitting(&mut builder, KeySignature(*sig), key, value, 0);
             }
         }
         let mut data = builder.finish().to_vec();

@@ -177,9 +177,12 @@ impl<I: IndexBackend> KvssdDevice<I> {
         while keys.len() < count {
             let Some(&(sig, head)) = session.candidates.get(session.pos) else { break };
             session.pos += 1;
-            if let Some((key, _, _)) = self.read_pair(sig, head)? {
-                if key.starts_with(&session.prefix) {
-                    keys.push(key);
+            // Only the key is needed: one head-page read, none in the
+            // write buffer, and the key copied only when it matches.
+            let page = self.ftl.read_head(head)?;
+            if let Some(pair) = self.ftl.find_pair(&page, sig) {
+                if pair.key.starts_with(&session.prefix) {
+                    keys.push(Bytes::copy_from_slice(pair.key));
                 }
             }
         }

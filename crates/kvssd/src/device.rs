@@ -3,7 +3,7 @@
 use bytes::Bytes;
 use rhik_baseline::{LsmConfig, LsmIndex, MultiLevelConfig, MultiLevelIndex};
 use rhik_core::RhikIndex;
-use rhik_ftl::layout;
+use rhik_ftl::layout::Pair;
 use rhik_ftl::{gc, Ftl, FtlError, GcConfig, IndexBackend, WrittenExtent};
 use rhik_nand::Ppa;
 use rhik_sigs::{KeySignature, SigHasher};
@@ -84,13 +84,14 @@ pub struct ExistReport {
 }
 
 /// What the §IV exist-check found under a key's signature.
-enum Stored {
+enum Stored<T> {
     /// No pair is indexed under the signature.
     Absent,
     /// The indexed pair belongs to a different key (signature collision).
     OtherKey,
-    /// The key's own pair: its value and on-flash extent.
-    Pair(Bytes, WrittenExtent),
+    /// The key's own pair: its on-flash extent, and what the caller
+    /// copied out of it.
+    Pair(WrittenExtent, T),
 }
 
 /// Pre-command cache/lookup counters, snapshotted only while a telemetry
@@ -103,7 +104,7 @@ struct OpSnapshot {
 
 /// A KVSSD with a pluggable index scheme.
 pub struct KvssdDevice<I: IndexBackend> {
-    ftl: Ftl,
+    pub(crate) ftl: Ftl,
     index: I,
     hasher: SigHasher,
     engine: TimingEngine,
@@ -290,8 +291,7 @@ impl<I: IndexBackend> KvssdDevice<I> {
     /// Drain media ops to the timing engine, charging `host_bytes` of host
     /// transfer to this command.
     pub(crate) fn settle(&mut self, host_bytes: u64) -> crate::CommandTiming {
-        let ops = self.ftl.drain_timed_ops();
-        self.engine.account(&ops, host_bytes)
+        self.engine.account(self.ftl.drain_timed_ops().as_slice(), host_bytes)
     }
 
     // ---------------------------------------------------------- telemetry
@@ -411,7 +411,7 @@ impl<I: IndexBackend> KvssdDevice<I> {
     /// Hold the submission queue for the media time the FTL ran since the
     /// last drain (background work no command's own timing covers).
     fn stall_queue(&mut self) {
-        let stall: u64 = self.ftl.drain_timed_ops().iter().map(|o| o.duration_ns).sum();
+        let stall: u64 = self.ftl.drain_timed_ops().map(|o| o.duration_ns).sum();
         self.engine.stall_until(self.engine.now_ns() + stall);
     }
 
@@ -443,89 +443,47 @@ impl<I: IndexBackend> KvssdDevice<I> {
         Ok(progressed)
     }
 
-    /// Read the full pair stored at `head` for `sig` (write buffer aware).
-    /// Returns the key, value, and the pair's on-flash extent (for
-    /// staleness accounting on update/delete).
-    pub(crate) fn read_pair(
-        &mut self,
-        sig: KeySignature,
-        head: Ppa,
-    ) -> Result<Option<(Bytes, Bytes, WrittenExtent)>> {
-        if Some(head) == self.ftl.pending_head() {
-            // The head fragment is in the DRAM buffer; the body (if any)
-            // is already on flash and costs real reads.
-            let (Some((key, frag)), Some(extent)) =
-                (self.ftl.pending_pair(sig), self.ftl.pending_extent(sig))
-            else {
-                return Ok(None);
-            };
-            let value = self.assemble_value(&frag, &extent)?;
-            return Ok(Some((key, value, extent)));
-        }
-        let (data, spare) = self.ftl.read_data_page(head)?;
-        let page_size = self.ftl.geometry().page_size;
-        let Some(pair) = layout::probe_head(&data, &spare, page_size as usize, sig) else {
-            return Ok(None);
-        };
-        let extent = pair.extent(head, page_size);
-        let value = self.assemble_value(pair.value_frag, &extent)?;
-        // `Bytes` is one shared buffer with no views into another, so the
-        // borrowed key is copied out of the page.
-        Ok(Some((Bytes::copy_from_slice(pair.key), value, extent)))
-    }
-
-    /// A stored value: its head fragment `frag`, then the continuation
-    /// pages `extent` records, each read (and charged) off flash.
-    fn assemble_value(&mut self, frag: &[u8], extent: &WrittenExtent) -> Result<Bytes> {
-        let ftl = &mut self.ftl;
-        layout::assemble_value(frag, extent.cont_bytes as usize, extent.cont_start, |ppa| {
-            ftl.read_data_page(ppa).map(|(page, _)| page)
-        })?
-        .ok_or_else(|| {
-            KvError::Corrupt(
-                "stored pair overflows its head page but has no continuation extent".into(),
-            )
-        })
-    }
-
     /// The value stored at `head` for `key`, read for the auditor without
     /// charging a flash read: `Some(None)` when the page holds no pair of
-    /// `key` under `sig`, `None` when it cannot be read that way (the
-    /// head still sits in the write buffer).
+    /// `key` under `sig`, `None` when a page of it is not programmed.
     pub(crate) fn peek_value(
         &self,
         sig: KeySignature,
         head: Ppa,
         key: &[u8],
     ) -> Option<Option<Vec<u8>>> {
-        if Some(head) == self.ftl.pending_head() {
-            return None;
-        }
-        let (data, spare) = self.ftl.peek_page(head)?;
-        let page_size = self.ftl.geometry().page_size as usize;
-        let Some(pair) = layout::probe_head(&data, &spare, page_size, sig).filter(|p| p.key == key)
-        else {
+        let page = self.ftl.peek_head(head)?;
+        let Some(pair) = self.ftl.find_pair(&page, sig).filter(|pair| pair.key == key) else {
             return Some(None);
         };
-        layout::assemble_value(pair.value_frag, pair.body_len() as usize, pair.cont_start, |ppa| {
-            self.ftl.peek_page(ppa).map(|(page, _)| page).ok_or(())
-        })
-        .ok()
-        .flatten()
-        .map(|value| Some(value.to_vec()))
+        let value =
+            pair.value().read_body(|ppa| self.ftl.peek_page(ppa).map(|(page, _)| page).ok_or(()));
+        value.ok().map(|value| Some(value.to_vec()))
     }
 
-    /// §IV's exist-check with full-key verification: look `sig` up,
-    /// garbage-collecting if the lookup needs blocks, and compare the
-    /// stored pair's key with `key`.
-    fn stored(&mut self, sig: KeySignature, key: &[u8]) -> Result<Stored> {
+    /// §IV's exist-check with full-key verification, the one every locked
+    /// command reads through: look `sig` up, garbage-collecting if the
+    /// lookup needs blocks, borrow its pair from the head page — the write
+    /// buffer's open page in place, or a sealed page read off flash — and
+    /// compare the stored key with `key` where it lies. `copy` takes what
+    /// the caller returns out of the pair (a get: [`Pair::value`], whose
+    /// body the caller then reads); nothing else is copied or read.
+    fn stored<T>(
+        &mut self,
+        sig: KeySignature,
+        key: &[u8],
+        copy: impl FnOnce(&Pair<'_>) -> T,
+    ) -> Result<Stored<T>> {
         let Some(head) = self.with_gc(|ftl, index| index.lookup(ftl, sig))? else {
             return Ok(Stored::Absent);
         };
-        Ok(match self.read_pair(sig, head)? {
+        let page = self.ftl.read_head(head)?;
+        Ok(match self.ftl.find_pair(&page, sig) {
             None => Stored::Absent,
-            Some((stored_key, _, _)) if stored_key != key => Stored::OtherKey,
-            Some((_, value, extent)) => Stored::Pair(value, extent),
+            Some(pair) if pair.key != key => Stored::OtherKey,
+            Some(pair) => {
+                Stored::Pair(pair.extent(head, self.ftl.geometry().page_size), copy(&pair))
+            }
         })
     }
 
@@ -578,13 +536,13 @@ impl<I: IndexBackend> KvssdDevice<I> {
     /// full-key verification, write data, update index).
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
         self.command(OpKind::Put, key, |dev, sig| {
-            let old = match dev.stored(sig, key)? {
+            let old = match dev.stored(sig, key, |_| ())? {
                 Stored::Absent => None,
                 Stored::OtherKey => {
                     dev.stats.collisions += 1;
                     return Err(KvError::KeyCollision);
                 }
-                Stored::Pair(_, extent) => Some(extent),
+                Stored::Pair(extent, ()) => Some(extent),
             };
             let extent = dev.with_gc(|ftl, _| ftl.store_pair(sig, key, value, 0))?;
             // Repoint the index. On failure the freshly-written extent is
@@ -611,16 +569,19 @@ impl<I: IndexBackend> KvssdDevice<I> {
     /// `get`: retrieve the value for `key` (full-key verification before
     /// returning, §IV-A3).
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Bytes>> {
-        self.command(OpKind::Get, key, |dev, sig| match dev.stored(sig, key)? {
-            Stored::Pair(value, _) => {
-                let len = value.len() as u64;
-                dev.stats.bytes_read += len;
-                Ok((Some(value), len))
-            }
-            // A collision reads as absent: the stored pair is another key.
-            Stored::Absent | Stored::OtherKey => {
-                dev.stats.not_found += 1;
-                Ok((None, 0))
+        self.command(OpKind::Get, key, |dev, sig| {
+            match dev.stored(sig, key, |pair| pair.value())? {
+                Stored::Pair(_, value) => {
+                    let value = dev.ftl.read_value(value)?;
+                    let len = value.len() as u64;
+                    dev.stats.bytes_read += len;
+                    Ok((Some(value), len))
+                }
+                // A collision reads as absent: the stored pair is another key.
+                Stored::Absent | Stored::OtherKey => {
+                    dev.stats.not_found += 1;
+                    Ok((None, 0))
+                }
             }
         })
     }
@@ -629,7 +590,7 @@ impl<I: IndexBackend> KvssdDevice<I> {
     /// match the request key", §IV).
     pub fn delete(&mut self, key: &[u8]) -> Result<()> {
         self.command(OpKind::Delete, key, |dev, sig| {
-            let extent = match dev.stored(sig, key)? {
+            let extent = match dev.stored(sig, key, |_| ())? {
                 Stored::Absent => {
                     dev.stats.not_found += 1;
                     return Err(KvError::KeyNotFound);
@@ -638,7 +599,7 @@ impl<I: IndexBackend> KvssdDevice<I> {
                     dev.stats.collisions += 1;
                     return Err(KvError::KeyNotFound);
                 }
-                Stored::Pair(_, extent) => extent,
+                Stored::Pair(extent, ()) => extent,
             };
             dev.with_gc(|ftl, index| index.remove(ftl, sig))?;
             dev.ftl.mark_stale(&extent);
@@ -894,6 +855,38 @@ mod tests {
         ));
         // Device still healthy.
         assert_eq!(&dev.get(b"big").unwrap().unwrap()[..], &value[..]);
+    }
+
+    #[test]
+    fn only_a_get_reads_past_the_head_page() {
+        // A 20 KiB value on 4 KiB pages: an empty head fragment and five
+        // continuation pages. A get reads all six; the key check of an
+        // update, a delete or an iterator step reads the head page alone.
+        let mut dev = device();
+        let value = vec![7u8; 20 * 1024];
+        let reads = |dev: &KvssdDevice<RhikIndex>| dev.ftl().stats().data_page_reads;
+        dev.put(b"big", &value).unwrap();
+        dev.flush().unwrap();
+        let before = reads(&dev);
+        assert_eq!(dev.get(b"big").unwrap().as_deref(), Some(&value[..]));
+        assert_eq!(reads(&dev) - before, 6, "a get reads the head page and the body");
+
+        let before = reads(&dev);
+        dev.put(b"big", &[8u8; 20 * 1024]).unwrap();
+        assert_eq!(reads(&dev) - before, 1, "an update checks the old key in its head page");
+        dev.flush().unwrap();
+        let before = reads(&dev);
+        dev.delete(b"big").unwrap();
+        assert_eq!(reads(&dev) - before, 1, "so does a delete");
+
+        for i in 0..3 {
+            dev.put(format!("it:{i}").as_bytes(), &value).unwrap();
+        }
+        dev.flush().unwrap();
+        let handle = dev.iterate_open(b"it:").unwrap();
+        let before = reads(&dev);
+        assert_eq!(dev.iterate_next(handle, 10).unwrap().len(), 3);
+        assert_eq!(reads(&dev) - before, 3, "one head page per candidate (the three keys)");
     }
 
     #[test]
@@ -1262,7 +1255,7 @@ mod tests {
         assert_eq!(dev.get(b"victim").unwrap_err(), KvError::ReadFault { ppa: head });
         assert_eq!(dev.ftl().stats().index_page_reads, index_reads + 1);
         assert!(
-            dev.ftl_mut().drain_timed_ops().is_empty(),
+            dev.ftl_mut().drain_timed_ops().next().is_none(),
             "the failed get left its reads to the next command"
         );
     }

@@ -216,18 +216,13 @@ impl FastPath {
         // A different stored key is either a true signature collision
         // (absent) or a stale page; validation tells them apart.
         let value = if pair.key == key {
-            let read = layout::assemble_value(
-                pair.value_frag,
-                pair.body_len() as usize,
-                pair.cont_start,
-                |ppa| {
-                    self.media.read_page(ppa).map(|(page, _)| {
-                        pages += 1;
-                        page
-                    })
-                },
-            );
-            let Ok(Some(value)) = read else { return (pages, None) };
+            let read = pair.value().read_body(|ppa| {
+                self.media.read_page(ppa).map(|(page, _)| {
+                    pages += 1;
+                    page
+                })
+            });
+            let Ok(value) = read else { return (pages, None) };
             Some(value)
         } else {
             None

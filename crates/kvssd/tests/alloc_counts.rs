@@ -1,13 +1,15 @@
-//! Allocations per get, counted rather than timed. A validated lock-free
-//! get allocates once — the value it returns — and a hot-cache hit not at
-//! all. Allocation counts do not depend on the host, so unlike a
+//! Allocations per command, counted rather than timed. A validated
+//! lock-free get allocates once — the value it returns — and a hot-cache
+//! hit not at all; on the locked path a get allocates once (its value),
+//! whether its pair is on flash or in the write buffer, and a delete not
+//! at all. Allocation counts do not depend on the host, so unlike a
 //! wall-clock bound they hold on any runner.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rhik_core::RhikIndex;
-use rhik_kvssd::{DeviceConfig, ShardedKvssd};
+use rhik_kvssd::{DeviceConfig, KvssdDevice, ShardedKvssd};
 
 thread_local! {
     /// Allocations made by this thread. Each test counts only its own.
@@ -118,4 +120,40 @@ fn a_hot_cache_hit_allocates_nothing() {
     }
     let after = dev.hot_cache_stats().expect("cache on");
     assert_eq!(after.hits - before.hits, 1_000, "every get was a hot-cache hit");
+}
+
+#[test]
+fn a_locked_get_allocates_its_value_and_a_delete_nothing() {
+    let mut dev = KvssdDevice::rhik(DeviceConfig::small());
+    for i in 0..KEYS {
+        dev.put(&key(i), &value(i)).expect("put");
+    }
+    dev.flush().expect("flush");
+    // Patch every index table once since its write-back: a table page
+    // shared with the flash array is copied on its first patch.
+    for i in KEYS / 2..KEYS {
+        dev.delete(&key(i)).expect("delete");
+    }
+    let programs = dev.ftl().stats().data_page_programs;
+
+    for (key, expected) in (0..300).map(|i| (key(i), value(i))) {
+        let (got, allocs) = counted(|| dev.get(&key));
+        assert_eq!(got.expect("get").as_deref(), Some(&expected[..]));
+        assert_eq!(allocs, 1, "a get of a flushed pair copies its value and nothing else");
+    }
+    let (key_b, value_b) = (b"buffered".to_vec(), value(7));
+    dev.put(&key_b, &value_b).expect("put");
+    let (got, allocs) = counted(|| dev.get(&key_b));
+    assert_eq!(got.expect("get").as_deref(), Some(&value_b[..]));
+    assert_eq!(allocs, 1, "a get of a buffered pair copies its value and nothing else");
+    for key in (300..600).map(key) {
+        let (deleted, allocs) = counted(|| dev.delete(&key));
+        deleted.expect("delete");
+        assert_eq!(allocs, 0, "a delete checks the stored key in place");
+    }
+    assert_eq!(
+        dev.ftl().stats().data_page_programs,
+        programs,
+        "no head page was sealed while measuring"
+    );
 }
