@@ -145,15 +145,16 @@ impl LsmIndex {
         ppa: Ppa,
     ) -> Result<(Vec<(u64, u64)>, u64), FtlError> {
         let key = Self::cache_key(ppa);
-        if let Some(bytes) = ftl.cache().get(key) {
-            return Ok((decode_run_page(bytes), 0));
+        // A run page is one segment: `to_bytes` hands back its buffer.
+        if let Some(page) = ftl.cache().get(key) {
+            return Ok((decode_run_page(&page.to_bytes()), 0));
         }
-        let bytes = ftl.read_index_page(ppa)?;
+        let page = ftl.read_index_page(ppa)?;
         self.stats.metadata_flash_reads += 1;
-        let records = decode_run_page(&bytes);
+        let records = decode_run_page(&page.to_bytes());
         // Run pages are immutable: inserting clean, evictions need no
         // write-back.
-        let _ = ftl.cache().insert(key, bytes, false);
+        let _ = ftl.cache().insert(key, page, false);
         Ok((records, 1))
     }
 
@@ -223,7 +224,7 @@ impl LsmIndex {
         let mut pages = Vec::new();
         let mut fences = Vec::new();
         for (bytes, first_sig) in encode_run(records, page_size) {
-            let ppa = ftl.write_index_page(bytes, SpareMeta::index_page())?;
+            let ppa = ftl.write_index_page(bytes.into(), SpareMeta::index_page())?;
             self.stats.metadata_flash_programs += 1;
             pages.push(ppa);
             fences.push(first_sig);
@@ -419,10 +420,10 @@ impl IndexBackend for LsmIndex {
             }
         }
         let Some((li, ri, pi)) = loc else { return Ok(None) };
-        let bytes = ftl.read_index_page(old)?;
+        let page = ftl.read_index_page(old)?;
         self.stats.metadata_flash_reads += 1;
-        let len = bytes.len() as u64;
-        let new_ppa = ftl.write_index_page(bytes, SpareMeta::index_page())?;
+        let len = page.len() as u64;
+        let new_ppa = ftl.write_index_page(page, SpareMeta::index_page())?;
         self.stats.metadata_flash_programs += 1;
         self.levels[li][ri].pages[pi] = new_ppa;
         ftl.cache().remove(Self::cache_key(old));

@@ -12,23 +12,28 @@
 //! copy" of metadata. A victim whose write-back the flash refuses goes
 //! back in ([`IndexPageCache::restore`]) rather than being lost.
 //!
-//! Pages are patched in place, copy-on-write: [`IndexPageCache::page_mut`]
-//! hands out the resident buffer, copying it first only while another
-//! handle shares it (the flash array keeps the bytes it was filled from or
-//! written back with), and [`IndexPageCache::commit_patch`] accounts the
-//! write exactly as re-inserting the page would.
+//! Pages are [`PageData`]: one buffer, or an ordered list of segments (a
+//! record-layer table on a page larger than one segment). Fills,
+//! write-backs and checkpoints pass a page on by refcount, and pages are
+//! patched in place, copy-on-write: [`IndexPageCache::page_mut`] hands out
+//! the resident page, whose writer copies a segment only while another
+//! handle shares it (the flash array keeps the segments it was filled from
+//! or written back with), and [`IndexPageCache::commit_patch`] accounts the
+//! write exactly as re-inserting the page would. Budget accounting counts
+//! a page's bytes, however it is segmented.
 //!
 //! Implemented from scratch as a slab-backed doubly-linked list + HashMap,
 //! O(1) for get/insert/remove.
 
 use bytes::Bytes;
+use rhik_nand::PageData;
 use rhik_sigs::SigMap;
 
 const NIL: usize = usize::MAX;
 
 struct Node {
     key: u64,
-    data: Bytes,
+    data: PageData,
     dirty: bool,
     prev: usize,
     next: usize,
@@ -38,7 +43,7 @@ struct Node {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Evicted {
     pub key: u64,
-    pub data: Bytes,
+    pub data: PageData,
     pub dirty: bool,
 }
 
@@ -146,7 +151,7 @@ impl IndexPageCache {
 
     /// Store a new entry in a free slab slot and map `key` to it (not yet
     /// linked into the recency list).
-    fn add_node(&mut self, key: u64, data: Bytes, dirty: bool) -> usize {
+    fn add_node(&mut self, key: u64, data: PageData, dirty: bool) -> usize {
         let node = Node { key, data, dirty, prev: NIL, next: NIL };
         let idx = match self.free.pop() {
             Some(i) => {
@@ -163,7 +168,7 @@ impl IndexPageCache {
     }
 
     /// Look up `key`, refreshing recency. Counts a hit or miss.
-    pub fn get(&mut self, key: u64) -> Option<&Bytes> {
+    pub fn get(&mut self, key: u64) -> Option<&PageData> {
         match self.map.get(&key).copied() {
             Some(idx) => {
                 self.stats.hits += 1;
@@ -178,9 +183,15 @@ impl IndexPageCache {
         }
     }
 
-    /// Look up without touching recency or stats (introspection).
-    pub fn peek(&self, key: u64) -> Option<&Bytes> {
+    /// The resident page under `key`, without touching recency or stats.
+    pub fn resident(&self, key: u64) -> Option<&PageData> {
         self.map.get(&key).map(|&idx| &self.slab[idx].data)
+    }
+
+    /// The resident page under `key` as one buffer, without touching
+    /// recency or stats (introspection: a segmented page is copied).
+    pub fn peek(&self, key: u64) -> Option<Bytes> {
+        self.resident(key).map(PageData::to_bytes)
     }
 
     /// Whether `key` is cached and dirty.
@@ -188,13 +199,14 @@ impl IndexPageCache {
         self.map.get(&key).is_some_and(|&idx| self.slab[idx].dirty)
     }
 
-    /// Mutable access to resident `key` for an in-place patch,
-    /// copy-on-write: the buffer is copied first only if another handle
-    /// shares it. Recency, dirtiness and counters are untouched; report a
-    /// completed patch with [`IndexPageCache::commit_patch`].
-    pub fn page_mut(&mut self, key: u64) -> Option<&mut [u8]> {
+    /// Mutable access to resident `key` for an in-place patch through
+    /// [`PageData::segments_mut`], copy-on-write: a segment is copied
+    /// first only if another handle shares it. Recency, dirtiness and
+    /// counters are untouched; report a completed patch with
+    /// [`IndexPageCache::commit_patch`].
+    pub fn page_mut(&mut self, key: u64) -> Option<&mut PageData> {
         let idx = *self.map.get(&key)?;
-        Some(self.slab[idx].data.make_mut())
+        Some(&mut self.slab[idx].data)
     }
 
     /// Account an in-place patch of resident `key` exactly as re-inserting
@@ -216,7 +228,7 @@ impl IndexPageCache {
     /// An entry larger than the whole budget is *not* cached (it would evict
     /// everything and still not fit); it is returned immediately as if
     /// evicted, preserving write-back semantics.
-    pub fn insert(&mut self, key: u64, data: Bytes, dirty: bool) -> Vec<Evicted> {
+    pub fn insert(&mut self, key: u64, data: PageData, dirty: bool) -> Vec<Evicted> {
         self.stats.insertions += 1;
         let mut evicted = Vec::new();
 
@@ -274,7 +286,7 @@ impl IndexPageCache {
         self.detach(idx);
         let node = std::mem::replace(
             &mut self.slab[idx],
-            Node { key: 0, data: Bytes::new(), dirty: false, prev: NIL, next: NIL },
+            Node { key: 0, data: PageData::default(), dirty: false, prev: NIL, next: NIL },
         );
         self.map.remove(&node.key);
         self.free.push(idx);
@@ -316,7 +328,7 @@ impl IndexPageCache {
         self.detach(idx);
         let node = std::mem::replace(
             &mut self.slab[idx],
-            Node { key: 0, data: Bytes::new(), dirty: false, prev: NIL, next: NIL },
+            Node { key: 0, data: PageData::default(), dirty: false, prev: NIL, next: NIL },
         );
         self.map.remove(&key);
         self.free.push(idx);
@@ -327,7 +339,7 @@ impl IndexPageCache {
     /// Every resident dirty page, in slab order, for a checkpoint. Each
     /// stays dirty until the caller has persisted it and calls
     /// [`IndexPageCache::mark_clean`].
-    pub fn dirty_pages(&self) -> Vec<(u64, Bytes)> {
+    pub fn dirty_pages(&self) -> Vec<(u64, PageData)> {
         self.slab
             .iter()
             .enumerate()
@@ -369,9 +381,10 @@ impl std::fmt::Debug for IndexPageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rhik_nand::SegmentsMut;
 
-    fn page(fill: u8, len: usize) -> Bytes {
-        Bytes::from(vec![fill; len])
+    fn page(fill: u8, len: usize) -> PageData {
+        Bytes::from(vec![fill; len]).into()
     }
 
     #[test]
@@ -423,7 +436,7 @@ mod tests {
         assert_eq!(c.used_bytes(), 300);
         assert!(c.is_dirty(1), "dirty must survive a clean overwrite");
         assert_eq!(c.len(), 1);
-        assert_eq!(c.peek(1).unwrap(), &page(9, 300));
+        assert_eq!(c.resident(1).unwrap(), &page(9, 300));
     }
 
     #[test]
@@ -507,17 +520,41 @@ mod tests {
 
     #[test]
     fn patch_in_place_is_copy_on_write() {
+        let write = |c: &mut IndexPageCache, key: u64, segment: usize, at: usize, byte: u8| match c
+            .page_mut(key)
+            .unwrap()
+            .segments_mut()
+        {
+            SegmentsMut::Flat(buf) => buf[at] = byte,
+            SegmentsMut::Segments(list) => list[segment].make_mut()[at] = byte,
+        };
         let mut c = IndexPageCache::new(1000);
         let shared = page(1, 10);
         c.insert(1, shared.clone(), false);
-        c.page_mut(1).unwrap()[0] = 9;
-        assert_eq!(&shared[..], &[1; 10], "a shared page is copied before the patch");
+        write(&mut c, 1, 0, 0, 9);
+        assert_eq!(&shared.to_bytes()[..], &[1; 10], "a shared page is copied before the patch");
         assert_eq!(c.peek(1).unwrap()[0], 9);
         // The private copy is patched in place from then on.
         let before = c.peek(1).unwrap().as_ptr();
-        c.page_mut(1).unwrap()[1] = 8;
+        write(&mut c, 1, 0, 1, 8);
         assert_eq!(c.peek(1).unwrap().as_ptr(), before);
         assert!(c.page_mut(2).is_none());
+
+        // A segmented page copies only the segment a patch touches; the
+        // shared copy reads the same after every patch.
+        let flash = PageData::from_segments(vec![page(1, 10).to_bytes(), page(2, 10).to_bytes()]);
+        let flat_before = flash.to_bytes();
+        c.insert(3, flash.clone(), false);
+        write(&mut c, 3, 1, 0, 7);
+        assert_eq!(flash.to_bytes(), flat_before, "the shared copy is never written");
+        let (cached, shared) = (c.resident(3).unwrap().segments(), flash.segments());
+        assert_eq!(cached[0].as_ptr(), shared[0].as_ptr(), "an untouched segment stays shared");
+        assert_ne!(cached[1].as_ptr(), shared[1].as_ptr(), "the patched segment was copied");
+        let copied = cached[1].as_ptr();
+        write(&mut c, 3, 1, 1, 6);
+        assert_eq!(c.resident(3).unwrap().segments()[1].as_ptr(), copied, "then patched in place");
+        assert_eq!(flash.to_bytes(), flat_before);
+        assert_eq!(&c.peek(3).unwrap()[10..13], &[7, 6, 2]);
     }
 
     #[test]
@@ -550,7 +587,7 @@ mod tests {
         c.restore(ev);
         assert_eq!(c.keys_mru(), vec![4, 3, 2, 1]);
         assert!(c.is_dirty(1) && c.is_dirty(2));
-        assert_eq!(c.peek(1).unwrap(), &page(1, 100));
+        assert_eq!(c.resident(1).unwrap(), &page(1, 100));
         assert_eq!(c.used_bytes(), 500, "over budget until the next insertion");
         assert_eq!(c.stats().evictions, 0);
         assert_eq!(c.stats().dirty_evictions, 0);

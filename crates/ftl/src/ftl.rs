@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use rhik_nand::{DeviceProfile, NandArray, NandGeometry, NandOp, Ppa};
+use rhik_nand::{DeviceProfile, NandArray, NandGeometry, NandOp, PageData, Ppa};
 use rhik_sigs::{KeySignature, SigMap};
 use rhik_telemetry::{Stage, StageEvent};
 
@@ -393,7 +393,7 @@ impl Ftl {
     fn program(
         &mut self,
         ppa: Ppa,
-        data: Bytes,
+        data: PageData,
         spare: SpareMeta,
         is_index: bool,
     ) -> Result<(), FtlError> {
@@ -471,7 +471,7 @@ impl Ftl {
                 // info areas, not the spare back-pointer.
                 self.program(
                     ppa,
-                    Bytes::copy_from_slice(&body[..take]),
+                    Bytes::copy_from_slice(&body[..take]).into(),
                     SpareMeta::cont_page(sig),
                     false,
                 )?;
@@ -549,7 +549,7 @@ impl Ftl {
             if HeadPage::parse(&data, self.geometry.page_size as usize).is_none() {
                 return Err(FtlError::Corrupt(format!("sealed head page {ppa:?} is malformed")));
             }
-            self.program(ppa, data, SpareMeta::head_page(), false)?;
+            self.program(ppa, data.into(), SpareMeta::head_page(), false)?;
             self.pending.clear();
         }
         Ok(())
@@ -708,11 +708,12 @@ impl Ftl {
 
     // --------------------------------------------------------------- index
 
-    /// Program a full index page; returns its address. Metadata writes may
-    /// dip into the GC reserve so cache write-backs never fail mid-flight;
-    /// resize's per-split space check and the device's proactive GC keep
-    /// the pool healthy.
-    pub fn write_index_page(&mut self, data: Bytes, meta: SpareMeta) -> Result<Ppa, FtlError> {
+    /// Program a full index page; returns its address. A segmented page
+    /// ([`PageData`]) is stored as its segments, shared by refcount with
+    /// the caller. Metadata writes may dip into the GC reserve so cache
+    /// write-backs never fail mid-flight; resize's per-split space check
+    /// and the device's proactive GC keep the pool healthy.
+    pub fn write_index_page(&mut self, data: PageData, meta: SpareMeta) -> Result<Ppa, FtlError> {
         let ppa = self.alloc.next_page(Stream::Index, true)?;
         let len = data.len() as u64;
         self.program(ppa, data, meta, true)?;
@@ -720,9 +721,9 @@ impl Ftl {
         Ok(ppa)
     }
 
-    /// Read an index page from flash.
-    pub fn read_index_page(&mut self, ppa: Ppa) -> Result<Bytes, FtlError> {
-        let (d, _) = self.nand_guard().read(ppa)?;
+    /// Read an index page from flash, as the segments it was written with.
+    pub fn read_index_page(&mut self, ppa: Ppa) -> Result<PageData, FtlError> {
+        let d = self.nand_guard().read_segments(ppa)?;
         self.charge(NandOp::Read { ppa, bytes: d.len() as u32 });
         self.stats.index_page_reads += 1;
         Ok(d)
@@ -763,7 +764,8 @@ impl Ftl {
 
     /// Inspect a page without charging a flash read — the invariant
     /// auditor's window into media state (audits must not perturb the
-    /// read counters the ≤1-read bound is proved against).
+    /// read counters the ≤1-read bound is proved against). A segmented
+    /// index page comes back as one copied buffer.
     pub fn peek_page(&self, ppa: Ppa) -> Option<(Bytes, Bytes)> {
         self.nand_guard().peek(ppa)
     }
@@ -1025,8 +1027,8 @@ mod tests {
     fn index_page_roundtrip_and_retire() {
         let mut f = ftl();
         let data = Bytes::from(vec![0x5au8; 512]);
-        let ppa = f.write_index_page(data.clone(), SpareMeta::index_page()).unwrap();
-        assert_eq!(f.read_index_page(ppa).unwrap(), data);
+        let ppa = f.write_index_page(data.clone().into(), SpareMeta::index_page()).unwrap();
+        assert_eq!(f.read_index_page(ppa).unwrap(), data.into());
         assert_eq!(f.stats().index_page_programs, 1);
         assert_eq!(f.stats().index_page_reads, 1);
         let live = f.total_live_bytes();
@@ -1092,7 +1094,7 @@ mod tests {
         let long = f.store_pair(sig(2), b"big", &[1u8; 1100], 0).unwrap();
         assert_eq!((long.head, long.cont_pages), (small.head, 2));
         assert_eq!(f.stats().pending_pairs, 2);
-        f.cache().insert(42, bytes::Bytes::from(vec![0u8; 64]), true);
+        f.cache().insert(42, bytes::Bytes::from(vec![0u8; 64]).into(), true);
         f.simulate_power_loss();
         assert_eq!(f.stats().pending_pairs, 0);
         assert!(f.cache_ref().is_empty());

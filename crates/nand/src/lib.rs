@@ -30,6 +30,7 @@ mod error;
 mod fault;
 mod geometry;
 mod latency;
+mod page;
 mod stats;
 
 pub use array::NandArray;
@@ -38,6 +39,7 @@ pub use error::NandError;
 pub use fault::FaultPlan;
 pub use geometry::{BlockId, NandGeometry, PageId, Ppa};
 pub use latency::{DeviceProfile, LatencyModel, NandOp, SimClock};
+pub use page::{PageData, SegmentsMut};
 pub use stats::NandStats;
 
 /// Convenience result alias for flash operations.

@@ -13,21 +13,34 @@
 //!
 //! The table has no decoded form: [`TablePage`] runs the hopscotch
 //! operations directly on the packed 17-byte [`IndexRecord`]s at the front
-//! of a page buffer — a cached page, a page just read from flash, or a
-//! successor page being built by a resize. A lookup reads at most the
-//! `H` slots its home's hopinfo names; an insert or remove writes only the
-//! slots it touches. [`RecordTable`] is the same table over a buffer it
-//! owns.
+//! of a page — a cached page, a page just read from flash, or a successor
+//! page being built by a resize. A lookup reads at most the `H` slots its
+//! home's hopinfo names; an insert or remove writes only the slots it
+//! touches. [`RecordTable`] is the same table over a buffer it owns.
+//!
+//! A table page is a list of segments of [`SEGMENT_SLOTS`] whole slots
+//! (about 4 KiB; the last segment also holds the page's padding), so a
+//! 4 KiB table is one segment and a 32 KiB table eight. The page cache,
+//! the FTL and the flash array pass the list on by refcount, and a patch
+//! copies only the segments it writes while flash still shares them
+//! ([`PageData::segments_mut`]). Read end to end, the segments are the
+//! flat page encoding: slot `i` at byte `17 × i`.
 
 use bytes::Bytes;
 use rhik_audit::InvariantViolation;
-use rhik_nand::Ppa;
+use rhik_nand::{PageData, Ppa, SegmentsMut};
 use rhik_sigs::KeySignature;
 
 use crate::record::{IndexRecord, PackedRecord};
 
 /// Bytes per slot in the page encoding.
 const REC: usize = IndexRecord::PACKED_LEN;
+
+/// Slots per segment of a table page.
+pub const SEGMENT_SLOTS: usize = 256;
+
+/// Bytes per segment of a table page (the last one may differ).
+const SEGMENT_BYTES: usize = SEGMENT_SLOTS * REC;
 
 /// Result of a table-local insert.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,8 +54,8 @@ pub enum TableInsert {
     Full,
 }
 
-/// The encoding of an empty table with `records` slots, zero-padded to
-/// `len` bytes (a whole flash page when `len` is the page size).
+/// The flat encoding of an empty table with `records` slots, zero-padded
+/// to `len` bytes (a whole flash page when `len` is the page size).
 pub(crate) fn empty_page(records: u32, len: usize) -> Vec<u8> {
     assert!(records as usize * REC <= len, "table exceeds page");
     let mut page = vec![0u8; len];
@@ -52,25 +65,171 @@ pub(crate) fn empty_page(records: u32, len: usize) -> Vec<u8> {
     page
 }
 
-/// Stored `(signature, ppa)` pairs of the encoded table at the front of
+/// A table page in its flat encoding, copied into the segments of
+/// [`SEGMENT_BYTES`] the index keeps it in; a page of one segment is one
+/// buffer.
+pub fn segmented(page: &[u8]) -> PageData {
+    if page.len() <= SEGMENT_BYTES {
+        return PageData::from(Bytes::copy_from_slice(page));
+    }
+    PageData::from_segments(page.chunks(SEGMENT_BYTES).map(Bytes::copy_from_slice).collect())
+}
+
+/// Stored `(signature, ppa)` pairs of the first `records` slots of
 /// `page`, in slot order.
-pub(crate) fn page_records(
-    page: &[u8],
+pub(crate) fn page_records<S: Slots + ?Sized>(
+    page: &S,
     records: u32,
 ) -> impl Iterator<Item = (KeySignature, Ppa)> + '_ {
-    page.as_chunks::<REC>().0[..records as usize].iter().filter_map(|slot| {
+    (0..records as usize).filter_map(|i| {
+        let slot = page.slot(i);
         let ppa = IndexRecord::packed_ppa(slot);
         (ppa != IndexRecord::EMPTY_PPA)
             .then(|| (KeySignature(IndexRecord::packed_sig(slot)), Ppa::unpack(ppa)))
     })
 }
 
+/// Where a [`TablePage`] keeps its slots: one flat buffer (`[u8]`,
+/// `Vec<u8>`), where slot `i` is at byte `17 × i`, or a page's segments
+/// (`[Bytes]` to read, [`SegmentsMut`] to write), where it is slot
+/// `i % SEGMENT_SLOTS` of segment `i / SEGMENT_SLOTS`.
+pub trait Slots {
+    /// Whether this storage lays out `records` slots.
+    fn holds(&self, records: u32) -> bool;
+
+    /// Slot `i`.
+    fn slot(&self, i: usize) -> &PackedRecord;
+}
+
+/// Writable [`Slots`].
+pub trait SlotsMut: Slots {
+    /// Slot `i`, for writing: a segment still shared with flash or a clone
+    /// is copied first.
+    fn slot_mut(&mut self, i: usize) -> &mut PackedRecord;
+}
+
+impl Slots for [u8] {
+    fn holds(&self, records: u32) -> bool {
+        self.len() >= records as usize * REC
+    }
+
+    #[inline]
+    fn slot(&self, i: usize) -> &PackedRecord {
+        &self.as_chunks::<REC>().0[i]
+    }
+}
+
+impl SlotsMut for [u8] {
+    #[inline]
+    fn slot_mut(&mut self, i: usize) -> &mut PackedRecord {
+        &mut self.as_chunks_mut::<REC>().0[i]
+    }
+}
+
+impl Slots for Vec<u8> {
+    fn holds(&self, records: u32) -> bool {
+        self.as_slice().holds(records)
+    }
+
+    #[inline]
+    fn slot(&self, i: usize) -> &PackedRecord {
+        self.as_slice().slot(i)
+    }
+}
+
+impl SlotsMut for Vec<u8> {
+    #[inline]
+    fn slot_mut(&mut self, i: usize) -> &mut PackedRecord {
+        self.as_mut_slice().slot_mut(i)
+    }
+}
+
+impl<S: Slots + ?Sized> Slots for &S {
+    fn holds(&self, records: u32) -> bool {
+        (**self).holds(records)
+    }
+
+    #[inline]
+    fn slot(&self, i: usize) -> &PackedRecord {
+        (**self).slot(i)
+    }
+}
+
+impl<S: Slots + ?Sized> Slots for &mut S {
+    fn holds(&self, records: u32) -> bool {
+        (**self).holds(records)
+    }
+
+    #[inline]
+    fn slot(&self, i: usize) -> &PackedRecord {
+        (**self).slot(i)
+    }
+}
+
+impl<S: SlotsMut + ?Sized> SlotsMut for &mut S {
+    #[inline]
+    fn slot_mut(&mut self, i: usize) -> &mut PackedRecord {
+        (**self).slot_mut(i)
+    }
+}
+
+impl Slots for [Bytes] {
+    /// One segment per [`SEGMENT_SLOTS`] slots, the last one long enough
+    /// for the rest. Every segment but the last is [`SEGMENT_BYTES`] long
+    /// as [`segmented`] builds it (checked in debug builds only: this runs
+    /// on every table operation).
+    fn holds(&self, records: u32) -> bool {
+        let (records, n) = (records as usize, self.len());
+        debug_assert!(
+            self.iter().rev().skip(1).all(|s| s.len() == SEGMENT_BYTES),
+            "a table segment other than the last is not {SEGMENT_BYTES} bytes"
+        );
+        n == records.div_ceil(SEGMENT_SLOTS).max(1)
+            && self[n - 1].len() >= (records - (n - 1) * SEGMENT_SLOTS) * REC
+    }
+
+    #[inline]
+    fn slot(&self, i: usize) -> &PackedRecord {
+        &self[i / SEGMENT_SLOTS].as_chunks::<REC>().0[i % SEGMENT_SLOTS]
+    }
+}
+
+impl Slots for SegmentsMut<'_> {
+    fn holds(&self, records: u32) -> bool {
+        match self {
+            SegmentsMut::Flat(buf) => records as usize <= SEGMENT_SLOTS && buf.holds(records),
+            SegmentsMut::Segments(list) => list.holds(records),
+        }
+    }
+
+    #[inline]
+    fn slot(&self, i: usize) -> &PackedRecord {
+        match self {
+            SegmentsMut::Flat(buf) => buf.slot(i),
+            SegmentsMut::Segments(list) => list.slot(i),
+        }
+    }
+}
+
+impl SlotsMut for SegmentsMut<'_> {
+    #[inline]
+    fn slot_mut(&mut self, i: usize) -> &mut PackedRecord {
+        match self {
+            SegmentsMut::Flat(buf) => buf.slot_mut(i),
+            SegmentsMut::Segments(list) => {
+                &mut list[i / SEGMENT_SLOTS].make_mut().as_chunks_mut::<REC>().0[i % SEGMENT_SLOTS]
+            }
+        }
+    }
+}
+
 /// A fixed-size hopscotch hash table in its flash encoding: `records`
 /// slots of [`IndexRecord::PACKED_LEN`] bytes at the front of `page`.
 ///
-/// Read operations need `B: AsRef<[u8]>` (`&[u8]`, `Bytes`, `Vec<u8>`);
-/// insert and remove need `B: AsMut<[u8]>` too and write only the slots
-/// they touch.
+/// Read operations need `B: Slots` (`&[u8]`, `Vec<u8>`, a page's
+/// `&[Bytes]` segments); insert and remove need `B: SlotsMut` (`&mut
+/// [u8]`, `Vec<u8>`, [`SegmentsMut`]) and write only the slots they
+/// touch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TablePage<B> {
     page: B,
@@ -78,14 +237,14 @@ pub struct TablePage<B> {
     hop_width: u32,
 }
 
-impl<B: AsRef<[u8]>> TablePage<B> {
+impl<B: Slots> TablePage<B> {
     /// View `page` as a table of `records` slots (Eq. 1) with hop width
     /// `hop_width`.
     pub fn new(page: B, records: u32, hop_width: u32) -> Self {
         assert!(records > 0, "table needs at least one slot");
         assert!((1..=32).contains(&hop_width), "hop width must be 1..=32");
         assert!(hop_width <= records, "hop width cannot exceed table size");
-        assert!(page.as_ref().len() >= records as usize * REC, "table exceeds page");
+        assert!(page.holds(records), "table exceeds page");
         TablePage { page, records, hop_width }
     }
 
@@ -96,13 +255,8 @@ impl<B: AsRef<[u8]>> TablePage<B> {
     }
 
     #[inline]
-    fn slots(&self) -> &[PackedRecord] {
-        self.page.as_ref().as_chunks::<REC>().0
-    }
-
-    #[inline]
     fn slot(&self, i: usize) -> &PackedRecord {
-        &self.slots()[i]
+        self.page.slot(i)
     }
 
     #[inline]
@@ -145,13 +299,12 @@ impl<B: AsRef<[u8]>> TablePage<B> {
     /// home bucket's hop neighborhood.
     #[inline]
     fn find(&self, sig: KeySignature) -> Option<(usize, u32, Ppa)> {
-        let slots = self.slots();
         let home = self.home_slot(sig);
-        let mut hops = IndexRecord::packed_hopinfo(&slots[home as usize]);
+        let mut hops = self.hopinfo_at(home as usize);
         while hops != 0 {
             let d = hops.trailing_zeros();
             let idx = self.at(home, d);
-            let slot = &slots[idx];
+            let slot = self.slot(idx);
             let ppa = IndexRecord::packed_ppa(slot);
             if IndexRecord::packed_sig(slot) == sig.0 && ppa != IndexRecord::EMPTY_PPA {
                 return Some((idx, d, Ppa::unpack(ppa)));
@@ -170,7 +323,7 @@ impl<B: AsRef<[u8]>> TablePage<B> {
 
     /// Iterate over stored `(signature, ppa)` pairs in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (KeySignature, Ppa)> + '_ {
-        page_records(self.page.as_ref(), self.records)
+        page_records(&self.page, self.records)
     }
 
     /// Records stored (a scan of every slot).
@@ -230,10 +383,10 @@ impl<B: AsRef<[u8]>> TablePage<B> {
     }
 }
 
-impl<B: AsRef<[u8]> + AsMut<[u8]>> TablePage<B> {
+impl<B: SlotsMut> TablePage<B> {
     #[inline]
     fn slot_mut(&mut self, i: usize) -> &mut PackedRecord {
-        &mut self.page.as_mut().as_chunks_mut::<REC>().0[i]
+        self.page.slot_mut(i)
     }
 
     /// Occupy slot `i` (its hopinfo — the bucket's — is kept).
@@ -613,21 +766,42 @@ mod tests {
     }
 
     #[test]
+    fn a_page_past_one_segment_is_segmented_and_reads_the_same() {
+        let (records, len) = (600, 600 * REC + 9);
+        let flat = empty_page(records, len);
+        let page = segmented(&flat);
+        let lens: Vec<usize> = page.segments().iter().map(|s| s.len()).collect();
+        assert_eq!(lens, vec![SEGMENT_BYTES, SEGMENT_BYTES, len - 2 * SEGMENT_BYTES]);
+        assert_eq!(page.to_bytes(), Bytes::from(flat));
+        assert_eq!(segmented(&empty_page(40, 40 * REC)).segments().len(), 1);
+    }
+
+    #[test]
     fn in_place_ops_match_the_owned_table() {
-        let mut page = empty_page(40, 40 * REC + 5);
-        let mut owned = RecordTable::new(40, 8);
-        for i in 0..120u64 {
-            let s = sig(i.wrapping_mul(0x2545_f491_4f6c_dd1d) % 97);
-            let mut view = TablePage::new(&mut page[..], 40, 8);
-            if i % 3 == 2 {
-                assert_eq!(view.remove(s), owned.remove(s));
-            } else {
-                assert_eq!(view.insert(s, ppa(i as u32)).0, owned.insert(s, ppa(i as u32)));
+        for records in [40, 600] {
+            let len = records as usize * REC + 5;
+            let mut page = segmented(&empty_page(records, len));
+            let mut owned = RecordTable::new(records, 8);
+            for i in 0..120u64 {
+                let s = sig(i.wrapping_mul(0x2545_f491_4f6c_dd1d) % 97);
+                let mut view = TablePage::new(page.segments_mut(), records, 8);
+                if i % 3 == 2 {
+                    assert_eq!(view.remove(s), owned.remove(s));
+                } else {
+                    assert_eq!(view.insert(s, ppa(i as u32)).0, owned.insert(s, ppa(i as u32)));
+                }
+                assert_eq!(TablePage::new(page.segments(), records, 8).lookup(s), owned.lookup(s));
             }
-            assert_eq!(TablePage::new(&page[..], 40, 8).lookup(s), owned.lookup(s));
+            assert_eq!(page.to_bytes(), owned.to_page(len));
+            TablePage::new(page.segments(), records, 8).check_invariants(owned.len()).unwrap();
         }
-        assert_eq!(&page[..], &owned.to_page(40 * REC + 5)[..]);
-        TablePage::new(&page[..], 40, 8).check_invariants(owned.len()).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "table exceeds page")]
+    fn a_flat_buffer_past_one_segment_is_not_a_segment_list() {
+        let flat = Bytes::from(RecordTable::new(600, 8).to_page(600 * REC).to_vec());
+        TablePage::new(std::slice::from_ref(&flat), 600, 8);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use bytes::Bytes;
 use rhik_ftl::layout::SpareMeta;
 use rhik_ftl::{Ftl, FtlError, IndexBackend, IndexStats, InsertOutcome};
-use rhik_nand::Ppa;
+use rhik_nand::{PageData, Ppa};
 use rhik_sigs::KeySignature;
 
 use crate::bucket::{TableInsert, TablePage};
@@ -126,13 +126,14 @@ impl RhikIndex {
         // than failing the whole mount.
         let mut len = 0u64;
         let mut lost_tables = 0u64;
-        let count =
-            |bytes: &Bytes| TablePage::new(&bytes[..], records_per_table, cfg.hop_width).count();
+        let count = |page: &PageData| {
+            TablePage::new(page.segments(), records_per_table, cfg.hop_width).count()
+        };
         for slot in 0..dir.len() as u32 {
             if let Some(ppa) = dir.entry(slot).table_ppa {
                 match ftl.read_index_page(ppa) {
-                    Ok(bytes) => {
-                        let records = count(&bytes);
+                    Ok(page) => {
+                        let records = count(&page);
                         dir.entry_mut(slot).records = records;
                         len += records as u64;
                     }
@@ -145,8 +146,8 @@ impl RhikIndex {
             }
             if let Some(ppa) = dir.entry(slot).overflow_ppa {
                 match ftl.read_index_page(ppa) {
-                    Ok(bytes) => {
-                        let records = count(&bytes);
+                    Ok(page) => {
+                        let records = count(&page);
                         dir.entry_mut(slot).overflow_records = records;
                         dir.entry_mut(slot).has_overflow = true;
                         len += records as u64;
@@ -335,7 +336,7 @@ impl RhikIndex {
         let pages = self.dir.snapshot_pages(page_size, self.snapshot_seq);
         let mut new_snapshot = Vec::with_capacity(pages.len());
         for page in pages {
-            new_snapshot.push(ftl.write_index_page(page, SpareMeta::directory_page())?);
+            new_snapshot.push(ftl.write_index_page(page.into(), SpareMeta::directory_page())?);
         }
         self.stats.metadata_flash_programs += new_snapshot.len() as u64;
         for old in std::mem::replace(&mut self.dir_snapshot, new_snapshot) {
@@ -838,7 +839,7 @@ mod tests {
         // The snapshot round-trips through flash bytes.
         let mut pages = Vec::new();
         for &ppa in idx.dir_snapshot() {
-            pages.push(ftl.read_index_page(ppa).unwrap());
+            pages.push(ftl.read_index_page(ppa).unwrap().to_bytes());
         }
         let rebuilt = Directory::from_snapshot_pages(&pages).unwrap();
         assert_eq!(rebuilt.bits(), idx.directory().bits());
@@ -1269,7 +1270,7 @@ mod tests {
             idx.flush(&mut ftl).unwrap();
             let slot = idx.directory().slot_of(sig(i));
             let key = idx.directory().cache_key(slot);
-            let before = ftl.cache_ref().peek(key).cloned();
+            let before = ftl.cache_ref().peek(key);
             // What the same insert does to an owned copy of the page.
             let rehearsal = before.as_ref().map(|page| {
                 let mut t = crate::RecordTable::from_page(page, 30, 4);
@@ -1277,7 +1278,7 @@ mod tests {
             });
             if let Err(e) = idx.insert(&mut ftl, sig(i), Ppa::new(0, 0)) {
                 assert_eq!(e, FtlError::TableFull { table: slot as u64 });
-                assert_eq!(ftl.cache_ref().peek(key), before.as_ref(), "page changed");
+                assert_eq!(ftl.cache_ref().peek(key), before, "page changed");
                 assert!(!ftl.cache_ref().is_dirty(key), "a failed insert dirtied the page");
                 if let Some((TableInsert::Full, moves)) = rehearsal {
                     displaced_fulls += (moves > 0) as u32;

@@ -28,7 +28,7 @@ pub mod pages;
 mod record;
 mod resize;
 
-pub use bucket::{RecordTable, TableInsert, TablePage};
+pub use bucket::{segmented, RecordTable, Slots, SlotsMut, TableInsert, TablePage, SEGMENT_SLOTS};
 pub use config::RhikConfig;
 pub use directory::{DirEntry, Directory};
 pub use index::RhikIndex;

@@ -12,9 +12,11 @@
 //!   and written it back to a new address;
 //! * [`Table`] probes the page where it lies and patches only the slots an
 //!   operation touches. A resident page is patched in the cache,
-//!   copy-on-write: the first write after a flash fill or a write-back —
-//!   whose bytes the flash array still holds — copies the page once, and
-//!   later writes copy nothing;
+//!   copy-on-write by segment: the first write to a segment after a flash
+//!   fill or a write-back — whose segments the flash array still holds —
+//!   copies that segment once, and later writes to it copy nothing. Pages
+//!   move between the cache and flash (fills, write-backs, checkpoints, GC
+//!   relocation) as segment lists shared by refcount;
 //! * [`Table::save`] accounts the patch exactly as re-inserting the page
 //!   dirty would, so hit, miss, insertion and eviction counts, LRU order
 //!   and every write-back decision match a decode–modify–encode cycle;
@@ -37,10 +39,10 @@ use bytes::Bytes;
 use rhik_ftl::cache::Evicted;
 use rhik_ftl::layout::SpareMeta;
 use rhik_ftl::{Ftl, FtlError, IndexStats};
-use rhik_nand::Ppa;
+use rhik_nand::{PageData, Ppa, SegmentsMut};
 use rhik_sigs::KeySignature;
 
-use crate::bucket::{empty_page, TableInsert, TablePage};
+use crate::bucket::{empty_page, segmented, TableInsert, TablePage};
 
 /// An index whose record-layer tables are pages in the FTL page cache.
 pub trait CachedTables {
@@ -68,7 +70,7 @@ enum Place {
     Resident,
     /// Held here: a page the cache could not keep, or one pinned across
     /// another table's load.
-    Owned(Bytes),
+    Owned(PageData),
     /// Never persisted and not cached: an empty table, built on first
     /// write.
     Unwritten,
@@ -99,12 +101,12 @@ pub fn load<I: CachedTables>(
     let Some(ppa) = index.table_ppa(key).and_then(|at| *at) else {
         return Ok((table(Place::Unwritten), 0));
     };
-    let bytes = ftl.read_index_page(ppa)?;
+    let page = ftl.read_index_page(ppa)?;
     index.stats_mut().metadata_flash_reads += 1;
-    install(index, ftl, key, bytes.clone(), false)?;
+    install(index, ftl, key, page.clone(), false)?;
     // A page larger than the whole cache budget bounces straight back out.
     let place =
-        if ftl.cache_ref().peek(key).is_some() { Place::Resident } else { Place::Owned(bytes) };
+        if ftl.cache_ref().resident(key).is_some() { Place::Resident } else { Place::Owned(page) };
     Ok((table(place), 1))
 }
 
@@ -115,7 +117,7 @@ pub fn install<I: CachedTables>(
     index: &mut I,
     ftl: &mut Ftl,
     key: u64,
-    data: Bytes,
+    data: PageData,
     dirty: bool,
 ) -> Result<(), FtlError> {
     let mut victims = ftl.cache().insert(key, data, dirty).into_iter().filter(|ev| ev.dirty);
@@ -147,7 +149,7 @@ pub fn program<I: CachedTables>(
     index: &mut I,
     ftl: &mut Ftl,
     key: u64,
-    data: Bytes,
+    data: PageData,
 ) -> Result<Option<Ppa>, FtlError> {
     if index.table_ppa(key).is_none() {
         return Ok(None);
@@ -182,9 +184,9 @@ pub fn relocate<I: CachedTables>(
     if index.table_ppa(key).map(|at| *at) != Some(Some(old)) {
         return Ok(None);
     }
-    let bytes = ftl.read_index_page(old)?;
+    let page = ftl.read_index_page(old)?;
     index.stats_mut().metadata_flash_reads += 1;
-    program(index, ftl, key, bytes)
+    program(index, ftl, key, page)
 }
 
 /// The live tables whose flash copy lies in `block`, as `(cache key,
@@ -203,7 +205,7 @@ pub fn peek_records<I: CachedTables>(index: &I, ftl: &Ftl) -> HashMap<u64, Ppa> 
     let (records, hop_width) = index.table_shape();
     let mut heads = HashMap::new();
     for (key, ppa, _) in index.tables() {
-        let cached = ftl.cache_ref().peek(key).cloned();
+        let cached = ftl.cache_ref().peek(key);
         let Some(page) = cached.or_else(|| ppa.and_then(|p| ftl.peek_page(p)).map(|(d, _)| d))
         else {
             continue;
@@ -230,33 +232,37 @@ pub fn scan_records<I: CachedTables>(
 }
 
 impl Table {
-    fn page<'a>(&'a self, ftl: &'a Ftl) -> Option<TablePage<&'a [u8]>> {
-        let bytes = match &self.place {
-            Place::Resident => match ftl.cache_ref().peek(self.key) {
-                Some(bytes) => bytes,
+    fn page<'a>(&'a self, ftl: &'a Ftl) -> Option<TablePage<&'a [Bytes]>> {
+        let page = match &self.place {
+            Place::Resident => match ftl.cache_ref().resident(self.key) {
+                Some(page) => page,
                 None => unreachable!("table {:#x} left the cache while loaded", self.key),
             },
-            Place::Owned(bytes) => bytes,
+            Place::Owned(page) => page,
             Place::Unwritten => return None,
         };
-        Some(TablePage::new(&bytes[..], self.records, self.hop_width))
+        Some(TablePage::new(page.segments(), self.records, self.hop_width))
     }
 
     /// Run `op` on a writable page: the resident copy (copy-on-write), the
     /// owned one, or a fresh empty page for an unwritten table.
-    fn patch<R>(&mut self, ftl: &mut Ftl, op: impl FnOnce(&mut TablePage<&mut [u8]>) -> R) -> R {
+    fn patch<R>(
+        &mut self,
+        ftl: &mut Ftl,
+        op: impl FnOnce(&mut TablePage<SegmentsMut<'_>>) -> R,
+    ) -> R {
         if matches!(self.place, Place::Unwritten) {
             let page = empty_page(self.records, ftl.geometry().page_size as usize);
-            self.place = Place::Owned(Bytes::from(page));
+            self.place = Place::Owned(segmented(&page));
         }
-        let buf = match &mut self.place {
-            Place::Owned(bytes) => bytes.make_mut(),
+        let page = match &mut self.place {
+            Place::Owned(page) => page,
             _ => match ftl.cache().page_mut(self.key) {
-                Some(buf) => buf,
+                Some(page) => page,
                 None => unreachable!("table {:#x} left the cache while loaded", self.key),
             },
         };
-        op(&mut TablePage::new(buf, self.records, self.hop_width))
+        op(&mut TablePage::new(page.segments_mut(), self.records, self.hop_width))
     }
 
     /// Look up `sig` (≤ hop-width slot probes, no copy).
@@ -296,7 +302,7 @@ impl Table {
                 ftl.cache().commit_patch(self.key);
                 Ok(())
             }
-            Place::Owned(bytes) => install(index, ftl, self.key, bytes, true),
+            Place::Owned(page) => install(index, ftl, self.key, page, true),
             Place::Unwritten => Ok(()),
         }
     }
@@ -305,8 +311,8 @@ impl Table {
     /// which may evict it.
     pub fn pin(&mut self, ftl: &Ftl) {
         if matches!(self.place, Place::Resident) {
-            if let Some(bytes) = ftl.cache_ref().peek(self.key) {
-                self.place = Place::Owned(bytes.clone());
+            if let Some(page) = ftl.cache_ref().resident(self.key) {
+                self.place = Place::Owned(page.clone());
             }
         }
     }
@@ -314,7 +320,7 @@ impl Table {
     /// Undo [`Table::pin`]: go back to patching the cached page if it is
     /// still resident (dropping the pinned handle, so no copy is forced).
     pub fn unpin(&mut self, ftl: &Ftl) {
-        if matches!(self.place, Place::Owned(_)) && ftl.cache_ref().peek(self.key).is_some() {
+        if matches!(self.place, Place::Owned(_)) && ftl.cache_ref().resident(self.key).is_some() {
             self.place = Place::Resident;
         }
     }

@@ -38,11 +38,10 @@
 //!   a mid-migration `NeedsGc` simply pauses the cursor; the next index
 //!   operation that finds free blocks resumes it.
 
-use bytes::Bytes;
 use rhik_ftl::{Ftl, FtlError, IndexBackend, ResizeEvent};
-use rhik_nand::{NandOp, Ppa};
+use rhik_nand::{NandOp, PageData, Ppa};
 
-use crate::bucket::{empty_page, page_records, TableInsert, TablePage};
+use crate::bucket::{empty_page, page_records, segmented, TableInsert, TablePage};
 use crate::directory::{Directory, OVERFLOW_KEY};
 use crate::index::RhikIndex;
 use crate::pages::{self, CachedTables};
@@ -310,15 +309,15 @@ fn split_one(
                  idx: &mut RhikIndex,
                  cache_key: u64,
                  ppa: Option<rhik_nand::Ppa>|
-     -> Result<Option<Bytes>, FtlError> {
-        if let Some(bytes) = ftl.cache().get(cache_key) {
-            return Ok(Some(bytes.clone()));
+     -> Result<Option<PageData>, FtlError> {
+        if let Some(page) = ftl.cache().get(cache_key) {
+            return Ok(Some(page.clone()));
         }
         match ppa {
             Some(ppa) => {
-                let bytes = ftl.read_index_page(ppa)?;
+                let page = ftl.read_index_page(ppa)?;
                 idx.stats_mut().metadata_flash_reads += 1;
-                Ok(Some(bytes))
+                Ok(Some(page))
             }
             None => Ok(None),
         }
@@ -348,7 +347,8 @@ fn split_one(
     let mut hi = Successor::new(records_per_table, page_size);
     let mut moved = 0u64;
     let old_records = table.iter().chain(overflow.iter());
-    for (sig, ppa) in old_records.flat_map(|page| page_records(page, records_per_table)) {
+    for (sig, ppa) in old_records.flat_map(|page| page_records(page.segments(), records_per_table))
+    {
         let target_slot = idx.directory().slot_of(sig);
         debug_assert!(
             target_slot == lo_slot || target_slot == hi_slot,
@@ -394,11 +394,11 @@ fn split_one(
     for (new_slot, successor) in [(lo_slot, lo), (hi_slot, hi)] {
         let key = idx.directory().cache_key(new_slot);
         if successor.records > 0 {
-            pages::program(idx, ftl, key, successor.table.into())?;
+            pages::program(idx, ftl, key, segmented(&successor.table))?;
             idx.dir_mut().entry_mut(new_slot).records = successor.records;
         }
         if let Some((page, records)) = successor.overflow {
-            pages::program(idx, ftl, OVERFLOW_KEY | key, page.into())?;
+            pages::program(idx, ftl, OVERFLOW_KEY | key, segmented(&page))?;
             let entry = idx.dir_mut().entry_mut(new_slot);
             entry.overflow_records = records;
             entry.has_overflow = true;

@@ -7,12 +7,18 @@
 //! operations as possible, so the interleavings routinely
 //! land mid-migration (keys split between the frozen old directory and
 //! the half-populated new one). Tables patched in their page encoding
-//! match a `BTreeMap` slot for slot, and pinned digests of the pages an
-//! index writes keep the on-flash format — and every cache and flash
-//! decision behind it — from drifting.
+//! match a `BTreeMap` slot for slot, tables kept as segments match the
+//! flat table op for op and byte for byte without ever writing a copy
+//! flash shares, and pinned digests of the pages an index writes keep the
+//! on-flash format — and every cache and flash decision behind it — from
+//! drifting.
 
+use bytes::Bytes;
 use proptest::prelude::*;
-use rhik_core::{RecordTable, RhikConfig, RhikIndex, TableInsert, TablePage};
+use rhik_core::{
+    segmented, RecordTable, RhikConfig, RhikIndex, TableInsert, TablePage, SEGMENT_SLOTS,
+};
+use rhik_ftl::layout::SpareMeta;
 use rhik_ftl::{Ftl, FtlConfig, FtlError, IndexBackend, ReadView, VersionTable};
 use rhik_nand::{NandGeometry, Ppa};
 use rhik_sigs::KeySignature;
@@ -241,6 +247,157 @@ proptest! {
             prop_assert_eq!(back.lookup(sig), Some(ppa));
         }
         back.check_invariants().map_err(|e| TestCaseError::fail(e.to_string()))?;
+    }
+}
+
+/// Page sizes whose tables are one, two and eight segments.
+const SEGMENTED_PAGES: [usize; 3] = [4096, 8192, 32 * 1024];
+
+/// Four signatures homed at each of the eight slots around every segment
+/// boundary and around the wrap from slot R−1 to slot 0, so that small hop
+/// widths collide, displace records across boundaries and run
+/// neighbourhoods full.
+fn boundary_sigs(records: u32) -> Vec<KeySignature> {
+    let probe = RecordTable::new(records, 1);
+    let edges = (0..records.div_ceil(SEGMENT_SLOTS as u32)).map(|k| k * SEGMENT_SLOTS as u32);
+    let homes: Vec<u32> =
+        edges.flat_map(|edge| (0..8).map(move |d| (edge + records - 4 + d) % records)).collect();
+    let mut taken: HashMap<u32, usize> = HashMap::new();
+    let mut sigs = Vec::new();
+    let mut n = 0u64;
+    while sigs.len() < homes.len() * 4 {
+        let sig = KeySignature(mix(n));
+        n += 1;
+        let home = probe.home_slot(sig);
+        let taken = taken.entry(home).or_default();
+        if homes.contains(&home) && *taken < 4 {
+            *taken += 1;
+            sigs.push(sig);
+        }
+    }
+    sigs
+}
+
+/// What a stream did to a segmented page.
+#[derive(Debug, Default)]
+struct Coverage {
+    /// `Full` inserts that displaced records and undid the moves.
+    fulls_undone: u32,
+    /// Operations that rewrote slots in two or more segments.
+    cross_segment: u32,
+    /// Operations that rewrote slot R−1 and one of the first hop-width slots.
+    wrapped: u32,
+}
+
+/// Run `ops` (kind, signature pick, ppa) on a table page kept as segments
+/// and on a [`RecordTable`] over a flat buffer: outcomes, displacement
+/// counts and the flat bytes must agree after every operation. Every 16
+/// operations the page is also written to flash, which then shares its
+/// segments; no copy flash holds may change.
+fn segmented_matches_flat(
+    page_size: usize,
+    hop: u32,
+    ops: &[(u8, u8, u16)],
+) -> Result<Coverage, TestCaseError> {
+    let records = (page_size / 17) as u32;
+    let sigs = boundary_sigs(records);
+    let mut flat = RecordTable::new(records, hop);
+    let mut page = segmented(&flat.to_page(page_size));
+    prop_assert_eq!(page.segments().len(), (records as usize).div_ceil(SEGMENT_SLOTS));
+    let geometry = NandGeometry {
+        blocks: 8,
+        pages_per_block: 8,
+        page_size: page_size as u32,
+        spare_size: 16,
+        channels: 1,
+    };
+    let mut ftl = Ftl::new(FtlConfig { geometry, ..FtlConfig::tiny() });
+    let mut on_flash: Vec<(Ppa, Bytes)> = Vec::new();
+    let mut cov = Coverage::default();
+    for (i, &(kind, pick, p)) in ops.iter().enumerate() {
+        if i % 16 == 0 {
+            let ppa = ftl.write_index_page(page.clone(), SpareMeta::index_page()).unwrap();
+            on_flash.push((ppa, page.to_bytes()));
+        }
+        let sig = sigs[pick as usize % sigs.len()];
+        let ppa = Ppa::new(p as u32, (p % 8) as u32);
+        let before = page.to_bytes();
+        match kind % 4 {
+            0 | 1 => {
+                let moves = flat.displacements();
+                let want = flat.insert(sig, ppa);
+                let (got, got_moves) =
+                    TablePage::new(page.segments_mut(), records, hop).insert(sig, ppa);
+                prop_assert_eq!(got, want, "insert outcome at op {}", i);
+                prop_assert_eq!(
+                    got_moves,
+                    flat.displacements() - moves,
+                    "displacements at op {}",
+                    i
+                );
+                cov.fulls_undone += (got == TableInsert::Full && got_moves > 0) as u32;
+            }
+            2 => {
+                let got = TablePage::new(page.segments_mut(), records, hop).remove(sig);
+                prop_assert_eq!(got, flat.remove(sig), "remove at op {}", i);
+            }
+            _ => {
+                let got = TablePage::new(page.segments(), records, hop).lookup(sig);
+                prop_assert_eq!(got, flat.lookup(sig), "lookup at op {}", i);
+            }
+        }
+        let after = page.to_bytes();
+        prop_assert!(after == flat.to_page(page_size), "flat bytes diverged at op {}", i);
+        let changed: Vec<usize> = (0..records as usize)
+            .filter(|&s| before[s * 17..(s + 1) * 17] != after[s * 17..(s + 1) * 17])
+            .collect();
+        let segment = |s: &usize| s / SEGMENT_SLOTS;
+        cov.cross_segment += changed.iter().any(|s| segment(s) != segment(&changed[0])) as u32;
+        cov.wrapped += (changed.contains(&(records as usize - 1))
+            && changed.iter().any(|&s| s < hop as usize)) as u32;
+    }
+    for (ppa, bytes) in &on_flash {
+        let (stored, _) = ftl.peek_page(*ppa).expect("programmed");
+        prop_assert!(stored == *bytes, "a page shared with flash was written");
+    }
+    TablePage::new(page.segments(), records, hop)
+        .check_invariants(flat.len())
+        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+    Ok(cov)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Tables of one, two and eight segments behave exactly like the flat
+    /// table, and never write a segment flash shares.
+    #[test]
+    fn segmented_tables_match_flat_tables(
+        size in 0usize..3,
+        hop in 2u32..7,
+        ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u16>()), 1..300)
+    ) {
+        segmented_matches_flat(SEGMENTED_PAGES[size], hop, &ops)?;
+    }
+}
+
+/// The streams of the property above reach what they are meant to: on
+/// every page size a `Full` insert undoes displacements and a patch wraps
+/// from slot R−1 to slot 0; past one segment, patches span segments.
+#[test]
+fn segmented_streams_cross_boundaries_and_undo_full_inserts() {
+    let mut state = 7u64;
+    let ops: Vec<(u8, u8, u16)> = (0..600)
+        .map(|_| {
+            state = mix(state);
+            ((state % 5).min(3) as u8, (state >> 8) as u8, (state >> 16) as u16)
+        })
+        .collect();
+    for page_size in SEGMENTED_PAGES {
+        let cov = segmented_matches_flat(page_size, 3, &ops).expect("segmented matches flat");
+        assert!(cov.fulls_undone > 0, "{page_size}: {cov:?}");
+        assert!(cov.wrapped > 0, "{page_size}: {cov:?}");
+        assert_eq!(cov.cross_segment > 0, page_size > 4096, "{page_size}: {cov:?}");
     }
 }
 
